@@ -46,7 +46,6 @@
 #include "portfolio/report.hpp"
 #include "portfolio/runner.hpp"
 #include "portfolio/scheduler.hpp"
-#include "sat/backend.hpp"
 #include "sweep/signatures.hpp"
 #include "util/fault.hpp"
 #include "util/thread_pool.hpp"
@@ -80,7 +79,6 @@ struct Args {
   std::vector<std::string> fallbackEngines;  // --fallback-engines
   int seeds = 50;           // --seeds: soak fault schedules
   std::string schedule;  // race | slice (bench also: seq)
-  std::string satBackend = "cnf";  // cnf | circuit | race | auto
   std::string prepSpec;  // on | off | comma list of passes
   std::string output;  // -o
   std::string jsonPath;
@@ -97,7 +95,6 @@ cbq::portfolio::RunInfo makeRunInfo(const Args& args,
   info.jobs = args.jobs;
   info.parThreads = args.parThreads;
   info.schedule = schedule.empty() ? "race" : schedule;
-  info.satBackend = args.satBackend;
   return info;
 }
 
@@ -162,18 +159,6 @@ void printPrepSummary(const cbq::portfolio::PrepSummary& p) {
                 ps.pass.c_str(), ps.latchesBefore, ps.latchesAfter,
                 ps.inputsBefore, ps.inputsAfter, ps.andsBefore, ps.andsAfter,
                 ps.seconds * 1e3);
-}
-
-/// Parses --sat-backend (cnf|circuit|race|auto); reports bad names.
-bool parseSatBackend(const std::string& s, cbq::sat::BackendKind& kind) {
-  const auto parsed = cbq::sat::parseBackendKind(s);
-  if (!parsed) {
-    std::fprintf(stderr, "cbq: unknown sat backend '%s' (cnf|circuit|race|auto)\n",
-                 s.c_str());
-    return false;
-  }
-  kind = *parsed;
-  return true;
 }
 
 /// Parses --schedule for check/batch; empty defaults to race.
@@ -296,10 +281,6 @@ bool parseArgs(int argc, char** argv, int first, Args& args) {
       const char* v = value("--schedule");
       if (!v) return false;
       args.schedule = v;
-    } else if (a == "--sat-backend") {
-      const char* v = value("--sat-backend");
-      if (!v) return false;
-      args.satBackend = v;
     } else if (a == "--prep") {
       const char* v = value("--prep");
       if (!v) return false;
@@ -417,13 +398,6 @@ int usage() {
       "      --retries N       batch: retry failure-driven UNKNOWNs with\n"
       "                        fresh sessions (default 0)\n"
       "      --fallback-engines A,B   batch: engine set for retry attempts\n"
-      "  sat backend (check/batch/bench/soak):\n"
-      "      --sat-backend cnf|circuit|race|auto\n"
-      "          SAT engine for the sweep/quantification queries of the\n"
-      "          SAT-flavoured reachability engines: the clause-level CNF\n"
-      "          solver (default), the circuit-native CDCL solver that\n"
-      "          propagates directly on the AIG, a per-query race of both,\n"
-      "          or adaptive routing by observed per-query times\n"
       "  cbq bench [--engine NAME] [--timeout S] [--smoke] [-o FILE]\n"
       "            [--schedule seq|slice|race] [--prep ...]\n"
       "      run the generated family suite and write BENCH_reach.json:\n"
@@ -511,7 +485,6 @@ int cmdCheck(const Args& args) {
   opts.rssLimitBytes =
       static_cast<std::size_t>(args.memLimitMb * 1024.0 * 1024.0);
   if (!parseSchedule(args.schedule, opts.schedule)) return 1;
-  if (!parseSatBackend(args.satBackend, opts.satBackend)) return 1;
   if (!parsePrep(args.prepSpec, opts.prep)) return 1;
   opts.sliceWorkers = args.workers;
 
@@ -660,7 +633,6 @@ int cmdBatch(const Args& args) {
   opts.portfolio.rssLimitBytes =
       static_cast<std::size_t>(args.memLimitMb * 1024.0 * 1024.0);
   if (!parseSchedule(args.schedule, opts.portfolio.schedule)) return 1;
-  if (!parseSatBackend(args.satBackend, opts.portfolio.satBackend)) return 1;
   if (!parsePrep(args.prepSpec, opts.portfolio.prep)) return 1;
   opts.portfolio.sliceWorkers = args.workers;
 
@@ -835,8 +807,6 @@ int cmdBench(const Args& args) {
     std::fprintf(stderr, "cbq: unknown engine %s\n", engineName.c_str());
     return 1;
   }
-  cbq::sat::BackendKind satKind = cbq::sat::BackendKind::Cnf;
-  if (!parseSatBackend(args.satBackend, satKind)) return 1;
   cbq::prep::PrepOptions prepOpts;
   if (!parsePrep(args.prepSpec, prepOpts)) return 1;
   std::unique_ptr<cbq::util::ThreadPool> pool;
@@ -882,8 +852,7 @@ int cmdBench(const Args& args) {
     std::int64_t sweepChecks = 0, dcChecks = 0;
     std::int64_t lookups = 0, hits = 0;
     std::int64_t conflicts = 0, propagations = 0;
-    std::int64_t recycles = 0, remaps = 0, compactions = 0;
-    std::int64_t cnfWins = 0, circuitWins = 0, raceWastedNs = 0;
+    std::int64_t remaps = 0, compactions = 0;
     bool agree = true;
   };
   std::vector<Row> rows;
@@ -896,8 +865,7 @@ int cmdBench(const Args& args) {
     if (schedule == "seq") {
       // The sequential engine entry path: preprocess, check the reduced
       // problem, lift + referee any counterexample on the original.
-      auto engine =
-          cbq::mc::makeEngine(engineName, cbq::mc::EngineTuning{satKind});
+      auto engine = cbq::mc::makeEngine(engineName);
       const cbq::portfolio::Budget budget(timeout);
       r = cbq::prep::checkWithPrep(*engine, inst.net, prepOpts, budget);
     } else {
@@ -910,7 +878,6 @@ int cmdBench(const Args& args) {
                            ? cbq::portfolio::ScheduleMode::Slice
                            : cbq::portfolio::ScheduleMode::Race;
       popts.sliceWorkers = args.workers;
-      popts.satBackend = satKind;
       popts.prep = prepOpts;
       const cbq::portfolio::PortfolioRunner runner(popts);
       auto pr = runner.run(inst.net);
@@ -935,12 +902,8 @@ int cmdBench(const Args& args) {
                r.stats.count("sweep.cache_hits_refuted");
     row.conflicts = r.stats.count("sat.conflicts");
     row.propagations = r.stats.count("sat.propagations");
-    row.recycles = r.stats.count("sweep.session_recycles");
     row.remaps = r.stats.count("sweep.cache_remaps");
     row.compactions = r.stats.count("reach.compactions");
-    row.cnfWins = r.stats.count("sat.backend.cnf_wins");
-    row.circuitWins = r.stats.count("sat.backend.circuit_wins");
-    row.raceWastedNs = r.stats.count("sat.backend.race_wasted_ns");
     row.agree = r.verdict == Verdict::Unknown || r.verdict == inst.expected;
     total += r.seconds;
     if (r.verdict != Verdict::Unknown) ++solved;
@@ -980,19 +943,6 @@ int cmdBench(const Args& args) {
       << (schedule == "seq" ? engineName : "portfolio-" + schedule)
       << "\",\n";
   out << "  \"schedule\": \"" << schedule << "\",\n";
-  out << "  \"sat_backend\": \"" << cbq::sat::backendName(satKind)
-      << "\",\n";
-  {
-    std::int64_t cw = 0, xw = 0, wasted = 0;
-    for (const Row& r : rows) {
-      cw += r.cnfWins;
-      xw += r.circuitWins;
-      wasted += r.raceWastedNs;
-    }
-    out << "  \"sat_backend_cnf_wins\": " << cw << ",\n";
-    out << "  \"sat_backend_circuit_wins\": " << xw << ",\n";
-    out << "  \"sat_backend_race_wasted_ns\": " << wasted << ",\n";
-  }
   out << "  \"prep\": " << (prepOpts.enabled ? "true" : "false") << ",\n";
   out << "  \"timeout_seconds\": " << timeout << ",\n";
   out << "  \"circuits\": " << rows.size() << ",\n";
@@ -1018,12 +968,8 @@ int cmdBench(const Args& args) {
         << ", \"cache_hits\": " << r.hits
         << ", \"conflicts\": " << r.conflicts
         << ", \"propagations\": " << r.propagations
-        << ", \"session_recycles\": " << r.recycles
         << ", \"cache_remaps\": " << r.remaps
-        << ", \"compactions\": " << r.compactions
-        << ", \"cnf_wins\": " << r.cnfWins
-        << ", \"circuit_wins\": " << r.circuitWins
-        << ", \"race_wasted_ns\": " << r.raceWastedNs << "}";
+        << ", \"compactions\": " << r.compactions << "}";
   }
   out << "\n  ]\n}\n";
 
@@ -1281,7 +1227,6 @@ int cmdSoak(const Args& args) {
       popts.timeLimitSeconds = timeout;
       popts.schedule = mode;
       popts.sliceWorkers = args.workers;
-      if (!parseSatBackend(args.satBackend, popts.satBackend)) return 1;
       Verdict got = Verdict::Unknown;
       try {
         const cbq::portfolio::PortfolioRunner runner(popts);

@@ -1,7 +1,7 @@
 // Micro-benchmarks of the CDCL solvers: random 3-SAT near the phase
 // transition, pigeonhole proofs, the assumption-batch pattern the
 // sweeping engine relies on (one clause DB, many factorized checks), and
-// the CNF-vs-circuit backend duel on sweep-style cone queries — the same
+// the CNF-vs-circuit solver duel on sweep-style cone queries — the same
 // check, once through the Tseitin encode + clause solver and once through
 // the circuit-native CDCL that propagates on the AIG directly.
 
@@ -12,8 +12,7 @@
 #include <vector>
 
 #include "aig/aig.hpp"
-#include "cnf/cnf_backend.hpp"
-#include "sat/backend.hpp"
+#include "cnf/aig_cnf.hpp"
 #include "sat/circuit_solver.hpp"
 #include "sat/solver.hpp"
 #include "util/random.hpp"
@@ -100,7 +99,7 @@ void BM_BudgetedSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_BudgetedSolve)->Arg(10)->Arg(100)->Arg(1000);
 
-// ----- CNF vs circuit backend on sweep-style cone queries -------------
+// ----- CNF vs circuit solver on sweep-style cone queries --------------
 
 constexpr int kConeVars = 24;
 
@@ -137,47 +136,61 @@ void buildCone(ConePair& cone, std::size_t ands, std::uint64_t seed) {
   for (const cbq::aig::Lit l : conj) cone.folded = g.mkAnd(cone.folded, l);
 }
 
-/// One equivalence proof per iteration on a fresh backend: the CNF side
-/// pays encode + solve, the circuit side solves on the graph as-is.
-void runEquivProof(benchmark::State& state, cbq::sat::BackendKind kind) {
+// One query per iteration on a fresh engine: the CNF side pays encode +
+// solve, the circuit side solves on the graph as-is.
+
+void BM_ConeEquivCnf(benchmark::State& state) {
   ConePair cone;
   buildCone(cone, static_cast<std::size_t>(state.range(0)), 42);
   for (auto _ : state) {
-    const auto backend = cbq::cnf::makeSatBackend(kind, cone.g);
+    Solver s;
+    cbq::cnf::AigCnf cnf(cone.g, s);
     const cbq::aig::Lit roots[] = {cone.balanced, cone.folded};
-    backend->focusOn(roots);
+    cnf.focusOn(roots);
     benchmark::DoNotOptimize(
-        cbq::sat::checkEquiv(*backend, cone.balanced, cone.folded));
+        cbq::cnf::checkEquiv(cnf, cone.balanced, cone.folded));
   }
   state.SetItemsProcessed(state.iterations());
 }
 
-/// One satisfiability query per iteration on a fresh backend.
-void runSatQuery(benchmark::State& state, cbq::sat::BackendKind kind) {
+void BM_ConeEquivCircuit(benchmark::State& state) {
+  ConePair cone;
+  buildCone(cone, static_cast<std::size_t>(state.range(0)), 42);
+  for (auto _ : state) {
+    cbq::sat::CircuitSolver s(cone.g);
+    const cbq::aig::Lit roots[] = {cone.balanced, cone.folded};
+    s.focusOn(roots);
+    benchmark::DoNotOptimize(
+        cbq::sat::checkEquiv(s, cone.balanced, cone.folded));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_ConeSatCnf(benchmark::State& state) {
   ConePair cone;
   buildCone(cone, static_cast<std::size_t>(state.range(0)), 7);
   for (auto _ : state) {
-    const auto backend = cbq::cnf::makeSatBackend(kind, cone.g);
+    Solver s;
+    cbq::cnf::AigCnf cnf(cone.g, s);
     const cbq::aig::Lit roots[] = {cone.balanced};
-    backend->focusOn(roots);
-    benchmark::DoNotOptimize(
-        cbq::sat::checkSat(*backend, cone.balanced));
+    cnf.focusOn(roots);
+    benchmark::DoNotOptimize(cbq::cnf::checkSat(cnf, cone.balanced));
   }
   state.SetItemsProcessed(state.iterations());
 }
 
-void BM_ConeEquivCnf(benchmark::State& state) {
-  runEquivProof(state, cbq::sat::BackendKind::Cnf);
-}
-void BM_ConeEquivCircuit(benchmark::State& state) {
-  runEquivProof(state, cbq::sat::BackendKind::Circuit);
-}
-void BM_ConeSatCnf(benchmark::State& state) {
-  runSatQuery(state, cbq::sat::BackendKind::Cnf);
-}
 void BM_ConeSatCircuit(benchmark::State& state) {
-  runSatQuery(state, cbq::sat::BackendKind::Circuit);
+  ConePair cone;
+  buildCone(cone, static_cast<std::size_t>(state.range(0)), 7);
+  for (auto _ : state) {
+    cbq::sat::CircuitSolver s(cone.g);
+    const cbq::aig::Lit roots[] = {cone.balanced};
+    s.focusOn(roots);
+    benchmark::DoNotOptimize(cbq::sat::checkSat(s, cone.balanced));
+  }
+  state.SetItemsProcessed(state.iterations());
 }
+
 BENCHMARK(BM_ConeEquivCnf)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_ConeEquivCircuit)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_ConeSatCnf)->Arg(1000)->Arg(10000)->Arg(100000);

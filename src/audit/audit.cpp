@@ -571,8 +571,7 @@ Report auditCircuitSolver(const sat::CircuitSolver& solver) {
 Report auditSweepContext(sweep::SweepContext& ctx, const aig::Aig& aig) {
   Report r;
   if (!ctx.boundTo(aig)) return r;  // unbound session: nothing to audit
-  if (ctx.hasCnf()) r.merge(auditCnf(ctx.cnf()));
-  if (ctx.hasCircuit()) r.merge(auditCircuitSolver(ctx.circuitSolver()));
+  r.merge(auditCircuitSolver(ctx.circuitSolver()));
   return r;
 }
 

@@ -140,9 +140,8 @@ void require(Report report, std::string where);
 /// agree and hold only AND nodes.
 [[nodiscard]] Report auditCircuitSolver(const sat::CircuitSolver& solver);
 
-/// A bound session's engines against its manager (no-op when unbound):
-/// auditCnf on the CNF side when the policy keeps one, and
-/// auditCircuitSolver on the circuit side when it keeps that.
+/// A bound session's solver against its manager (no-op when unbound):
+/// auditCircuitSolver on the session's circuit solver.
 [[nodiscard]] Report auditSweepContext(sweep::SweepContext& ctx,
                                        const aig::Aig& aig);
 

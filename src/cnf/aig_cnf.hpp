@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "aig/aig.hpp"
-#include "sat/backend.hpp"
 #include "sat/solver.hpp"
+#include "sat/types.hpp"
 #include "util/var_table.hpp"
 
 namespace cbq::audit {
@@ -78,9 +78,8 @@ class AigCnf {
   std::size_t encodedAnds_ = 0;
 };
 
-/// Three-valued verdict of a budgeted semantic query. One type shared
-/// across every SAT backend (sat/backend.hpp defines it; this alias keeps
-/// the historical cnf::Verdict spelling working).
+/// Three-valued verdict of a budgeted semantic query, shared with the
+/// circuit solver's sat::check* family (sat/types.hpp defines it).
 using Verdict = sat::Verdict;
 
 /// Does `a ≡ b` (as Boolean functions)? Checked as two assumption-only SAT

@@ -3,10 +3,8 @@
 #include <utility>
 
 #include "audit/audit.hpp"
-#include "cnf/aig_cnf.hpp"
-#include "cnf/cnf_backend.hpp"
 #include "obs/tracer.hpp"
-#include "sat/solver.hpp"
+#include "sat/circuit_solver.hpp"
 
 namespace cbq::mc::detail {
 
@@ -19,14 +17,14 @@ using aig::VarId;
 /// archive manager) is Pre^j(∃i.bad); the initial state lies in
 /// frontiers[d]. One small SAT query per step picks inputs that descend
 /// the frontier chain; latches are stepped by simulation on the original
-/// network. One solver + CNF serves every step: the targets differ but
+/// network. One circuit solver serves every step: the targets differ but
 /// all live in the archive manager, and each query is phrased purely
-/// through assumptions (target literal + current state values), so the
-/// clause database loads each frontier cone once for the whole descent.
+/// through assumptions (target literal + current state values), so
+/// learnt gates carry over for the whole descent.
 Trace reconstructTrace(const Network& net, aig::Aig& archive,
                        const std::vector<Lit>& archNext, Lit archBad,
                        const std::vector<Lit>& frontiers, int d,
-                       sat::BackendKind satBackend, obs::Metrics& stats) {
+                       obs::Metrics& stats) {
   std::vector<aig::VarSub> subst;
   subst.reserve(net.stateVars.size());
   for (std::size_t i = 0; i < net.stateVars.size(); ++i)
@@ -35,10 +33,7 @@ Trace reconstructTrace(const Network& net, aig::Aig& archive,
   Trace trace;
   std::unordered_map<VarId, bool> state = net.initAssignment();
 
-  // One backend serves every step; `satBackend` arrives already resolved
-  // to a solo engine (SweepContext::soloKind), so the descent keeps its
-  // single incremental solver instead of racing per step.
-  const auto backend = cnf::makeSatBackend(satBackend, archive);
+  sat::CircuitSolver solver(archive);
   std::vector<Lit> assumptions;
 
   for (int t = 0; t <= d; ++t) {
@@ -53,7 +48,7 @@ Trace reconstructTrace(const Network& net, aig::Aig& archive,
       if (!archive.hasPi(v)) continue;
       assumptions.push_back(Lit(archive.piNodeOf(v), false) ^ !value);
     }
-    if (backend->solve(assumptions, -1) != sat::Status::Sat) {
+    if (solver.solveLimited(assumptions, -1) != sat::Status::Sat) {
       // By construction this cannot happen; bail out with what we have —
       // the replay referee in the caller/test will flag the bad trace.
       break;
@@ -61,7 +56,7 @@ Trace reconstructTrace(const Network& net, aig::Aig& archive,
 
     std::unordered_map<VarId, bool> inputs;
     for (const VarId v : net.inputVars)
-      inputs.emplace(v, backend->modelOf(v));
+      inputs.emplace(v, solver.modelOf(v));
     trace.inputs.push_back(inputs);
 
     if (t < d) {
@@ -74,7 +69,7 @@ Trace reconstructTrace(const Network& net, aig::Aig& archive,
       state = std::move(nextState);
     }
   }
-  sat::exportEffort(stats, *backend);
+  sat::exportEffort(stats, solver);
   return trace;
 }
 
@@ -83,16 +78,13 @@ Trace reconstructTrace(const Network& net, aig::Aig& archive,
 BackwardReachSession::BackwardReachSession(
     const Network& net, std::string engineName, const ReachLimits& limits,
     const CompactionPolicy& compaction, std::size_t hardConeLimit,
-    InputEliminator eliminate, sat::BackendKind satBackend)
+    InputEliminator eliminate)
     : net_(&net),
       limits_(limits),
       compaction_(compaction),
       hardConeLimit_(hardConeLimit),
-      eliminate_(std::move(eliminate)),
-      satBackend_(satBackend) {
+      eliminate_(std::move(eliminate)) {
   res_.engine = std::move(engineName);
-  session_.setBackend(satBackend_);
-  fixSession_.setBackend(satBackend_);
 
   // Working manager: next-state functions + bad cone.
   std::vector<Lit> roots(net.next.begin(), net.next.end());
@@ -105,15 +97,14 @@ BackwardReachSession::BackwardReachSession(
     subst_.emplace_back(net.stateVars[i], nextL_[i]);
 
   // The run's persistent sweep sessions, valid until the next compaction
-  // retires the manager's node space. Two databases with very different
-  // shapes: `session_` carries the merge/DC compare-point checks (small
-  // cofactor cones, thousands of queries — it is recycled inside sweep()
-  // against the current cone so stale cones never dominate propagation),
-  // while `fixSession_` carries the fixpoint implications (one huge
-  // reached-set cone, one query per iteration — encoded incrementally as
-  // the reached set grows). Mixing them would make every compare-point
-  // check propagate through the reached-set encoding. Their interrupts
-  // poll whichever slice budget the current resume() is running under.
+  // retires the manager's node space. Two solvers for two very different
+  // query shapes: `session_` carries the merge/DC compare-point checks
+  // (small cofactor cones, thousands of queries), while `fixSession_`
+  // carries the fixpoint implications (one huge reached-set cone, one
+  // query per iteration). Keeping them apart keeps the reached-set
+  // learnt gates and activities out of the compare-point searches. Their
+  // interrupts poll whichever slice budget the current resume() is
+  // running under.
   session_.setInterrupt(
       [this] { return curBud_ != nullptr && curBud_->exhausted(); });
   fixSession_.setInterrupt(
@@ -186,8 +177,8 @@ void BackwardReachSession::maybeCompact() {
   for (std::size_t i = 0; i < net_->stateVars.size(); ++i)
     subst_.emplace_back(net_->stateVars[i], nextL_[i]);
   session_.rebindRemapped(mgr_, xfer);
-  // The compacted manager plus the sweep session's rebuilt CNF binding —
-  // a dangling literal-map entry here would poison every later query.
+  // The compacted manager plus the sweep session's rebuilt solver — a
+  // stale node reference here would poison every later query.
   CBQ_AUDIT_CHECK("reach.compact", audit::auditAig(mgr_));
   CBQ_AUDIT_CHECK("reach.compact.session",
                   audit::auditSweepContext(session_, mgr_));
@@ -267,17 +258,16 @@ Progress BackwardReachSession::run(const portfolio::Budget& bud) {
       case Phase::Fix: {
         CBQ_OBS_SPAN("engine", "fixpoint");
         // Fixpoint: every pre-image state already reached? Runs in its
-        // own session (fixSession_) so the reached-set encoding accretes
-        // incrementally across iterations without ever being propagated
-        // through by the small merge/DC compare-point checks.
+        // own session (fixSession_) so the reached-set checks keep their
+        // own learnt gates and activities, apart from the small merge/DC
+        // compare-point checks.
         fixSession_.bind(mgr_);
         const Lit fpRoots[] = {pre_, reached_};
-        fixSession_.recycleIfBloated(mgr_.coneSize(fpRoots));
         fixSession_.focusOn(fpRoots);
         res_.stats.add("reach.fixpoint_checks");
-        const cnf::Verdict fp = fixSession_.checkImplies(pre_, reached_);
-        if (fp == cnf::Verdict::Holds) return snapshot(Verdict::Safe, true);
-        if (fp == cnf::Verdict::Unknown)  // interrupted mid-solve: retry
+        const sat::Verdict fp = fixSession_.checkImplies(pre_, reached_);
+        if (fp == sat::Verdict::Holds) return snapshot(Verdict::Safe, true);
+        if (fp == sat::Verdict::Unknown)  // interrupted mid-solve: retry
           return snapshot(Verdict::Unknown, false);
         commitFrontier(pre_);
         if (mgr_.evaluate(frontier_, initDense_)) {
@@ -291,8 +281,7 @@ Progress BackwardReachSession::run(const portfolio::Budget& bud) {
       case Phase::Trace: {
         CBQ_OBS_SPAN("engine", "trace");
         res_.cex = reconstructTrace(*net_, archive_, archNext_, archBad_,
-                                    frontiersArch_, iter_,
-                                    session_.soloKind(), res_.stats);
+                                    frontiersArch_, iter_, res_.stats);
         res_.stats.set("reach.iterations", iter_);
         return snapshot(Verdict::Unsafe, true);
       }

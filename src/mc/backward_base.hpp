@@ -12,13 +12,13 @@
 // boundary (or retries the interrupted pre-image / fixpoint query)
 // instead of starting over.
 //
-// The skeleton owns the run's persistent sweep session (one SAT solver +
-// CNF encoding + proven/refuted pair cache bound to the working manager,
-// see sweep/sweep_context.hpp): the per-engine eliminator receives it via
+// The skeleton owns the run's persistent sweep sessions (a circuit SAT
+// solver + proven/refuted pair cache bound to the working manager, see
+// sweep/sweep_context.hpp): the per-engine eliminator receives one via
 // PreImageRequest and threads it into its quantifier, and the fixpoint
-// checks issue their implication queries against the same clause
-// database. Manager compaction is garbage-triggered (CompactionPolicy)
-// instead of unconditional, so the session survives across iterations.
+// checks issue their implication queries against the other. Manager
+// compaction is garbage-triggered (CompactionPolicy) instead of
+// unconditional, so the sessions survive across iterations.
 
 #include <functional>
 #include <optional>
@@ -55,14 +55,10 @@ using InputEliminator =
 /// reached-set cone.
 class BackwardReachSession final : public Session {
  public:
-  /// `satBackend` selects the SAT engine policy for both persistent
-  /// sessions (merge/DC compare points and fixpoint implications) and,
-  /// resolved to a solo engine, for counterexample reconstruction.
   BackwardReachSession(const Network& net, std::string engineName,
                        const ReachLimits& limits,
                        const CompactionPolicy& compaction,
-                       std::size_t hardConeLimit, InputEliminator eliminate,
-                       sat::BackendKind satBackend = sat::BackendKind::Cnf);
+                       std::size_t hardConeLimit, InputEliminator eliminate);
 
   [[nodiscard]] std::string name() const override { return res_.engine; }
 
@@ -92,7 +88,6 @@ class BackwardReachSession final : public Session {
   CompactionPolicy compaction_;
   std::size_t hardConeLimit_;
   InputEliminator eliminate_;
-  sat::BackendKind satBackend_ = sat::BackendKind::Cnf;
 
   CheckResult res_;  ///< cumulative engine/steps/stats/cex record
 

@@ -288,9 +288,6 @@ class KInduction final : public Engine {
 struct AllSatReachOptions {
   int maxEnumPerImage = 1 << 16;  ///< cofactor enumerations per pre-image
   ReachLimits limits{};
-  /// SAT engine policy for the enumeration solver and the fixpoint
-  /// sessions (cnf, circuit, race, auto).
-  sat::BackendKind satBackend = sat::BackendKind::Cnf;
 };
 
 class AllSatPreimageReach final : public Engine {
@@ -347,17 +344,5 @@ std::vector<std::string> engineNames();
 /// name is unknown. The portfolio runner and the cbq CLI build their
 /// engine sets through this registry.
 std::unique_ptr<Engine> makeEngine(const std::string& name);
-
-/// Cross-engine knobs the CLI/portfolio thread through the registry.
-/// Engines that have no use for a knob (the BDD baselines, the bounded
-/// engines' private unrolling solvers) simply ignore it.
-struct EngineTuning {
-  sat::BackendKind satBackend = sat::BackendKind::Cnf;
-};
-
-/// As makeEngine(name), with the tuning applied where it is meaningful
-/// (the SAT-flavoured reachability engines).
-std::unique_ptr<Engine> makeEngine(const std::string& name,
-                                   const EngineTuning& tuning);
 
 }  // namespace cbq::mc

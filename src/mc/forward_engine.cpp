@@ -9,9 +9,9 @@
 
 #include <algorithm>
 
-#include "cnf/cnf_backend.hpp"
 #include "mc/engines.hpp"
 #include "quant/quantifier.hpp"
+#include "sat/circuit_solver.hpp"
 #include "sweep/sweep_context.hpp"
 
 namespace cbq::mc {
@@ -66,28 +66,28 @@ void buildModel(const Network& net, ForwardModel& m) {
 /// Backward trace extraction over forward onion rings: pick a bad state
 /// in the last ring, then step backwards ring by ring with one SAT query
 /// per step (state of ring t, transition into the chosen successor).
+/// One circuit solver serves every step; each query is phrased purely
+/// through assumptions.
 std::optional<Trace> extractTrace(const Network& net, ForwardModel& m,
-                                  const std::vector<Lit>& rings, int d,
-                                  sat::BackendKind satBackend) {
+                                  const std::vector<Lit>& rings, int d) {
+  sat::CircuitSolver solver(m.mgr);
   // 1. pick s_d |= rings[d] ∧ ∃i bad — solve rings[d] ∧ bad directly.
   std::unordered_map<VarId, bool> state;
   std::unordered_map<VarId, bool> finalInputs;
   {
-    const auto backend = cnf::makeSatBackend(satBackend, m.mgr);
     const Lit assumptions[] = {
         m.mgr.mkAnd(rings[static_cast<std::size_t>(d)], m.bad)};
-    if (backend->solve(assumptions, -1) != sat::Status::Sat)
+    if (solver.solveLimited(assumptions, -1) != sat::Status::Sat)
       return std::nullopt;
-    for (const VarId v : net.stateVars) state.emplace(v, backend->modelOf(v));
+    for (const VarId v : net.stateVars) state.emplace(v, solver.modelOf(v));
     for (const VarId v : net.inputVars)
-      finalInputs.emplace(v, backend->modelOf(v));
+      finalInputs.emplace(v, solver.modelOf(v));
   }
 
   // 2. walk backwards: for t = d-1..0 find s_t ∈ rings[t], input i_t with
   //    δ(s_t, i_t) = s_{t+1}.
   std::vector<std::unordered_map<VarId, bool>> inputsRev{finalInputs};
   for (int t = d - 1; t >= 0; --t) {
-    const auto backend = cnf::makeSatBackend(satBackend, m.mgr);
     std::vector<Lit> assumptions;
     assumptions.push_back(
         m.mgr.mkAnd(rings[static_cast<std::size_t>(t)], m.tr));
@@ -96,15 +96,15 @@ std::optional<Trace> extractTrace(const Network& net, ForwardModel& m,
       const Lit pi(m.mgr.piNodeOf(m.nsVars[j]), false);
       assumptions.push_back(pi ^ !state.at(net.stateVars[j]));
     }
-    if (backend->solve(assumptions, -1) != sat::Status::Sat)
+    if (solver.solveLimited(assumptions, -1) != sat::Status::Sat)
       return std::nullopt;
     std::unordered_map<VarId, bool> stepInputs;
     for (const VarId v : net.inputVars)
-      stepInputs.emplace(v, backend->modelOf(v));
+      stepInputs.emplace(v, solver.modelOf(v));
     inputsRev.push_back(stepInputs);
     std::unordered_map<VarId, bool> prevState;
     for (const VarId v : net.stateVars)
-      prevState.emplace(v, backend->modelOf(v));
+      prevState.emplace(v, solver.modelOf(v));
     state = std::move(prevState);
   }
 
@@ -126,10 +126,9 @@ class ForwardReachSession final : public Session {
     frontier_ = m_.initCube;
     // Run-wide persistent sweep session for the bad-intersection and
     // fixpoint queries: the forward engine never compacts its manager, so
-    // the ring/reached cones encode once and stay. Each query focuses the
-    // solver on its own cone, keeping per-check cost bounded by the live
-    // state sets rather than by the accumulated scratch.
-    session_.setBackend(opts_.quant.satBackend);
+    // learnt gates over the ring/reached cones stay valid. Each query
+    // focuses the solver on its own cone, keeping per-check cost bounded
+    // by the live state sets rather than by the accumulated scratch.
     session_.setInterrupt(
         [this] { return curBud_ != nullptr && curBud_->exhausted(); });
     session_.bind(m_.mgr);
@@ -159,12 +158,11 @@ class ForwardReachSession final : public Session {
           const Lit q = m_.mgr.mkAnd(frontier_, m_.bad);
           const Lit qRoots[] = {q};
           session_.focusOn(qRoots);
-          const cnf::Verdict sat = session_.checkSat(q);
-          if (sat == cnf::Verdict::Unknown)  // interrupted: retry
+          const sat::Verdict sat = session_.checkSat(q);
+          if (sat == sat::Verdict::Unknown)  // interrupted: retry
             return snapshot(Verdict::Unknown, false);
-          if (sat == cnf::Verdict::Holds) {
-            res_.cex =
-                extractTrace(*net_, m_, rings_, iter_, session_.soloKind());
+          if (sat == sat::Verdict::Holds) {
+            res_.cex = extractTrace(*net_, m_, rings_, iter_);
             return snapshot(Verdict::Unsafe, true);
           }
           phase_ = Phase::Guard;
@@ -227,10 +225,10 @@ class ForwardReachSession final : public Session {
           const Lit fpRoots[] = {img_, reached_};
           session_.focusOn(fpRoots);
           res_.stats.add("reach.fixpoint_checks");
-          const cnf::Verdict fp = session_.checkImplies(img_, reached_);
-          if (fp == cnf::Verdict::Holds)
+          const sat::Verdict fp = session_.checkImplies(img_, reached_);
+          if (fp == sat::Verdict::Holds)
             return snapshot(Verdict::Safe, true);
-          if (fp == cnf::Verdict::Unknown)  // interrupted: retry
+          if (fp == sat::Verdict::Unknown)  // interrupted: retry
             return snapshot(Verdict::Unknown, false);
           frontier_ = img_;
           reached_ = m_.mgr.mkOr(reached_, img_);
@@ -239,10 +237,6 @@ class ForwardReachSession final : public Session {
             const Lit fr[] = {frontier_};
             res_.stats.high("reach.max_frontier_cone",
                             static_cast<double>(m_.mgr.coneSize(fr)));
-          }
-          {
-            const Lit live[] = {reached_, m_.tr, m_.bad};
-            session_.recycleIfBloated(m_.mgr.coneSize(live));
           }
           ++committedThisSlice_;
           phase_ = Phase::Bad;

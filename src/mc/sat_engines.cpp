@@ -3,11 +3,9 @@
 
 #include <algorithm>
 
-#include "cnf/aig_cnf.hpp"
-#include "cnf/cnf_backend.hpp"
 #include "mc/backward_base.hpp"
 #include "mc/engines.hpp"
-#include "sat/solver.hpp"
+#include "sat/circuit_solver.hpp"
 
 namespace cbq::mc {
 
@@ -46,8 +44,7 @@ std::optional<Lit> allSatEliminate(aig::Aig& mgr, Lit f,
                                    std::span<const VarId> vars,
                                    int maxEnum, obs::Metrics& stats,
                                    const portfolio::Budget& budget,
-                                   EliminateCarry& carry,
-                                   sat::BackendKind satBackend) {
+                                   EliminateCarry& carry) {
   // Restrict to variables actually present.
   std::vector<VarId> live;
   {
@@ -70,11 +67,9 @@ std::optional<Lit> allSatEliminate(aig::Aig& mgr, Lit f,
   // The blocking clauses asserted below are only valid inside this
   // enumeration, so this is the one elimination routine that cannot share
   // the run's persistent session solver; it still reports its effort.
-  // `satBackend` arrives resolved to a solo engine (soloKind) — the
-  // blocking-clause bookkeeping would be doubled by a race for no gain.
-  const auto backend = cnf::makeSatBackend(satBackend, mgr);
-  backend->setInterrupt([&budget] { return budget.exhausted(); });
-  const auto exportEffort = [&] { sat::exportEffort(stats, *backend); };
+  sat::CircuitSolver solver(mgr);
+  solver.setInterrupt([&budget] { return budget.exhausted(); });
+  const auto exportEffort = [&] { sat::exportEffort(stats, solver); };
   const auto pause = [&] {
     carry = {true, f, result, {}, count};
     exportEffort();
@@ -83,13 +78,13 @@ std::optional<Lit> allSatEliminate(aig::Aig& mgr, Lit f,
   // States already covered by a previous, paused enumeration.
   if (result != aig::kFalse) {
     const Lit block[] = {!result};
-    backend->addClause(block);
+    solver.addClause(block);
   }
 
   for (;;) {
     if (budget.exhausted()) return pause();
     const Lit assumptions[] = {f};
-    const sat::Status st = backend->solve(assumptions, -1);
+    const sat::Status st = solver.solveLimited(assumptions, -1);
     if (st == sat::Status::Unsat) break;
     if (st == sat::Status::Undef)  // interrupted mid-solve
       return pause();
@@ -104,13 +99,12 @@ std::optional<Lit> allSatEliminate(aig::Aig& mgr, Lit f,
     std::vector<aig::VarSub> consts;
     consts.reserve(live.size());
     for (const VarId v : live)
-      consts.emplace_back(v,
-                          backend->modelOf(v) ? aig::kTrue : aig::kFalse);
+      consts.emplace_back(v, solver.modelOf(v) ? aig::kTrue : aig::kFalse);
     const Lit cube = mgr.compose(f, consts);
     result = mgr.mkOr(result, cube);
     // Block every state covered by this cofactor.
     const Lit block[] = {!cube};
-    backend->addClause(block);
+    solver.addClause(block);
     stats.add("allsat.enumerations");
   }
   exportEffort();
@@ -129,7 +123,7 @@ std::unique_ptr<Session> CircuitQuantReach::start(const Network& net) const {
           const detail::PreImageRequest& req) mutable -> std::optional<Lit> {
     quant::QuantOptions qopts = quantOpts;
     qopts.interrupt = [b = req.budget] { return b->exhausted(); };
-    qopts.context = req.session;  // run-wide clause database + pair cache
+    qopts.context = req.session;  // run-wide solver + pair cache
     quant::Quantifier q(*req.mgr, qopts);
     Lit f = req.formula;
     std::vector<VarId> vars(req.net->inputVars);
@@ -158,7 +152,7 @@ std::unique_ptr<Session> CircuitQuantReach::start(const Network& net) const {
   };
   return std::make_unique<detail::BackwardReachSession>(
       net, name(), opts_.limits, opts_.compaction, opts_.hardConeLimit,
-      eliminate, opts_.quant.satBackend);
+      eliminate);
 }
 
 std::unique_ptr<Session> AllSatPreimageReach::start(const Network& net) const {
@@ -166,12 +160,11 @@ std::unique_ptr<Session> AllSatPreimageReach::start(const Network& net) const {
       [maxEnum = opts_.maxEnumPerImage, carry = EliminateCarry{}](
           const detail::PreImageRequest& req) mutable -> std::optional<Lit> {
     return allSatEliminate(*req.mgr, req.formula, req.net->inputVars,
-                           maxEnum, *req.stats, *req.budget, carry,
-                           req.session->soloKind());
+                           maxEnum, *req.stats, *req.budget, carry);
   };
   return std::make_unique<detail::BackwardReachSession>(
       net, name(), opts_.limits, CompactionPolicy{},
-      /*hardConeLimit=*/2'000'000, eliminate, opts_.satBackend);
+      /*hardConeLimit=*/2'000'000, eliminate);
 }
 
 std::unique_ptr<Session> HybridReach::start(const Network& net) const {
@@ -196,11 +189,11 @@ std::unique_ptr<Session> HybridReach::start(const Network& net) const {
     if (r.residual.empty()) return r.f;
     // Phase 2: the remaining decision variables go to all-SAT enumeration.
     return allSatEliminate(*req.mgr, r.f, r.residual, maxEnum, *req.stats,
-                           *req.budget, carry, req.session->soloKind());
+                           *req.budget, carry);
   };
   return std::make_unique<detail::BackwardReachSession>(
       net, name(), opts_.limits, CompactionPolicy{},
-      /*hardConeLimit=*/2'000'000, eliminate, opts_.quant.satBackend);
+      /*hardConeLimit=*/2'000'000, eliminate);
 }
 
 PreprocessResult preprocessQuantifyInputs(const Network& net,
@@ -254,35 +247,14 @@ std::vector<std::string> engineNames() {
 }
 
 std::unique_ptr<Engine> makeEngine(const std::string& name) {
-  return makeEngine(name, EngineTuning{});
-}
-
-std::unique_ptr<Engine> makeEngine(const std::string& name,
-                                   const EngineTuning& tuning) {
-  if (name == "cbq-reach") {
-    CircuitQuantReachOptions opts;
-    opts.quant.satBackend = tuning.satBackend;
-    return std::make_unique<CircuitQuantReach>(opts);
-  }
-  if (name == "cbq-fwd") {
-    CircuitQuantForwardOptions opts;
-    opts.quant.satBackend = tuning.satBackend;
-    return std::make_unique<CircuitQuantForwardReach>(opts);
-  }
+  if (name == "cbq-reach") return std::make_unique<CircuitQuantReach>();
+  if (name == "cbq-fwd") return std::make_unique<CircuitQuantForwardReach>();
   if (name == "bdd-bwd") return std::make_unique<BddBackwardReach>();
   if (name == "bdd-fwd") return std::make_unique<BddForwardReach>();
   if (name == "bmc") return std::make_unique<Bmc>();
   if (name == "k-induction") return std::make_unique<KInduction>();
-  if (name == "allsat-reach") {
-    AllSatReachOptions opts;
-    opts.satBackend = tuning.satBackend;
-    return std::make_unique<AllSatPreimageReach>(opts);
-  }
-  if (name == "hybrid-reach") {
-    HybridReachOptions opts;
-    opts.quant.satBackend = tuning.satBackend;
-    return std::make_unique<HybridReach>(opts);
-  }
+  if (name == "allsat-reach") return std::make_unique<AllSatPreimageReach>();
+  if (name == "hybrid-reach") return std::make_unique<HybridReach>();
   return nullptr;
 }
 

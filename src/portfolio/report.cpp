@@ -103,8 +103,7 @@ void RunInfo::writeJson(std::ostream& out) const {
       << "\"jobs\": " << jobs << ", "
       << "\"par_threads\": " << parThreads << ", "
       << "\"host_threads\": " << hostThreads << ", "
-      << "\"schedule\": \"" << jsonEscape(schedule) << "\", "
-      << "\"sat_backend\": \"" << jsonEscape(satBackend) << "\"}";
+      << "\"schedule\": \"" << jsonEscape(schedule) << "\"}";
 }
 
 void writeJson(const BatchSummary& summary, std::ostream& out,

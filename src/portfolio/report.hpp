@@ -21,7 +21,6 @@ struct RunInfo {
   int parThreads = 1;       ///< intra-problem lanes
   unsigned hostThreads = 0; ///< std::thread::hardware_concurrency()
   std::string schedule;     ///< "race" or "slice"
-  std::string satBackend = "cnf";  ///< sat engine policy of the run
 
   /// Snapshot of the current process/build (command left empty).
   [[nodiscard]] static RunInfo capture();

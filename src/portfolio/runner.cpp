@@ -212,8 +212,7 @@ PortfolioResult PortfolioRunner::runRace(const mc::Network& net,
 
   auto worker = [&](std::size_t i) {
     obs::setThreadLabel("race " + opts.engines[i]);
-    auto engine = mc::makeEngine(opts.engines[i],
-                                 mc::EngineTuning{opts.satBackend});
+    auto engine = mc::makeEngine(opts.engines[i]);
     mc::CheckResult res;
     // The exception barrier: an engine blowing up (BDD allocation, an
     // injected fault, even a non-std::exception throw) is quarantined

@@ -30,10 +30,6 @@ enum class ScheduleMode : std::uint8_t {
 struct PortfolioOptions {
   /// Engine names (mc::engineNames()); empty means defaultPortfolio().
   std::vector<std::string> engines;
-  /// SAT engine policy handed to every engine the runner builds
-  /// (mc::EngineTuning): cnf, circuit, per-query race, or adaptive auto.
-  /// Engines without SAT queries ignore it.
-  sat::BackendKind satBackend = sat::BackendKind::Cnf;
   double timeLimitSeconds = 0.0;  ///< whole-problem wall budget (0 = none)
   std::size_t nodeLimit = 0;      ///< per-engine live-node bound (0 = none)
   /// Soft per-problem RSS ceiling in bytes (0 = none): when the process

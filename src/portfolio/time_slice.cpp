@@ -98,8 +98,7 @@ PortfolioResult TimeSliceScheduler::run(const mc::Network& net) const {
   {
     const util::MutexLock lock(st.mu);
     for (std::size_t i = 0; i < n; ++i) {
-      slots[i].engine =
-          mc::makeEngine(opts_.engines[i], mc::EngineTuning{opts_.satBackend});
+      slots[i].engine = mc::makeEngine(opts_.engines[i]);
       slots[i].sliceSeconds = opts_.sliceInitialSeconds;
       st.ready.push_back(i);
     }

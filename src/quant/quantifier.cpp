@@ -14,10 +14,6 @@ using aig::Lit;
 using aig::NodeId;
 using aig::VarId;
 
-void Quantifier::applyBackendPolicy() {
-  if (opts_.context != nullptr) opts_.context->setBackend(opts_.satBackend);
-}
-
 std::optional<Lit> Quantifier::quantifyVar(Lit f, VarId v) {
   return quantifyVarImpl(f, v, opts_.allowAborts);
 }

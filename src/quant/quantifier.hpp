@@ -70,11 +70,6 @@ struct QuantOptions {
   /// dcOpts.context by the Quantifier constructor unless those are already
   /// set. Null = per-call throwaway solvers (the pre-session behaviour).
   sweep::SweepContext* context = nullptr;
-
-  /// SAT engine policy for every semantic check under this quantifier
-  /// (cnf, circuit, race, auto). The constructor pushes it into
-  /// sweepOpts/dcOpts and onto a provided `context`.
-  sat::BackendKind satBackend = sat::BackendKind::Cnf;
 };
 
 /// Quantifier bound to one AIG manager. Accumulates statistics across
@@ -97,10 +92,6 @@ class Quantifier {
       if (opts_.dcOpts.context == nullptr)
         opts_.dcOpts.context = opts_.context;
     }
-    // One engine policy for every check (shared session or throwaway).
-    opts_.sweepOpts.satBackend = opts_.satBackend;
-    opts_.dcOpts.satBackend = opts_.satBackend;
-    applyBackendPolicy();  // out of line: SweepContext is incomplete here
   }
 
   /// ∃v.f — full per-variable pipeline. Returns std::nullopt when partial
@@ -135,11 +126,6 @@ class Quantifier {
   [[nodiscard]] const QuantOptions& options() const { return opts_; }
 
  private:
-  /// Pushes opts_.satBackend onto a provided shared context (no-op when
-  /// the session already runs that policy). Out of line because the
-  /// header only sees SweepContext as a forward declaration.
-  void applyBackendPolicy();
-
   std::optional<aig::Lit> quantifyVarImpl(aig::Lit f, aig::VarId v,
                                           bool enforceGrowth);
 

@@ -778,4 +778,80 @@ bool CircuitSolver::modelOf(aig::VarId v) const {
   return modelValue(aig::Lit(n, false)) == LBool::True;
 }
 
+// ----- semantic checks -------------------------------------------------
+
+namespace {
+
+/// One assumption-only query mapped onto the Holds/Fails/Unknown scale
+/// with Sat meaning `satVerdict`.
+Verdict querySat(CircuitSolver& solver, std::span<const aig::Lit> assumptions,
+                 std::int64_t budget, Verdict satVerdict,
+                 Verdict unsatVerdict) {
+  switch (solver.solveLimited(assumptions, budget)) {
+    case Status::Sat:
+      return satVerdict;
+    case Status::Unsat:
+      return unsatVerdict;
+    case Status::Undef:
+      break;
+  }
+  return Verdict::Unknown;
+}
+
+}  // namespace
+
+Verdict checkEquiv(CircuitSolver& solver, aig::Lit a, aig::Lit b,
+                   std::int64_t budget) {
+  if (a == b) return Verdict::Holds;
+  if (a == !b) return Verdict::Fails;
+  {
+    const aig::Lit assumptions[] = {a, !b};
+    const Verdict v = querySat(solver, assumptions, budget, Verdict::Fails,
+                               Verdict::Holds);
+    if (v != Verdict::Holds) return v;
+  }
+  const aig::Lit assumptions[] = {!a, b};
+  return querySat(solver, assumptions, budget, Verdict::Fails,
+                  Verdict::Holds);
+}
+
+Verdict checkImplies(CircuitSolver& solver, aig::Lit a, aig::Lit b,
+                     std::int64_t budget) {
+  if (a == b || a.isFalse() || b.isTrue()) return Verdict::Holds;
+  const aig::Lit assumptions[] = {a, !b};
+  return querySat(solver, assumptions, budget, Verdict::Fails,
+                  Verdict::Holds);
+}
+
+Verdict checkConstant(CircuitSolver& solver, aig::Lit a, bool value,
+                      std::int64_t budget) {
+  if (a.isConstant())
+    return a.isTrue() == value ? Verdict::Holds : Verdict::Fails;
+  const aig::Lit assumptions[] = {a ^ value};
+  return querySat(solver, assumptions, budget, Verdict::Fails,
+                  Verdict::Holds);
+}
+
+Verdict checkSat(CircuitSolver& solver, aig::Lit f, std::int64_t budget) {
+  if (f.isTrue()) return Verdict::Holds;
+  if (f.isFalse()) return Verdict::Fails;
+  const aig::Lit assumptions[] = {f};
+  return querySat(solver, assumptions, budget, Verdict::Holds,
+                  Verdict::Fails);
+}
+
+Verdict checkEquivUnderCare(CircuitSolver& solver, aig::Lit notRef, aig::Lit a,
+                            aig::Lit b, std::int64_t budget) {
+  if (a == b) return Verdict::Holds;
+  {
+    const aig::Lit assumptions[] = {notRef, a, !b};
+    const Verdict v = querySat(solver, assumptions, budget, Verdict::Fails,
+                               Verdict::Holds);
+    if (v != Verdict::Holds) return v;
+  }
+  const aig::Lit assumptions[] = {notRef, !a, b};
+  return querySat(solver, assumptions, budget, Verdict::Fails,
+                  Verdict::Holds);
+}
+
 }  // namespace cbq::sat

@@ -24,8 +24,8 @@
 //
 // Everything else — first-UIP analysis with clause minimization, phase
 // saving, Luby restarts, conflict budgets, assumption solving, the
-// cooperative interrupt — mirrors sat::Solver so the two engines are
-// interchangeable behind sat::SatBackend, query for query.
+// cooperative interrupt — mirrors sat::Solver, so the CNF pipeline
+// (cnf::AigCnf + sat::Solver) serves as its differential-test oracle.
 //
 // A solver literal is an aig::Lit; a solver variable is an aig::NodeId.
 // The bound manager may keep growing (quantification builds miters
@@ -39,7 +39,7 @@
 
 #include "aig/aig.hpp"
 #include "aig/lit.hpp"
-#include "sat/backend.hpp"
+#include "obs/metrics.hpp"
 #include "sat/types.hpp"
 
 namespace cbq::audit {
@@ -48,7 +48,7 @@ struct Access;
 
 namespace cbq::sat {
 
-class CircuitSolver final : public SatBackend {
+class CircuitSolver {
  public:
   /// Binds to `aig` (non-owning; the manager must outlive the solver).
   explicit CircuitSolver(const aig::Aig& aig);
@@ -56,51 +56,36 @@ class CircuitSolver final : public SatBackend {
   CircuitSolver(const CircuitSolver&) = delete;
   CircuitSolver& operator=(const CircuitSolver&) = delete;
 
-  // ----- SatBackend ----------------------------------------------------
-
-  [[nodiscard]] const char* name() const override { return "circuit"; }
-
-  Status solve(std::span<const aig::Lit> assumptions,
-               std::int64_t conflictBudget) override {
-    return solveLimited(assumptions, conflictBudget);
-  }
+  /// Satisfiability of the bound circuit under `assumptions`, bounded by
+  /// `conflictBudget` (< 0 = unlimited). Undef on budget/interrupt.
+  Status solveLimited(std::span<const aig::Lit> assumptions,
+                      std::int64_t conflictBudget);
 
   /// Restricts justification to the cones of `roots`: gates outside the
   /// focus never demand justification, so a Sat answer costs the query's
   /// cone, not the manager. Mirrors Solver::focusDecisions.
-  void focusOn(std::span<const aig::Lit> roots) override;
+  void focusOn(std::span<const aig::Lit> roots);
 
-  bool addClause(std::span<const aig::Lit> lits) override;
+  /// Adds a permanent constraint clause over AIG literals. Returns false
+  /// when the constraint database became unsatisfiable.
+  bool addClause(std::span<const aig::Lit> lits);
   bool addClause(std::initializer_list<aig::Lit> lits) {
     return addClause(std::span<const aig::Lit>(lits.begin(), lits.size()));
   }
 
-  [[nodiscard]] bool modelOf(aig::VarId v) const override;
+  /// Model value of PI variable `v` after a Sat answer (false for a PI
+  /// the search never assigned — a free input).
+  [[nodiscard]] bool modelOf(aig::VarId v) const;
 
-  void setInterrupt(std::function<bool()> callback) override {
+  /// Cooperative cancellation hook, polled during search.
+  void setInterrupt(std::function<bool()> callback) {
     interrupt_ = std::move(callback);
   }
 
-  /// The circuit backend has state for every node by construction.
-  [[nodiscard]] bool knows(aig::Lit) const override { return true; }
-
-  [[nodiscard]] std::uint64_t conflicts() const override {
-    return conflicts_;
-  }
-  [[nodiscard]] std::uint64_t decisions() const override {
-    return decisions_;
-  }
-  [[nodiscard]] std::uint64_t propagations() const override {
-    return propagations_;
-  }
-
-  /// The cone is the solver state — nothing is encoded, nothing bloats.
-  [[nodiscard]] std::size_t encodedNodes() const override { return 0; }
-
-  // ----- direct surface (mirrors sat::Solver) --------------------------
-
-  Status solveLimited(std::span<const aig::Lit> assumptions,
-                      std::int64_t conflictBudget);
+  /// Effort counters, cumulative over the solver's lifetime.
+  [[nodiscard]] std::uint64_t conflicts() const { return conflicts_; }
+  [[nodiscard]] std::uint64_t decisions() const { return decisions_; }
+  [[nodiscard]] std::uint64_t propagations() const { return propagations_; }
 
   /// Back to whole-manager justification.
   void unfocus();
@@ -306,5 +291,41 @@ class CircuitSolver final : public SatBackend {
   static constexpr float kClaDecay = 0.999f;
   static constexpr int kRestartBase = 100;
 };
+
+// Budgeted semantic checks. Same contracts as the cnf::check* family
+// (aig_cnf.hpp): structural short-circuits first, then assumption-only
+// queries; Unknown on budget exhaustion.
+
+/// a == b everywhere?
+[[nodiscard]] Verdict checkEquiv(CircuitSolver& solver, aig::Lit a,
+                                 aig::Lit b, std::int64_t budget = -1);
+
+/// a -> b everywhere?
+[[nodiscard]] Verdict checkImplies(CircuitSolver& solver, aig::Lit a,
+                                   aig::Lit b, std::int64_t budget = -1);
+
+/// a == value everywhere?
+[[nodiscard]] Verdict checkConstant(CircuitSolver& solver, aig::Lit a,
+                                    bool value, std::int64_t budget = -1);
+
+/// Is f satisfiable? Holds = yes, Fails = no.
+[[nodiscard]] Verdict checkSat(CircuitSolver& solver, aig::Lit f,
+                               std::int64_t budget = -1);
+
+/// a == b on every input satisfying `notRef` (care-set equivalence: the
+/// DC-simplification query assumes the don't-care condition's literal).
+[[nodiscard]] Verdict checkEquivUnderCare(CircuitSolver& solver,
+                                          aig::Lit notRef, aig::Lit a,
+                                          aig::Lit b,
+                                          std::int64_t budget = -1);
+
+/// Twin of exportEffort(stats, Solver) in solver.hpp: canonical
+/// sat.conflicts / sat.decisions / sat.propagations counters.
+inline void exportEffort(obs::Metrics& stats, const CircuitSolver& solver) {
+  stats.add("sat.conflicts", static_cast<std::int64_t>(solver.conflicts()));
+  stats.add("sat.decisions", static_cast<std::int64_t>(solver.decisions()));
+  stats.add("sat.propagations",
+            static_cast<std::int64_t>(solver.propagations()));
+}
 
 }  // namespace cbq::sat

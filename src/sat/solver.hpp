@@ -25,9 +25,6 @@
 
 namespace cbq::sat {
 
-/// Outcome of a solve call.
-enum class Status : std::uint8_t { Sat, Unsat, Undef };
-
 class Solver {
  public:
   Solver();

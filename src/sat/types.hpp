@@ -61,4 +61,12 @@ inline constexpr LBool lxor(LBool v, bool flip) {
   return lbool((v == LBool::True) != flip);
 }
 
+/// Outcome of a solve call.
+enum class Status : std::uint8_t { Sat, Unsat, Undef };
+
+/// Three-valued answer of a budgeted semantic check. Holds/Fails are
+/// definitive; Unknown means the budget or an interrupt cut the query
+/// short. (cnf::Verdict aliases this type.)
+enum class Verdict : std::uint8_t { Holds, Fails, Unknown };
+
 }  // namespace cbq::sat

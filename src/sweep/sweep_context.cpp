@@ -1,119 +1,34 @@
 #include "sweep/sweep_context.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cmath>
 #include <utility>
 #include <vector>
-
-#include "util/timer.hpp"
 
 namespace cbq::sweep {
 
 void SweepContext::setInterrupt(std::function<bool()> callback) {
   interrupt_ = std::move(callback);
   if (solver_) solver_->setInterrupt(interrupt_);
-  if (circuit_) circuit_->setInterrupt(interrupt_);
 }
 
-void SweepContext::retireCnfEngine() {
-  if (!solver_) return;
-  // Retire the old engine's effort so run totals survive rebuilds.
-  retiredConflicts_ += solver_->conflicts();
-  retiredDecisions_ += solver_->decisions();
-  retiredPropagations_ += solver_->propagations();
-}
-
-void SweepContext::retireCircuitEngine() {
-  if (!circuit_) return;
-  retiredConflicts_ += circuit_->conflicts();
-  retiredDecisions_ += circuit_->decisions();
-  retiredPropagations_ += circuit_->propagations();
-}
-
-void SweepContext::retireAndRebuild(const aig::Aig& aig) {
-  retireCnfEngine();
-  retireCircuitEngine();
-  lastModel_ = nullptr;
-  if (kind_ != sat::BackendKind::Circuit) {
-    solver_ = std::make_unique<sat::Solver>();
-    if (interrupt_) solver_->setInterrupt(interrupt_);
-    cnf_ = std::make_unique<cnf::AigCnf>(aig, *solver_);
-    cnfBackend_ = std::make_unique<cnf::CnfSolverBackend>(*cnf_);
-  } else {
-    cnfBackend_.reset();
-    cnf_.reset();
-    solver_.reset();
+void SweepContext::rebuild(const aig::Aig& aig) {
+  if (solver_) {
+    // Retire the old solver's effort so run totals survive rebuilds.
+    retiredConflicts_ += solver_->conflicts();
+    retiredDecisions_ += solver_->decisions();
+    retiredPropagations_ += solver_->propagations();
   }
-  if (kind_ != sat::BackendKind::Cnf) {
-    circuit_ = std::make_unique<sat::CircuitSolver>(aig);
-    if (interrupt_) circuit_->setInterrupt(interrupt_);
-  } else {
-    circuit_.reset();
-  }
+  solver_ = std::make_unique<sat::CircuitSolver>(aig);
+  if (interrupt_) solver_->setInterrupt(interrupt_);
   aig_ = &aig;
   uid_ = aig.uid();
-  // Fresh engines have no focus; pending roots may name dead nodes
-  // after a compaction rebuild — callers refocus before querying.
-  pendingFocus_.clear();
-  focusPending_ = false;
-  cnfFocusStale_ = false;
-  circuitFocusStale_ = false;
-}
-
-void SweepContext::setBackend(sat::BackendKind kind) {
-  if (kind == kind_) return;
-  kind_ = kind;
-  // If the session is live, rebuild the engine set in place; the pair
-  // cache survives (same manager, same facts).
-  if (aig_ != nullptr && (cnf_ || circuit_)) retireAndRebuild(*aig_);
-}
-
-sat::BackendKind SweepContext::soloKind() const {
-  switch (kind_) {
-    case sat::BackendKind::Circuit:
-      return sat::BackendKind::Circuit;
-    case sat::BackendKind::Auto:
-      if (backendSamples_[0] >= 2 && backendSamples_[1] >= 2 &&
-          backendLogRatioEwma_ > 0.0)
-        return sat::BackendKind::Circuit;
-      return sat::BackendKind::Cnf;
-    case sat::BackendKind::Cnf:
-    case sat::BackendKind::Race:
-    default:
-      return sat::BackendKind::Cnf;
-  }
 }
 
 bool SweepContext::bind(const aig::Aig& aig) {
   if (boundTo(aig)) return false;
-  if (cnf_ || circuit_) ++counters_.rebinds;
-  retireAndRebuild(aig);
+  if (solver_) ++counters_.rebinds;
+  rebuild(aig);
   pairFacts_.clear();
-  return true;
-}
-
-bool SweepContext::recycleIfBloated(std::size_t liveNodes, double ratio,
-                                    std::size_t minEncoded) {
-  // Only the CNF engine bloats — the circuit engine encodes nothing, so a
-  // circuit-only session never recycles (and keeps its learnt gates).
-  if (!cnf_) return false;
-  const std::size_t encoded = cnf_->numEncodedNodes();
-  if (encoded <= minEncoded ||
-      static_cast<double>(encoded) <=
-          ratio * static_cast<double>(liveNodes))
-    return false;
-  ++counters_.recycles;
-  // Rebuild ONLY the stale CNF side; the circuit engine's learnt gates
-  // and heuristic state stay valid (same manager).
-  retireCnfEngine();
-  if (lastModel_ == cnfBackend_.get()) lastModel_ = nullptr;
-  solver_ = std::make_unique<sat::Solver>();
-  if (interrupt_) solver_->setInterrupt(interrupt_);
-  cnf_ = std::make_unique<cnf::AigCnf>(*aig_, *solver_);
-  cnfBackend_ = std::make_unique<cnf::CnfSolverBackend>(*cnf_);
-  cnfFocusStale_ = focusPending_;  // fresh solver, same manager/roots
-  // pairFacts_ intentionally kept: same manager, same facts.
   return true;
 }
 
@@ -148,197 +63,54 @@ void SweepContext::rebindRemapped(
   }
 
   ++counters_.remaps;
-  retireAndRebuild(newMgr);
+  rebuild(newMgr);
   pairFacts_ = std::move(remapped);
 }
 
-// ----- backend-routed queries -----------------------------------------
+// ----- queries ----------------------------------------------------------
 
 void SweepContext::focusOn(std::span<const aig::Lit> roots) {
-  // Lazy: focusing the CNF side Tseitin-encodes the whole root cone, so
-  // it must not happen for queries the router sends to the circuit
-  // engine — each backend is focused (inside its timed leg) only when
-  // it actually runs a query on these roots.
-  pendingFocus_.assign(roots.begin(), roots.end());
-  focusPending_ = true;
-  cnfFocusStale_ = true;
-  circuitFocusStale_ = true;
+  solver_->focusOn(roots);
 }
 
-void SweepContext::applyFocus(bool onCircuit) {
-  if (!focusPending_) return;
-  if (onCircuit) {
-    if (circuitFocusStale_ && circuit_) {
-      circuit_->focusOn(pendingFocus_);
-      circuitFocusStale_ = false;
-    }
-  } else if (cnfFocusStale_ && cnfBackend_) {
-    cnfBackend_->focusOn(pendingFocus_);
-    cnfFocusStale_ = false;
-  }
-}
-
-void SweepContext::noteBackendSample(bool onCircuit, double ns) {
-  const int i = onCircuit ? 1 : 0;
-  backendEwmaNs_[i] = backendSamples_[i] == 0
-                          ? ns
-                          : 0.75 * backendEwmaNs_[i] + 0.25 * ns;
-  ++backendSamples_[i];
-}
-
-cnf::Verdict SweepContext::runOn(bool onCircuit, const Query& q) {
-  sat::SatBackend& b =
-      onCircuit ? static_cast<sat::SatBackend&>(*circuit_)
-                : static_cast<sat::SatBackend&>(*cnfBackend_);
-  util::Timer t;  // focus (CNF: cone encode) is part of the query cost
-  applyFocus(onCircuit);
-  const cnf::Verdict v = q(b);
-  noteBackendSample(onCircuit, t.seconds() * 1e9);
-  if (onCircuit)
-    ++counters_.circuitWins;
-  else
-    ++counters_.cnfWins;
-  lastModel_ = &b;
-  return v;
-}
-
-cnf::Verdict SweepContext::runRaced(const Query& q) {
-  // Sequential race: circuit first (no encode cost to lose), then CNF.
-  // The faster *definitive* answer wins; on a definitive disagreement the
-  // CNF engine is trusted (its encoding has years of test history) and
-  // the mismatch is counted for the audit layer to flag.
-  util::Timer t;
-  applyFocus(true);
-  const cnf::Verdict vc = q(*circuit_);
-  const double circuitNs = t.seconds() * 1e9;
-  t.restart();
-  applyFocus(false);
-  const cnf::Verdict vn = q(*cnfBackend_);
-  const double cnfNs = t.seconds() * 1e9;
-  noteBackendSample(true, circuitNs);
-  noteBackendSample(false, cnfNs);
-  // Paired sample on the SAME query — the only apples-to-apples signal.
-  // Log domain keeps one outlier ratio from dominating; > 0 means the
-  // CNF run was slower, i.e. the circuit engine is ahead.
-  backendLogRatioEwma_ =
-      0.75 * backendLogRatioEwma_ +
-      0.25 * std::log(std::max(cnfNs, 1.0) / std::max(circuitNs, 1.0));
-
-  const bool circuitDef = vc != cnf::Verdict::Unknown;
-  const bool cnfDef = vn != cnf::Verdict::Unknown;
-  if (circuitDef && cnfDef && vc != vn) {
-    ++counters_.disagreements;
-    ++counters_.cnfWins;
-    counters_.raceWastedNs += static_cast<std::uint64_t>(circuitNs);
-    lastModel_ = cnfBackend_.get();
-    return vn;
-  }
-  if (circuitDef && (!cnfDef || circuitNs <= cnfNs)) {
-    ++counters_.circuitWins;
-    counters_.raceWastedNs += static_cast<std::uint64_t>(cnfNs);
-    lastModel_ = circuit_.get();
-    return vc;
-  }
-  if (cnfDef) {
-    ++counters_.cnfWins;
-    counters_.raceWastedNs += static_cast<std::uint64_t>(circuitNs);
-    lastModel_ = cnfBackend_.get();
-    return vn;
-  }
-  // Both Unknown (budget/interrupt): only the slower run was waste.
-  counters_.raceWastedNs +=
-      static_cast<std::uint64_t>(std::min(circuitNs, cnfNs));
-  lastModel_ = cnfBackend_.get();
-  return cnf::Verdict::Unknown;
-}
-
-cnf::Verdict SweepContext::runQuery(const Query& q) {
-  switch (kind_) {
-    case sat::BackendKind::Cnf:
-      return runOn(false, q);
-    case sat::BackendKind::Circuit:
-      return runOn(true, q);
-    case sat::BackendKind::Race:
-      return runRaced(q);
-    case sat::BackendKind::Auto:
-    default: {
-      // Seed by racing until both engines have samples, then route every
-      // query to the paired-ratio winner. Raw per-backend EWMAs compare
-      // DIFFERENT queries (a cheap merge check against an expensive
-      // fixpoint implication) and flip on workload phase, not merit —
-      // so steering uses only paired observations: every 64th query is
-      // raced to refresh the ratio and let a workload shift flip the
-      // choice, at a bounded ~1/64 duplicated-work cost.
-      if (backendSamples_[0] < 2 || backendSamples_[1] < 2)
-        return runRaced(q);
-      if ((++backendProbeTick_ & 63u) == 0) return runRaced(q);
-      return runOn(backendLogRatioEwma_ > 0.0, q);
-    }
-  }
-}
-
-cnf::Verdict SweepContext::checkEquiv(aig::Lit a, aig::Lit b,
+sat::Verdict SweepContext::checkEquiv(aig::Lit a, aig::Lit b,
                                       std::int64_t budget) {
-  return runQuery([=](sat::SatBackend& s) {
-    return sat::checkEquiv(s, a, b, budget);
-  });
+  ++counters_.queries;
+  return sat::checkEquiv(*solver_, a, b, budget);
 }
 
-cnf::Verdict SweepContext::checkImplies(aig::Lit a, aig::Lit b,
+sat::Verdict SweepContext::checkImplies(aig::Lit a, aig::Lit b,
                                         std::int64_t budget) {
-  return runQuery([=](sat::SatBackend& s) {
-    return sat::checkImplies(s, a, b, budget);
-  });
+  ++counters_.queries;
+  return sat::checkImplies(*solver_, a, b, budget);
 }
 
-cnf::Verdict SweepContext::checkConstant(aig::Lit a, bool value,
+sat::Verdict SweepContext::checkConstant(aig::Lit a, bool value,
                                          std::int64_t budget) {
-  return runQuery([=](sat::SatBackend& s) {
-    return sat::checkConstant(s, a, value, budget);
-  });
+  ++counters_.queries;
+  return sat::checkConstant(*solver_, a, value, budget);
 }
 
-cnf::Verdict SweepContext::checkSat(aig::Lit f, std::int64_t budget) {
-  return runQuery(
-      [=](sat::SatBackend& s) { return sat::checkSat(s, f, budget); });
+sat::Verdict SweepContext::checkSat(aig::Lit f, std::int64_t budget) {
+  ++counters_.queries;
+  return sat::checkSat(*solver_, f, budget);
 }
 
-cnf::Verdict SweepContext::checkEquivUnderCare(aig::Lit notRef, aig::Lit a,
+sat::Verdict SweepContext::checkEquivUnderCare(aig::Lit notRef, aig::Lit a,
                                                aig::Lit b,
                                                std::int64_t budget) {
-  return runQuery([=](sat::SatBackend& s) {
-    return sat::checkEquivUnderCare(s, notRef, a, b, budget);
-  });
-}
-
-bool SweepContext::modelOf(aig::VarId v) const {
-  return lastModel_ != nullptr && lastModel_->modelOf(v);
+  ++counters_.queries;
+  return sat::checkEquivUnderCare(*solver_, notRef, a, b, budget);
 }
 
 void SweepContext::learnEquiv(aig::Lit a, aig::Lit b) {
-  const std::array<aig::Lit, 2> fwd{!a, b};
-  const std::array<aig::Lit, 2> bwd{a, !b};
-  if (cnfBackend_ &&
-      (kind_ == sat::BackendKind::Cnf || kind_ == sat::BackendKind::Race ||
-       (cnfBackend_->knows(a) && cnfBackend_->knows(b)))) {
-    cnfBackend_->addClause(std::span<const aig::Lit>(fwd));
-    cnfBackend_->addClause(std::span<const aig::Lit>(bwd));
-  }
-  if (circuit_) {
-    circuit_->addClause(std::span<const aig::Lit>(fwd));
-    circuit_->addClause(std::span<const aig::Lit>(bwd));
-  }
+  solver_->addClause({!a, b});
+  solver_->addClause({a, !b});
 }
 
 void SweepContext::learnConstant(aig::Lit a, bool value) {
   // `a == value` as a unit clause: assert the literal equal to `value`.
-  const std::array<aig::Lit, 1> unit{a ^ !value};
-  if (cnfBackend_ &&
-      (kind_ == sat::BackendKind::Cnf || kind_ == sat::BackendKind::Race ||
-       cnfBackend_->knows(a))) {
-    cnfBackend_->addClause(std::span<const aig::Lit>(unit));
-  }
-  if (circuit_) circuit_->addClause(std::span<const aig::Lit>(unit));
+  solver_->addClause({a ^ !value});
 }
 
 // ----- pair cache ------------------------------------------------------
@@ -404,18 +176,15 @@ bool SweepContext::shouldAttemptOdc() {
 }
 
 std::uint64_t SweepContext::totalConflicts() const {
-  return retiredConflicts_ + (solver_ ? solver_->conflicts() : 0) +
-         (circuit_ ? circuit_->conflicts() : 0);
+  return retiredConflicts_ + (solver_ ? solver_->conflicts() : 0);
 }
 
 std::uint64_t SweepContext::totalDecisions() const {
-  return retiredDecisions_ + (solver_ ? solver_->decisions() : 0) +
-         (circuit_ ? circuit_->decisions() : 0);
+  return retiredDecisions_ + (solver_ ? solver_->decisions() : 0);
 }
 
 std::uint64_t SweepContext::totalPropagations() const {
-  return retiredPropagations_ + (solver_ ? solver_->propagations() : 0) +
-         (circuit_ ? circuit_->propagations() : 0);
+  return retiredPropagations_ + (solver_ ? solver_->propagations() : 0);
 }
 
 void SweepContext::exportStats(obs::Metrics& stats) const {
@@ -431,18 +200,12 @@ void SweepContext::exportStats(obs::Metrics& stats) const {
             static_cast<std::int64_t>(counters_.hitsRefuted));
   stats.add("sweep.session_rebinds",
             static_cast<std::int64_t>(counters_.rebinds));
-  stats.add("sweep.session_recycles",
-            static_cast<std::int64_t>(counters_.recycles));
   stats.add("sweep.cache_remaps",
             static_cast<std::int64_t>(counters_.remaps));
-  stats.add("sat.backend.cnf_wins",
-            static_cast<std::int64_t>(counters_.cnfWins));
+  // Historical name from when two engines split the queries; perfbench's
+  // sat.circuit_share still reads it.
   stats.add("sat.backend.circuit_wins",
-            static_cast<std::int64_t>(counters_.circuitWins));
-  stats.add("sat.backend.race_wasted_ns",
-            static_cast<std::int64_t>(counters_.raceWastedNs));
-  stats.add("sat.backend.disagreements",
-            static_cast<std::int64_t>(counters_.disagreements));
+            static_cast<std::int64_t>(counters_.queries));
 }
 
 }  // namespace cbq::sweep

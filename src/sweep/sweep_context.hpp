@@ -3,12 +3,14 @@
 // once and for all", widened from one sweep() call to a whole
 // reachability run.
 //
-// A SweepContext owns one sat::Solver and one cnf::AigCnf bound to one AIG
-// manager. Every backward-reachability iteration, every per-variable
-// quantification sweep, every don't-care simplification and every fixpoint
-// check of a run shares that single clause database: cones encode once,
-// learned clauses and proven-equivalence biconditionals accumulate, and
-// the solver's heuristic state (activities, saved phases) carries over.
+// A SweepContext owns one sat::CircuitSolver bound to one AIG manager.
+// Every backward-reachability iteration, every per-variable
+// quantification sweep, every don't-care simplification and every
+// fixpoint check of a run shares that single solver: the AIG itself is
+// the constraint database (nothing is encoded), learnt gates and
+// proven-equivalence facts accumulate, and the solver's heuristic state
+// (activities, saved phases) carries over. The cone IS the solver state,
+// so a growing manager never bloats the session.
 //
 // On top of the solver the context keeps a proven/refuted candidate-pair
 // cache. Node functions are immutable within one manager identity
@@ -19,17 +21,6 @@
 // its contents, e.g. periodic compaction) retires the solver and drops
 // the cache; bind() validates the uid on every call.
 
-// Since the circuit-native backend landed, the context actually owns up
-// to TWO engines behind one query surface: the classic (Solver, AigCnf)
-// pair and a sat::CircuitSolver whose propagation walks the manager
-// directly. setBackend() picks the routing policy: solo cnf/circuit, a
-// per-query race (both run, faster definitive answer wins), or `auto` —
-// a per-context EWMA of per-backend query times (the same 0.75/0.25
-// feedback idiom as the DC/ODC gates below) that routes each query to
-// the historical winner and probes the loser every 16th query. On the
-// circuit path nothing is encoded, so cone recycling and compaction
-// remap become no-ops — the cone IS the solver state.
-
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -38,11 +29,7 @@
 #include <utility>
 
 #include "aig/aig.hpp"
-#include "cnf/aig_cnf.hpp"
-#include "cnf/cnf_backend.hpp"
-#include "sat/backend.hpp"
 #include "sat/circuit_solver.hpp"
-#include "sat/solver.hpp"
 #include "obs/metrics.hpp"
 
 namespace cbq::sweep {
@@ -58,96 +45,55 @@ class SweepContext {
   /// races and wall deadlines).
   void setInterrupt(std::function<bool()> callback);
 
-  /// Binds the session to `aig`, reusing the live solver/CNF/cache when
-  /// the manager identity is unchanged. Returns true when the session was
+  /// Binds the session to `aig`, reusing the live solver/cache when the
+  /// manager identity is unchanged. Returns true when the session was
   /// (re)built — the previous solver was retired and the cache dropped.
   bool bind(const aig::Aig& aig);
 
   /// True when bind(aig) would be a no-op.
   [[nodiscard]] bool boundTo(const aig::Aig& aig) const {
-    return (cnf_ != nullptr || circuit_ != nullptr) && aig_ == &aig &&
-           uid_ == aig.uid();
+    return solver_ != nullptr && aig_ == &aig && uid_ == aig.uid();
   }
-
-  // ----- backend selection ----------------------------------------------
-
-  /// Sets the routing policy. Takes effect immediately: when the session
-  /// is live and the policy needs a different engine set, the solvers are
-  /// rebuilt (the pair cache survives — same manager, same facts).
-  void setBackend(sat::BackendKind kind);
-  [[nodiscard]] sat::BackendKind backendKind() const { return kind_; }
-
-  /// Resolution of the policy to ONE engine, for enumeration/trace paths
-  /// that keep private per-call state (all-SAT blocking clauses, trace
-  /// steps) where racing would double the bookkeeping for no information:
-  /// Circuit stays Circuit, Auto follows the EWMA winner, Race and Cnf
-  /// resolve to Cnf.
-  [[nodiscard]] sat::BackendKind soloKind() const;
-
-  /// Generational staleness control. A run-long clause database
-  /// accumulates the cones of every iteration; shared variables (state
-  /// PIs) collect watchers from all of them, so per-query propagation
-  /// cost grows with run length even under decision focusing. When the
-  /// number of encoded AND nodes exceeds max(minEncoded, ratio ×
-  /// liveNodes), the solver and CNF are rebuilt empty — but the
-  /// proven/refuted pair cache SURVIVES (the manager identity is
-  /// unchanged, so the facts remain valid); re-encountered equivalences
-  /// still skip SAT. Returns true when a recycle happened.
-  bool recycleIfBloated(std::size_t liveNodes, double ratio = 2.0,
-                        std::size_t minEncoded = 1000);
 
   /// Rebinds to `newMgr` after a compaction, carrying the pair cache
   /// across the NodeId change: `transferMap` is the (old NodeId → new
   /// literal) relation Aig::transferFrom reported, facts about
   /// transferred nodes are rewritten through it, facts about dropped
-  /// scratch nodes are discarded. The solver and CNF restart empty (their
-  /// variables are unsalvageable), but re-encountered compare points
-  /// still skip SAT — compaction no longer costs the learned history.
+  /// scratch nodes are discarded. The solver restarts empty (its node
+  /// state is unsalvageable), but re-encountered compare points still
+  /// skip SAT — compaction no longer costs the learned history.
   void rebindRemapped(
       const aig::Aig& newMgr,
       std::span<const std::pair<aig::NodeId, aig::Lit>> transferMap);
 
-  /// The live CNF solver / encoder. Precondition: bind() has been called
-  /// and the CNF engine is part of the policy (hasCnf()).
-  [[nodiscard]] sat::Solver& solver() { return *solver_; }
-  [[nodiscard]] cnf::AigCnf& cnf() { return *cnf_; }
-  [[nodiscard]] bool hasCnf() const { return cnf_ != nullptr; }
-
-  /// The live circuit solver (policy circuit/race/auto). Precondition:
-  /// bind() has been called and hasCircuit().
-  [[nodiscard]] sat::CircuitSolver& circuitSolver() { return *circuit_; }
+  /// The live solver. Precondition: bind() has been called.
+  [[nodiscard]] sat::CircuitSolver& circuitSolver() { return *solver_; }
   [[nodiscard]] const sat::CircuitSolver& circuitSolver() const {
-    return *circuit_;
+    return *solver_;
   }
-  [[nodiscard]] bool hasCircuit() const { return circuit_ != nullptr; }
 
-  // ----- backend-routed queries -----------------------------------------
-  // The sweeping/quantification layers ask through these instead of
-  // touching cnf()/solver() directly; the context races or routes per the
-  // policy and keeps the per-query winner statistics.
+  // ----- queries ----------------------------------------------------------
 
-  /// Prepares both engines for queries rooted at `roots` (CNF: encode +
-  /// focusDecisions; circuit: justification focus).
+  /// Restricts the solver's justification to the cones of `roots`.
   void focusOn(std::span<const aig::Lit> roots);
 
-  [[nodiscard]] cnf::Verdict checkEquiv(aig::Lit a, aig::Lit b,
+  [[nodiscard]] sat::Verdict checkEquiv(aig::Lit a, aig::Lit b,
                                         std::int64_t budget = -1);
-  [[nodiscard]] cnf::Verdict checkImplies(aig::Lit a, aig::Lit b,
+  [[nodiscard]] sat::Verdict checkImplies(aig::Lit a, aig::Lit b,
                                           std::int64_t budget = -1);
-  [[nodiscard]] cnf::Verdict checkConstant(aig::Lit a, bool value,
+  [[nodiscard]] sat::Verdict checkConstant(aig::Lit a, bool value,
                                            std::int64_t budget = -1);
-  [[nodiscard]] cnf::Verdict checkSat(aig::Lit f, std::int64_t budget = -1);
-  [[nodiscard]] cnf::Verdict checkEquivUnderCare(aig::Lit notRef, aig::Lit a,
+  [[nodiscard]] sat::Verdict checkSat(aig::Lit f, std::int64_t budget = -1);
+  [[nodiscard]] sat::Verdict checkEquivUnderCare(aig::Lit notRef, aig::Lit a,
                                                  aig::Lit b,
                                                  std::int64_t budget = -1);
 
-  /// Model of the backend that answered the last definitive query.
-  [[nodiscard]] bool modelOf(aig::VarId v) const;
+  /// Model value of PI `v` after the last Sat answer.
+  [[nodiscard]] bool modelOf(aig::VarId v) const {
+    return solver_ != nullptr && solver_->modelOf(v);
+  }
 
-  /// Records a proven equivalence / constant as solver facts on every
-  /// live engine (the circuit side learns for free; the CNF side only
-  /// when both nodes are already encoded or it is the primary engine —
-  /// a learned fact must never force an encode the policy avoided).
+  /// Records a proven equivalence / constant as solver facts.
   void learnEquiv(aig::Lit a, aig::Lit b);
   void learnConstant(aig::Lit a, bool value);
 
@@ -185,15 +131,11 @@ class SweepContext {
 
   struct Counters {
     std::uint64_t rebinds = 0;      ///< sessions retired by identity change
-    std::uint64_t recycles = 0;     ///< solvers retired by staleness
     std::uint64_t remaps = 0;       ///< caches carried across compactions
     std::uint64_t lookups = 0;      ///< pair-cache queries
     std::uint64_t hitsProven = 0;   ///< queries answered Proven
     std::uint64_t hitsRefuted = 0;  ///< queries answered Refuted
-    std::uint64_t cnfWins = 0;      ///< queries answered by the CNF engine
-    std::uint64_t circuitWins = 0;  ///< queries answered by the circuit engine
-    std::uint64_t raceWastedNs = 0;  ///< loser time burned by racing
-    std::uint64_t disagreements = 0;  ///< definitive verdict mismatches
+    std::uint64_t queries = 0;      ///< semantic checks asked of the solver
   };
   [[nodiscard]] const Counters& counters() const { return counters_; }
   [[nodiscard]] std::size_t cacheSize() const { return pairFacts_.size(); }
@@ -206,53 +148,24 @@ class SweepContext {
 
   /// Adds the session's counters into an engine stats bag under the
   /// canonical names (sat.conflicts/decisions/propagations,
-  /// sweep.cache_lookups/_hits_proven/_hits_refuted, sweep.session_rebinds).
+  /// sweep.cache_lookups/_hits_proven/_hits_refuted, sweep.session_rebinds,
+  /// sweep.cache_remaps, and the query count as sat.backend.circuit_wins).
   void exportStats(obs::Metrics& stats) const;
 
  private:
   static std::uint64_t pairKey(aig::Lit a, aig::Lit b);
 
-  /// Retires the current engines' effort counters and rebuilds the
-  /// policy's engine set bound to `aig` (shared tail of bind / recycle /
-  /// remap / setBackend).
-  void retireAndRebuild(const aig::Aig& aig);
-  void retireCnfEngine();
-  void retireCircuitEngine();
-
-  // Per-query routing (q runs the semantic check on one engine).
-  using Query = std::function<cnf::Verdict(sat::SatBackend&)>;
-  cnf::Verdict runQuery(const Query& q);
-  cnf::Verdict runOn(bool onCircuit, const Query& q);
-  cnf::Verdict runRaced(const Query& q);
-  void noteBackendSample(bool onCircuit, double ns);
-  void applyFocus(bool onCircuit);
+  /// Retires the current solver's effort counters and starts a fresh one
+  /// bound to `aig` (shared tail of bind / remap).
+  void rebuild(const aig::Aig& aig);
 
   const aig::Aig* aig_ = nullptr;
   std::uint64_t uid_ = 0;
-  sat::BackendKind kind_ = sat::BackendKind::Cnf;
-  std::unique_ptr<sat::Solver> solver_;
-  std::unique_ptr<cnf::AigCnf> cnf_;
-  std::unique_ptr<cnf::CnfSolverBackend> cnfBackend_;  // wraps solver_+cnf_
-  std::unique_ptr<sat::CircuitSolver> circuit_;
-  sat::SatBackend* lastModel_ = nullptr;
+  std::unique_ptr<sat::CircuitSolver> solver_;
   std::unordered_map<std::uint64_t, bool> pairFacts_;  // key -> proven?
   std::function<bool()> interrupt_;
   Counters counters_;
 
-  // Deferred focus roots: applied per backend just before it runs a
-  // query, so the CNF side never encodes cones for circuit-routed work.
-  std::vector<aig::Lit> pendingFocus_;
-  bool focusPending_ = false;
-  bool cnfFocusStale_ = false;
-  bool circuitFocusStale_ = false;
-
-  // Per-backend query-time EWMA ([0]=cnf, [1]=circuit; exported stats)
-  // and the paired log(cnf/circuit) ratio EWMA that actually steers the
-  // `auto` policy, both seeded by racing the first queries.
-  double backendEwmaNs_[2] = {0.0, 0.0};
-  double backendLogRatioEwma_ = 0.0;
-  std::uint64_t backendSamples_[2] = {0, 0};
-  std::uint32_t backendProbeTick_ = 0;
   std::uint64_t retiredConflicts_ = 0;
   std::uint64_t retiredDecisions_ = 0;
   std::uint64_t retiredPropagations_ = 0;

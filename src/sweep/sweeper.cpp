@@ -5,9 +5,7 @@
 
 #include "audit/audit.hpp"
 #include "bdd/bdd.hpp"
-#include "cnf/aig_cnf.hpp"
 #include "obs/tracer.hpp"
-#include "sat/solver.hpp"
 #include "sweep/signatures.hpp"
 #include "sweep/sweep_context.hpp"
 #include "sweep/union_find.hpp"
@@ -82,16 +80,11 @@ SweepResult sweep(aig::Aig& aig, std::span<const Lit> roots,
   aig::NodeMap mergeMap;
   std::vector<std::uint8_t> disqualified(aig.numNodes(), 0);
 
-  // Persistent session: shared solver + CNF + pair cache when the caller
-  // provides one, private throwaway session otherwise. A clause database
-  // that has grown far beyond this sweep's own cone would make every
-  // check below propagate through stale cones — recycle it first (the
-  // pair cache survives; it is what carries the cross-call wins).
+  // Persistent session: shared circuit solver + pair cache when the
+  // caller provides one, private throwaway session otherwise.
   SweepContext localCtx;
   SweepContext* ctx = opts.context != nullptr ? opts.context : &localCtx;
-  if (opts.context == nullptr) localCtx.setBackend(opts.satBackend);
   ctx->bind(aig);
-  ctx->recycleIfBloated(order.size() + support.size());
 
   // ----- layer 2: BDD sweeping -------------------------------------------
   if (opts.useBdd && opts.bddNodeLimit > 0) {
@@ -166,9 +159,8 @@ SweepResult sweep(aig::Aig& aig, std::span<const Lit> roots,
   // ----- layer 3: SAT sweeping with cex-guided refinement ------------------
   // Every compare point lives inside the cones of `roots`, and the manager
   // does not grow before the final rebuild — one focus call covers every
-  // check of this sweep even when the session's database holds the whole
-  // run's history. The context routes each check to the engine(s) its
-  // policy selects (CNF, circuit-native, race or EWMA auto).
+  // check of this sweep even when the session's solver carries the whole
+  // run's history.
   if (opts.useSat) ctx->focusOn(roots);
 
   auto learn = [&](Lit a, Lit b) {
@@ -398,7 +390,7 @@ SweepResult sweep(aig::Aig& aig, std::span<const Lit> roots,
             break;
         }
 
-        cnf::Verdict verdict;
+        sat::Verdict verdict;
         if (cls.constant) {
           verdict = ctx->checkConstant(Lit(m, false), cls.constValue,
                                        opts.satBudget);
@@ -408,7 +400,7 @@ SweepResult sweep(aig::Aig& aig, std::span<const Lit> roots,
         ++out.stats.satChecks;
 
         switch (verdict) {
-          case cnf::Verdict::Holds: {
+          case sat::Verdict::Holds: {
             mergeMap.set(m, target);
             ctx->recordProven(Lit(m, false), target);
             if (cls.constant) {
@@ -421,7 +413,7 @@ SweepResult sweep(aig::Aig& aig, std::span<const Lit> roots,
             }
             break;
           }
-          case cnf::Verdict::Fails: {
+          case sat::Verdict::Fails: {
             ++out.stats.satRefuted;
             ctx->recordRefuted(Lit(m, false), target);
             for (std::size_t i = 0; i < support.size(); ++i) {
@@ -431,7 +423,7 @@ SweepResult sweep(aig::Aig& aig, std::span<const Lit> roots,
             ++cexCount;
             break;
           }
-          case cnf::Verdict::Unknown: {
+          case sat::Verdict::Unknown: {
             ++out.stats.satUnknown;
             disqualified[m] = 1;
             break;

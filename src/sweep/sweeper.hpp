@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "aig/aig.hpp"
-#include "sat/backend.hpp"
 
 namespace cbq::util {
 class ThreadPool;
@@ -58,17 +57,12 @@ struct SweepOptions {
   bool learnEquivalences = true;  ///< assert proven merges as clauses
   std::uint64_t seed = 0x5eed;    ///< simulation seed
 
-  /// SAT engine policy for the compare-point checks (cnf, circuit, race,
-  /// auto — see sat::BackendKind). Applied to the private session only;
-  /// when `context` is provided its own policy governs.
-  sat::BackendKind satBackend = sat::BackendKind::Cnf;
-
   /// Cooperative stop, polled once per SAT compare-point check. Sweeping
   /// is an optimization: when the callback fires, the rounds stop and the
   /// cones are rebuilt with whatever merges are already proven (sound).
   std::function<bool()> interrupt{};
 
-  /// Persistent sweep session (solver + CNF + pair cache shared across
+  /// Persistent sweep session (circuit solver + pair cache shared across
   /// calls). When null, each sweep() builds a private throwaway session —
   /// the pre-session behaviour. The context must be bound (or bindable)
   /// to the same manager the sweep runs in; sweep() calls bind() itself.

@@ -5,8 +5,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cnf/aig_cnf.hpp"
-#include "sat/solver.hpp"
 #include "sweep/signatures.hpp"
 #include "sweep/sweep_context.hpp"
 #include "util/random.hpp"
@@ -129,14 +127,12 @@ DcResult dcSimplify(aig::Aig& aig, Lit fRef, Lit fTgt, const DcOptions& opts) {
   CareSim sim(aig, fRef, fTgt, rng, std::max(opts.numWords, 1),
               std::max(opts.numWords, 1) + std::max(opts.maxRounds, 0));
 
-  // Share the run's persistent clause database when a session is provided
-  // (every query below is assumption-only); otherwise a private one.
+  // Share the run's persistent solver when a session is provided (every
+  // query below is assumption-only); otherwise a private one.
   sweep::SweepContext localCtx;
   sweep::SweepContext* ctx =
       opts.context != nullptr ? opts.context : &localCtx;
-  if (opts.context == nullptr) localCtx.setBackend(opts.satBackend);
   ctx->bind(aig);
-  ctx->recycleIfBloated(sim.order().size() + sim.support().size());
   const Lit notRef = !fRef;
   {
     // Phase A never grows the manager, so the joint cone covers every
@@ -147,7 +143,7 @@ DcResult dcSimplify(aig::Aig& aig, Lit fRef, Lit fTgt, const DcOptions& opts) {
   }
 
   // ----- phase A: input-DC replacements (cex-refined rounds) -------------
-  // Phase A only encodes into the solver (the manager does not grow), so
+  // Phase A only queries the solver (the manager does not grow), so
   // node-indexed scratch vectors sized now stay valid for every round.
   aig::NodeMap careMap;
   std::vector<std::uint8_t> disqualified(aig.numNodes(), 0);
@@ -204,10 +200,10 @@ DcResult dcSimplify(aig::Aig& aig, Lit fRef, Lit fTgt, const DcOptions& opts) {
       }
 
       ++out.stats.satChecks;
-      const cnf::Verdict verdict =
+      const sat::Verdict verdict =
           ctx->checkEquivUnderCare(notRef, ln, candidate, opts.satBudget);
       switch (verdict) {
-        case cnf::Verdict::Holds: {
+        case sat::Verdict::Holds: {
           careMap.set(n, candidate);
           if (candidate.isConstant())
             ++out.stats.constReplacements;
@@ -215,7 +211,7 @@ DcResult dcSimplify(aig::Aig& aig, Lit fRef, Lit fTgt, const DcOptions& opts) {
             ++out.stats.mergeReplacements;
           break;
         }
-        case cnf::Verdict::Fails: {
+        case sat::Verdict::Fails: {
           ++out.stats.satRefuted;
           for (std::size_t i = 0; i < sim.support().size(); ++i) {
             const std::uint64_t bit =
@@ -227,7 +223,7 @@ DcResult dcSimplify(aig::Aig& aig, Lit fRef, Lit fTgt, const DcOptions& opts) {
           addRep(ln);
           break;
         }
-        case cnf::Verdict::Unknown: {
+        case sat::Verdict::Unknown: {
           ++out.stats.satUnknown;
           disqualified[n] = 1;
           break;
@@ -282,7 +278,7 @@ DcResult dcSimplify(aig::Aig& aig, Lit fRef, Lit fTgt, const DcOptions& opts) {
           }
           ++out.stats.satChecks;
           if (ctx->checkEquiv(before, after, opts.satBudget) ==
-              cnf::Verdict::Holds) {
+              sat::Verdict::Holds) {
             out.target = tentative;
             ++out.stats.odcReplacements;
             changed = true;

@@ -27,7 +27,6 @@
 #include <span>
 
 #include "aig/aig.hpp"
-#include "sat/backend.hpp"
 
 namespace cbq::sweep {
 class SweepContext;
@@ -48,16 +47,12 @@ struct DcOptions {
   /// the current (sound) result is returned.
   std::function<bool()> interrupt{};
 
-  /// Persistent sweep session whose solver/CNF the DC checks share (all
-  /// queries here are assumption-only, so they coexist with the sweeping
-  /// checks in one clause database). Care-set-relative equivalences are
+  /// Persistent sweep session whose circuit solver the DC checks share
+  /// (all queries here are assumption-only, so they coexist with the
+  /// sweeping checks in one solver). Care-set-relative equivalences are
   /// NOT recorded in the session's pair cache — they only hold under
   /// ¬fRef, not globally. Null = private throwaway solver per call.
   sweep::SweepContext* context = nullptr;
-
-  /// SAT engine policy for the DC/ODC checks; applied to the private
-  /// session only — a provided `context` keeps its own policy.
-  sat::BackendKind satBackend = sat::BackendKind::Cnf;
 };
 
 struct DcStats {

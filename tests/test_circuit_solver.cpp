@@ -1,34 +1,61 @@
-// Differential fuzzing of the circuit-native CDCL against the CNF path:
-// on the same random cones, under the same assumptions and focus, both
-// backends must return the same verdicts, every Sat model must extend to
-// a real satisfying input assignment (checked by dense Aig::evaluate),
+// Differential fuzzing of the circuit-native CDCL against the CNF path
+// (sat::Solver behind cnf::AigCnf, queried through the cnf::check*
+// family): on the same random cones, under the same assumptions and
+// focus, both must return the same verdicts, every Sat model must extend
+// to a real satisfying input assignment (checked by dense Aig::evaluate),
 // and accumulation of learnt gates / interrupts must never change an
-// answer — only defer it.
+// answer — only defer it. The sweep session built on the circuit solver
+// is refereed against exhaustive truth tables.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "audit/audit.hpp"
-#include "cnf/cnf_backend.hpp"
+#include "cnf/aig_cnf.hpp"
 #include "helpers.hpp"
-#include "sat/backend.hpp"
 #include "sat/circuit_solver.hpp"
+#include "sat/solver.hpp"
 #include "sweep/sweep_context.hpp"
 #include "util/random.hpp"
 
 namespace cbq {
 namespace {
 
-using cnf::Verdict;
+using sat::Verdict;
 
 constexpr int kVars = 6;
 
-std::vector<bool> denseModel(const sat::SatBackend& b, int numVars) {
+/// The reference engine: a clause-level solver behind the lazy Tseitin
+/// encoder, bound to one manager.
+struct CnfOracle {
+  explicit CnfOracle(const aig::Aig& g) : cnf(g, solver) {}
+
+  sat::Status solve(std::span<const aig::Lit> assumptions) {
+    std::vector<sat::Lit> lits;
+    for (const aig::Lit l : assumptions) lits.push_back(cnf.litFor(l));
+    return solver.solveLimited(lits, -1);
+  }
+
+  bool addClause(std::span<const aig::Lit> clause) {
+    std::vector<sat::Lit> lits;
+    for (const aig::Lit l : clause) lits.push_back(cnf.litFor(l));
+    return solver.addClause(lits);
+  }
+
+  sat::Solver solver;
+  cnf::AigCnf cnf;
+};
+
+/// PI values 0..numVars-1 of the last Sat model of `engine`.
+template <class Engine>
+std::vector<bool> denseModel(const Engine& engine, int numVars) {
   std::vector<bool> m(static_cast<std::size_t>(numVars));
   for (int v = 0; v < numVars; ++v)
-    m[static_cast<std::size_t>(v)] = b.modelOf(static_cast<aig::VarId>(v));
+    m[static_cast<std::size_t>(v)] =
+        engine.modelOf(static_cast<aig::VarId>(v));
   return m;
 }
 
@@ -78,8 +105,8 @@ TEST(CircuitSolver, InterruptThenResume) {
   // Clearing the interrupt resumes the same solver (learnt gates and
   // heuristic state intact) to the CNF path's answer.
   cir.setInterrupt({});
-  cnf::CnfSolverBackend ref(g);
-  EXPECT_EQ(sat::checkSat(cir, f), sat::checkSat(ref, f));
+  CnfOracle ref(g);
+  EXPECT_EQ(sat::checkSat(cir, f), cnf::checkSat(ref.cnf, f));
 }
 
 class CircuitDiff : public ::testing::TestWithParam<int> {};
@@ -90,21 +117,21 @@ TEST_P(CircuitDiff, AgreesWithCnfOnRandomCones) {
   const aig::Lit a = test::randomFormula(g, rng, kVars, 35);
   const aig::Lit b = test::randomFormula(g, rng, kVars, 35);
 
-  cnf::CnfSolverBackend ref(g);
+  CnfOracle ref(g);
   sat::CircuitSolver cir(g);
 
   // Satisfiability, with model validity on both sides.
-  const Verdict satRef = sat::checkSat(ref, a);
+  const Verdict satRef = cnf::checkSat(ref.cnf, a);
   const Verdict satCir = sat::checkSat(cir, a);
   EXPECT_EQ(satRef, satCir);
   if (satCir == Verdict::Holds) {
     EXPECT_TRUE(g.evaluate(a, denseModel(cir, kVars)));
-    EXPECT_TRUE(g.evaluate(a, denseModel(ref, kVars)));
+    EXPECT_TRUE(g.evaluate(a, denseModel(ref.cnf, kVars)));
   }
 
   // Equivalence, refereed by the exhaustive truth table.
   const bool equiv = test::equivalentExhaustive(g, a, b, kVars);
-  const Verdict eqRef = sat::checkEquiv(ref, a, b);
+  const Verdict eqRef = cnf::checkEquiv(ref.cnf, a, b);
   const Verdict eqCir = sat::checkEquiv(cir, a, b);
   EXPECT_EQ(eqRef, eqCir);
   EXPECT_EQ(eqCir == Verdict::Holds, equiv);
@@ -114,10 +141,13 @@ TEST_P(CircuitDiff, AgreesWithCnfOnRandomCones) {
   }
 
   // Constancy.
-  EXPECT_EQ(sat::checkConstant(ref, a, false),
+  EXPECT_EQ(cnf::checkConstant(ref.cnf, a, false),
             sat::checkConstant(cir, a, false));
-  EXPECT_EQ(sat::checkConstant(ref, a, true),
+  EXPECT_EQ(cnf::checkConstant(ref.cnf, a, true),
             sat::checkConstant(cir, a, true));
+
+  // Implication.
+  EXPECT_EQ(cnf::checkImplies(ref.cnf, a, b), sat::checkImplies(cir, a, b));
 }
 
 TEST_P(CircuitDiff, AgreesUnderAssumptionsAndFocus) {
@@ -137,14 +167,14 @@ TEST_P(CircuitDiff, AgreesUnderAssumptionsAndFocus) {
   }
   assume.push_back(f);
 
-  cnf::CnfSolverBackend ref(g);
+  CnfOracle ref(g);
   sat::CircuitSolver cir(g);
   const aig::Lit roots[] = {f};
-  ref.focusOn(roots);
+  ref.cnf.focusOn(roots);
   cir.focusOn(roots);
 
-  const sat::Status stRef = ref.solve(assume, -1);
-  const sat::Status stCir = cir.solve(assume, -1);
+  const sat::Status stRef = ref.solve(assume);
+  const sat::Status stCir = cir.solveLimited(assume, -1);
   EXPECT_EQ(stRef, stCir);
 
   // Ground truth: does any minterm consistent with the assumptions
@@ -177,16 +207,16 @@ TEST_P(CircuitDiff, LearntGatesAccumulateWithoutChangingAnswers) {
   for (int i = 0; i < 8; ++i)
     pool.push_back(test::randomFormula(g, rng, kVars, 25));
 
-  // ONE persistent solver per backend answers a whole query stream;
+  // ONE persistent solver per engine answers a whole query stream;
   // proven equivalences are learned back as clauses mid-stream, the way
   // the sweeper does. Every verdict is refereed exhaustively.
-  cnf::CnfSolverBackend ref(g);
+  CnfOracle ref(g);
   sat::CircuitSolver cir(g);
   for (std::size_t i = 0; i < pool.size(); ++i) {
     for (std::size_t j = i + 1; j < pool.size(); ++j) {
       const aig::Lit a = pool[i];
       const aig::Lit b = pool[j];
-      const Verdict vRef = sat::checkEquiv(ref, a, b);
+      const Verdict vRef = cnf::checkEquiv(ref.cnf, a, b);
       const Verdict vCir = sat::checkEquiv(cir, a, b);
       ASSERT_EQ(vRef, vCir) << "pair " << i << "," << j;
       ASSERT_EQ(vCir == Verdict::Holds,
@@ -205,63 +235,133 @@ TEST_P(CircuitDiff, LearntGatesAccumulateWithoutChangingAnswers) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CircuitDiff, ::testing::Range(0, 12));
 
-class ContextRouted : public ::testing::TestWithParam<int> {};
+/// Dense model of the session's last Sat answer over PIs 0..kVars-1.
+std::vector<bool> sessionModel(const sweep::SweepContext& ctx) {
+  std::vector<bool> m(kVars);
+  for (int v = 0; v < kVars; ++v)
+    m[static_cast<std::size_t>(v)] = ctx.modelOf(static_cast<aig::VarId>(v));
+  return m;
+}
 
-TEST_P(ContextRouted, RaceAndAutoAgreeWithExhaustive) {
-  for (const sat::BackendKind kind :
-       {sat::BackendKind::Race, sat::BackendKind::Auto,
-        sat::BackendKind::Circuit}) {
-    util::Random rng(static_cast<std::uint64_t>(GetParam()) * 53 + 17);
-    aig::Aig g;
-    std::vector<aig::Lit> pool;
-    for (int i = 0; i < 6; ++i)
-      pool.push_back(test::randomFormula(g, rng, kVars, 30));
+class SessionQueries : public ::testing::TestWithParam<int> {};
 
-    sweep::SweepContext ctx;
-    ctx.setBackend(kind);
-    ctx.bind(g);
-    std::uint64_t queries = 0;
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      for (std::size_t j = i + 1; j < pool.size(); ++j) {
-        const Verdict v = ctx.checkEquiv(pool[i], pool[j]);
-        ++queries;
-        ASSERT_EQ(v == Verdict::Holds,
-                  test::equivalentExhaustive(g, pool[i], pool[j], kVars))
-            << sat::backendName(kind);
-        if (v == Verdict::Fails) {
-          std::vector<bool> m(kVars);
-          for (int vv = 0; vv < kVars; ++vv)
-            m[static_cast<std::size_t>(vv)] =
-                ctx.modelOf(static_cast<aig::VarId>(vv));
-          ASSERT_NE(g.evaluate(pool[i], m), g.evaluate(pool[j], m));
-        }
+TEST_P(SessionQueries, EquivAgreesWithExhaustive) {
+  util::Random rng(static_cast<std::uint64_t>(GetParam()) * 53 + 17);
+  aig::Aig g;
+  std::vector<aig::Lit> pool;
+  for (int i = 0; i < 6; ++i)
+    pool.push_back(test::randomFormula(g, rng, kVars, 30));
+
+  sweep::SweepContext ctx;
+  EXPECT_TRUE(audit::auditSweepContext(ctx, g).ok());  // unbound: no-op
+  ctx.bind(g);
+  std::uint64_t queries = 0;
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    for (std::size_t j = i + 1; j < pool.size(); ++j) {
+      const Verdict v = ctx.checkEquiv(pool[i], pool[j]);
+      ++queries;
+      ASSERT_EQ(v == Verdict::Holds,
+                test::equivalentExhaustive(g, pool[i], pool[j], kVars));
+      if (v == Verdict::Fails) {
+        const std::vector<bool> m = sessionModel(ctx);
+        ASSERT_NE(g.evaluate(pool[i], m), g.evaluate(pool[j], m));
+      }
+      if (v == Verdict::Holds) ctx.learnEquiv(pool[i], pool[j]);
+    }
+  }
+  EXPECT_EQ(ctx.counters().queries, queries);
+  const auto rep = audit::auditSweepContext(ctx, g);
+  EXPECT_TRUE(rep.ok()) << rep.summary();
+}
+
+// The §2.2 don't-care query: a ≡ b wherever the care literal holds.
+TEST_P(SessionQueries, EquivUnderCareAgreesWithExhaustive) {
+  util::Random rng(static_cast<std::uint64_t>(GetParam()) * 71 + 5);
+  aig::Aig g;
+  sweep::SweepContext ctx;
+  ctx.bind(g);
+  for (int round = 0; round < 8; ++round) {
+    const aig::Lit a = test::randomFormula(g, rng, kVars, 25);
+    // Half the rounds compare against a near copy of a, so Holds under
+    // a partial care set shows up, not only global equivalence.
+    const aig::Lit b =
+        rng.flip() ? g.mkXor(a, g.mkAnd(g.pi(static_cast<aig::VarId>(
+                                            rng.below(kVars))),
+                                        test::randomFormula(g, rng, kVars, 8)))
+                   : test::randomFormula(g, rng, kVars, 25);
+    // Care literal: a random cone or a single PI literal.
+    const aig::Lit care =
+        rng.flip() ? test::randomFormula(g, rng, kVars, 12)
+                   : g.pi(static_cast<aig::VarId>(rng.below(kVars))) ^
+                         rng.flip();
+
+    const aig::Lit roots[] = {care, a, b};
+    ctx.focusOn(roots);
+    const Verdict v = ctx.checkEquivUnderCare(care, a, b);
+    ASSERT_NE(v, Verdict::Unknown);
+
+    bool holds = true;
+    for (std::uint64_t mt = 0; mt < (std::uint64_t{1} << kVars); ++mt) {
+      std::vector<bool> point(kVars);
+      for (int i = 0; i < kVars; ++i)
+        point[static_cast<std::size_t>(i)] = ((mt >> i) & 1) != 0;
+      if (g.evaluate(care, point) &&
+          g.evaluate(a, point) != g.evaluate(b, point)) {
+        holds = false;
+        break;
       }
     }
-    const auto& c = ctx.counters();
-    EXPECT_EQ(c.disagreements, 0u) << sat::backendName(kind);
-    EXPECT_EQ(c.cnfWins + c.circuitWins, queries) << sat::backendName(kind);
-    if (kind == sat::BackendKind::Circuit)
-      EXPECT_EQ(c.cnfWins, 0u);
+    ASSERT_EQ(v == Verdict::Holds, holds) << "round " << round;
+    if (v == Verdict::Fails) {
+      // The model must separate a and b INSIDE the care set.
+      const std::vector<bool> m = sessionModel(ctx);
+      EXPECT_TRUE(g.evaluate(care, m)) << "round " << round;
+      EXPECT_NE(g.evaluate(a, m), g.evaluate(b, m)) << "round " << round;
+    }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ContextRouted, ::testing::Range(0, 6));
+INSTANTIATE_TEST_SUITE_P(Seeds, SessionQueries, ::testing::Range(0, 12));
 
-TEST(ContextRouted, BackendSwitchKeepsPairCache) {
+TEST(SessionQueries, PairCacheHitsAfterRemapAndAuditStaysClean) {
   aig::Aig g;
   util::Random rng(3);
   const aig::Lit a = test::randomFormula(g, rng, kVars, 20);
   const aig::Lit b = test::randomFormula(g, rng, kVars, 20);
+  if (a.node() == b.node()) GTEST_SKIP() << "strash merged the pair";
+
   sweep::SweepContext ctx;
   ctx.bind(g);
-  ctx.recordProven(a, b);
-  ctx.setBackend(sat::BackendKind::Circuit);
-  EXPECT_TRUE(ctx.hasCircuit());
-  EXPECT_FALSE(ctx.hasCnf());
-  EXPECT_TRUE(ctx.boundTo(g));
-  EXPECT_EQ(ctx.lookupPair(a, b), sweep::SweepContext::PairFact::Proven);
-  // Circuit-only sessions never recycle: nothing is encoded.
-  EXPECT_FALSE(ctx.recycleIfBloated(1, 0.0, 0));
+  const aig::Lit roots[] = {a, b};
+  ctx.focusOn(roots);
+  const Verdict v = ctx.checkEquiv(a, b);
+  ASSERT_NE(v, Verdict::Unknown);
+  if (v == Verdict::Holds)
+    ctx.recordProven(a, b);
+  else
+    ctx.recordRefuted(a, b);
+
+  // Compaction: move the live cones into a fresh manager.
+  aig::Aig fresh;
+  std::vector<std::pair<aig::NodeId, aig::Lit>> xfer;
+  const auto moved = fresh.transferFrom(g, roots, xfer);
+  g = std::move(fresh);
+  ctx.rebindRemapped(g, xfer);
+  ASSERT_TRUE(ctx.boundTo(g));
+
+  const auto hitsBefore =
+      ctx.counters().hitsProven + ctx.counters().hitsRefuted;
+  EXPECT_EQ(ctx.lookupPair(moved[0], moved[1]),
+            v == Verdict::Holds ? sweep::SweepContext::PairFact::Proven
+                                : sweep::SweepContext::PairFact::Refuted);
+  EXPECT_EQ(ctx.counters().hitsProven + ctx.counters().hitsRefuted,
+            hitsBefore + 1);
+
+  // The fresh solver answers on the new manager and audits clean there.
+  ctx.focusOn(moved);
+  EXPECT_EQ(ctx.checkEquiv(moved[0], moved[1]), v);
+  const auto rep = audit::auditSweepContext(ctx, g);
+  EXPECT_TRUE(rep.ok()) << rep.summary();
 }
 
 // ----- arena auditor + corruption injection ---------------------------
@@ -324,27 +424,6 @@ TEST(CircuitAudit, DroppedWatcherIsCaught) {
   ASSERT_TRUE(dropped);
   const auto rep = audit::auditCircuitSolver(s);
   EXPECT_TRUE(rep.has("circuit.watch.missing")) << rep.summary();
-}
-
-TEST(CircuitAudit, SweepContextRoutesToLiveEngines) {
-  aig::Aig g;
-  util::Random rng(5);
-  const aig::Lit a = test::randomFormula(g, rng, kVars, 25);
-  const aig::Lit b = test::randomFormula(g, rng, kVars, 25);
-  for (const auto kind :
-       {sat::BackendKind::Cnf, sat::BackendKind::Circuit,
-        sat::BackendKind::Race}) {
-    sweep::SweepContext ctx;
-    ctx.setBackend(kind);
-    ctx.bind(g);
-    const aig::Lit roots[] = {a, b};
-    ctx.focusOn(roots);
-    (void)ctx.checkEquiv(a, b);
-    // Must not touch an engine the policy does not keep (a circuit-only
-    // session has no CNF side to audit) and must stay clean.
-    const auto rep = audit::auditSweepContext(ctx, g);
-    EXPECT_TRUE(rep.ok()) << sat::backendName(kind) << ": " << rep.summary();
-  }
 }
 
 }  // namespace
