@@ -345,9 +345,10 @@ int usage() {
       "            [--prep on|off|coi,const,sweep,latchcorr]\n"
       "            [--par-threads N] [--trace FILE] [--progress]\n"
       "      run the portfolio on one circuit (.aag/.aig/.bench);\n"
-      "      --schedule race (default) races engines on threads,\n"
-      "      --schedule slice round-robins persistent engine sessions on\n"
-      "      --workers threads (default 1: single-core portfolio);\n"
+      "      --schedule race (default) gives every engine a worker thread,\n"
+      "      --schedule slice shares --workers threads (default 1:\n"
+      "      single-core portfolio) and pauses a session only while\n"
+      "      another waits for its worker;\n"
       "      a single --engine runs that engine alone. The preprocessing\n"
       "      pipeline (--prep, default on) shrinks the problem before any\n"
       "      engine starts; counterexamples are lifted back and replayed\n"
@@ -863,14 +864,14 @@ int cmdBench(const Args& args) {
   for (const auto& inst : instances) {
     cbq::mc::CheckResult r;
     if (schedule == "seq") {
-      // The sequential engine entry path: preprocess, check the reduced
-      // problem, lift + referee any counterexample on the original.
+      // The sequential entry path: the portfolio sequence (prep, session,
+      // lift, referee on the original) with one engine on one worker.
       auto engine = cbq::mc::makeEngine(engineName);
       const cbq::portfolio::Budget budget(timeout);
       r = cbq::prep::checkWithPrep(*engine, inst.net, prepOpts, budget);
     } else {
       // Portfolio variant: --schedule slice is the single-core
-      // time-sliced portfolio, --schedule race the thread-per-engine one.
+      // time-sliced portfolio, --schedule race one worker per engine.
       cbq::portfolio::PortfolioOptions popts;
       if (!args.engines.empty()) popts.engines = args.engines;
       popts.timeLimitSeconds = timeout;

@@ -7,7 +7,7 @@
 // CheckResult exactly as before, plus
 //   * latency histograms with fixed log2(nanosecond) buckets, so "how long
 //     do fixpoint SAT checks take" is answerable without a profiler, and
-//   * thread safety — pool lanes, racing engines and the slice scheduler
+//   * thread safety — pool lanes and the portfolio's session workers
 //     may all touch a registry concurrently.
 // The JSON/CSV report writers and the `cbq bench` harness read counters
 // exclusively from these registries; there is no side channel.

@@ -3,9 +3,9 @@
 // `--progress`) so long batch/serve-style runs show per-problem
 // bound/frame/effort in real time instead of only post-mortem.
 //
-// Producers (portfolio runner, slice scheduler, race workers) fill a
+// Producers (the portfolio runner and its session workers) fill a
 // ProgressEvent at natural boundaries — prep done, slice finished, engine
-// resolved — and hand it to a ProgressFn. The CLI installs a
+// failed, final verdict — and hand it to a ProgressFn. The CLI installs a
 // ProgressStreamer; tests install a capturing lambda.
 //
 // Event kinds and fields are documented in README "Observability"
@@ -23,9 +23,10 @@ namespace cbq::obs {
 /// One progress datum. `kind` says which fields are meaningful:
 ///   "prep"    — problem, seconds, detail (pass summary)
 ///   "slice"   — problem, engine, bound, effort, effortDelta, seconds
-///               (slice wall time), advanced
-///   "engine"  — a racing engine finished: problem, engine, verdict,
-///               seconds, bound
+///               (slice wall time), advanced; verdict once the session
+///               is done
+///   "engine-failure" — an engine threw and was quarantined: problem,
+///               engine, detail (what escaped)
 ///   "result"  — final verdict for a problem: problem, verdict, engine,
 ///               seconds, bound
 /// Verdicts are strings ("SAFE", "UNSAFE", "UNKNOWN") to keep obs free of
@@ -45,8 +46,8 @@ struct ProgressEvent {
 
 using ProgressFn = std::function<void(const ProgressEvent&)>;
 
-/// Serialises events as one JSON object per line. Thread-safe: racing
-/// engines and slice workers share one streamer. Lines are flushed
+/// Serialises events as one JSON object per line. Thread-safe: every
+/// session worker shares one streamer. Lines are flushed
 /// immediately so `cbq batch --progress 2> >(jq .)` streams live.
 class ProgressStreamer {
  public:

@@ -22,21 +22,26 @@
 namespace cbq::portfolio {
 
 /// A shared stop flag. One token is observed by every engine racing on a
-/// problem; cancel() is sticky until reset().
+/// problem; cancel() is sticky until reset(). A token built over a
+/// `parent` also reads as cancelled while the parent is: how the
+/// portfolio stops its own sessions without dropping the caller's token.
 class CancelToken {
  public:
   CancelToken() = default;
+  explicit CancelToken(const CancelToken* parent) : parent_(parent) {}
   CancelToken(const CancelToken&) = delete;
   CancelToken& operator=(const CancelToken&) = delete;
 
   void cancel() noexcept { flag_.store(true, std::memory_order_release); }
   [[nodiscard]] bool cancelled() const noexcept {
-    return flag_.load(std::memory_order_acquire);
+    return flag_.load(std::memory_order_acquire) ||
+           (parent_ != nullptr && parent_->cancelled());
   }
   void reset() noexcept { flag_.store(false, std::memory_order_release); }
 
  private:
   std::atomic<bool> flag_{false};
+  const CancelToken* const parent_ = nullptr;
 };
 
 /// Immutable view of a run's resource envelope. Copyable; copies share the
@@ -84,6 +89,14 @@ class Budget {
       const Clock::time_point d = Clock::now() + toDuration(seconds);
       if (d < b.deadline_) b.deadline_ = d;
     }
+    return b;
+  }
+
+  /// This budget observed through `cancel` instead of its own token; the
+  /// deadline, node limit and RSS ceiling stay shared.
+  [[nodiscard]] Budget withCancel(const CancelToken* cancel) const {
+    Budget b = *this;
+    b.cancel_ = cancel;
     return b;
   }
 

@@ -1,14 +1,22 @@
 #pragma once
-// Parallel engine portfolio — the paper's experimental observation turned
-// into a runtime strategy.
+// Engine portfolio — the paper's experimental observation turned into a
+// runtime strategy.
 //
 // No single engine dominates: circuit quantification wins where BDDs blow
 // up (multiplier cones), BDDs win on wide shallow control, BMC finds deep
 // bugs that backward fixpoints crawl towards, induction proves what BMC
-// never can. The PortfolioRunner races a configurable engine set on one
-// problem, each engine on its own thread with its own Network clone; the
-// first definitive verdict (Safe / replay-checked Unsafe) wins and the
-// shared CancelToken tells every rival to stop.
+// never can. The PortfolioRunner preprocesses a problem once, opens one
+// persistent Session per engine (Engine::start) and resumes the sessions
+// on a pool of workers; the first definitive verdict (Safe, or Unsafe
+// whose trace replays) wins and a shared CancelToken stops every rival.
+//
+// One scheduling loop serves every schedule; the schedules differ only in
+// worker count. Race gives every engine its own worker, Slice shares
+// `sliceWorkers` workers, and the sequential entry (prep::checkWithPrep)
+// is one engine on one worker. The pause rule follows from the count: a
+// session is resumed under a short, adaptive slice budget only while live
+// sessions outnumber workers — a session with no rival waiting for its
+// worker runs under the whole remaining budget and is never paused.
 
 #include <functional>
 #include <string>
@@ -23,8 +31,8 @@ namespace cbq::portfolio {
 
 /// How the portfolio spends its cores on one problem.
 enum class ScheduleMode : std::uint8_t {
-  Race,   ///< thread-per-engine race; losers are cancelled (PR 2)
-  Slice,  ///< cooperative time slicing over persistent engine sessions
+  Race,   ///< one worker per engine: no session is ever paused
+  Slice,  ///< `sliceWorkers` workers time-slice the sessions
 };
 
 struct PortfolioOptions {
@@ -43,7 +51,7 @@ struct PortfolioOptions {
   bool verifyCex = true;
 
   /// Preprocessing pipeline (prep/pipeline.hpp), run ONCE per problem
-  /// before any engine starts; every worker clones the reduced network.
+  /// before any engine starts; every session clones the reduced network.
   /// Unsafe verdicts are lifted back and refereed on the original.
   prep::PrepOptions prep{};
 
@@ -51,22 +59,19 @@ struct PortfolioOptions {
   /// runner creates a ThreadPool of this many lanes for the run and
   /// hands it to the pipeline (and through it to the sweeper). The
   /// pool's one-region-at-a-time guard makes this budget GLOBAL: engine-
-  /// level parallelism (race threads, batch workers) and intra-problem
+  /// level parallelism (session workers, batch workers) and intra-problem
   /// parallelism never stack multiplicatively. Results are bit-identical
   /// at any value (tests/test_parallel.cpp).
   int parThreads = 1;
 
   /// Live telemetry sink (obs/progress.hpp): called at natural boundaries
-  /// — prep done, slice finished, racing engine resolved, final verdict.
-  /// May be invoked concurrently from several workers; null disables.
+  /// — prep done, slice finished, engine failed, final verdict. May be
+  /// invoked concurrently from several workers; null disables.
   obs::ProgressFn onProgress;
 
   ScheduleMode schedule = ScheduleMode::Race;
-  // --- Slice mode only ---------------------------------------------------
-  int sliceWorkers = 1;  ///< worker threads resuming sessions (<=0: one)
-  double sliceInitialSeconds = 0.05;  ///< first slice per session
-  double sliceMinSeconds = 0.0125;    ///< demotion floor
-  double sliceMaxSeconds = 0.8;       ///< promotion cap
+  /// Slice mode only: workers resuming sessions (<=0: one).
+  int sliceWorkers = 1;
 };
 
 /// One engine's contribution to a portfolio run.
@@ -76,10 +81,10 @@ struct EngineRun {
   int steps = 0;
   double seconds = 0.0;   ///< the engine's own wall time
   bool winner = false;
-  bool cancelled = false;  ///< lost the race (token fired before it finished)
-  int slices = 0;          ///< resume() slices granted (slice mode; race: 1)
+  bool cancelled = false;  ///< stopped unfinished because a rival won
+  int slices = 0;          ///< resume() calls granted (1 when never paused)
   /// The engine threw (any exception type) and was quarantined: removed
-  /// from the race/rotation while the survivors kept running. Its verdict
+  /// from the rotation while the survivors kept running. Its verdict
   /// stays Unknown and `error` records what escaped.
   bool failed = false;
   std::string error;
@@ -133,25 +138,15 @@ class PortfolioRunner {
   explicit PortfolioRunner(PortfolioOptions opts = {});
 
   /// The engine entry path: preprocesses `net` once (prep pipeline, per
-  /// opts.prep), then runs the engine set on the REDUCED problem under
-  /// the configured schedule — Race fans one thread per engine, Slice
-  /// hands the problem to the cooperative TimeSliceScheduler
-  /// (time_slice.hpp); each worker clones the reduced network. An Unsafe
-  /// winner's trace is lifted through the transform stack and refereed by
-  /// replayHitsBad on the ORIGINAL network before it is reported.
+  /// opts.prep), then resumes one session per engine on the REDUCED
+  /// problem — one worker per engine under Race, `sliceWorkers` under
+  /// Slice; each session owns a clone of the reduced network. An Unsafe
+  /// winner's trace is lifted through the transform stack and refereed
+  /// by replayHitsBad on the ORIGINAL network before it is reported.
   /// Thread-safe.
   [[nodiscard]] PortfolioResult run(const mc::Network& net) const;
 
  private:
-  /// The race leg. `opts` is the caller's option set with the
-  /// whole-problem time limit already reduced by preprocessing time.
-  [[nodiscard]] PortfolioResult runRace(const mc::Network& net,
-                                        const PortfolioOptions& opts) const;
-
-  /// Emits the final "result" progress event (no-op without a sink).
-  void emitResult(const std::string& problemName,
-                  const PortfolioResult& res) const;
-
   PortfolioOptions opts_;
 };
 

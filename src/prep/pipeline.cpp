@@ -150,35 +150,4 @@ bool demoteUnreplayableCex(const mc::Network& original, mc::CheckResult& res,
   return true;
 }
 
-mc::CheckResult checkWithPrep(const mc::Engine& engine,
-                              const mc::Network& net, const PrepOptions& opts,
-                              const portfolio::Budget& budget) {
-  // One budget for the whole check: its deadline bounds preprocessing
-  // AND the engine run, so `--timeout` means what it says.
-  const PreparedProblem prepared = Pipeline(opts).run(net, budget);
-
-  mc::CheckResult res;
-  if (prepared.decided.has_value()) {
-    res.verdict = *prepared.decided;
-    // Credit the pipeline, not an engine that never ran — consistent
-    // with the portfolio's winner attribution.
-    res.engine = "prep";
-    res.cex = prepared.decidedCex;
-  } else {
-    res = engine.check(prepared.problem(net), budget);
-    if (res.verdict == mc::Verdict::Unsafe && res.cex.has_value())
-      res.cex = prepared.lifter().lift(std::move(*res.cex));
-  }
-
-  // The independent referee on the ORIGINAL network: a lifted trace that
-  // does not replay is a preprocessing bug and must never be reported.
-  // (Traceless Unsafe passes through — engine parity with the race.)
-  demoteUnreplayableCex(net, res);
-
-  res.stats.merge(prepared.stats);
-  res.stats.set("prep.seconds", prepared.seconds);
-  res.seconds += prepared.seconds;
-  return res;
-}
-
 }  // namespace cbq::prep

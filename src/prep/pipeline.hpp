@@ -35,7 +35,8 @@ class ThreadPool;
 namespace cbq::prep {
 
 /// Pass on/off knobs and budgets. `enabled = false` short-circuits the
-/// whole pipeline (PreparedProblem.reduced is a plain clone).
+/// whole pipeline to the identity result: `reduced` stays empty and
+/// callers run on problem(original).
 struct PrepOptions {
   bool enabled = true;
   bool coi = true;         ///< cone-of-influence reduction
@@ -139,11 +140,15 @@ class Pipeline {
 bool demoteUnreplayableCex(const mc::Network& original, mc::CheckResult& res,
                            bool requireTrace = false);
 
-/// Sequential single-engine entry path: preprocess, run the engine on the
-/// reduced problem under `budget`, lift any counterexample back to the
-/// original network (a lifted trace failing the replayHitsBad referee
-/// demotes the verdict to Unknown). Prep stats are merged into the
-/// result's stats; `result.seconds` includes preprocessing.
+/// Sequential single-engine entry path: the portfolio's sequence with one
+/// engine on one worker — preprocess, resume the engine's session on the
+/// reduced problem under `budget` (never paused: no rival waits), lift
+/// any counterexample back to the original network (a lifted trace
+/// failing the replayHitsBad referee demotes the verdict to Unknown).
+/// A failing pass falls back to the original network and an engine
+/// failure answers Unknown; neither throws. Prep stats are merged into
+/// the result's stats; `result.seconds` is the whole wall time. Defined
+/// in portfolio/runner.cpp, beside the session loop it configures.
 mc::CheckResult checkWithPrep(const mc::Engine& engine,
                               const mc::Network& net,
                               const PrepOptions& opts = {},

@@ -1,8 +1,8 @@
 #pragma once
 // Shared worker pool for intra-problem parallelism.
 //
-// Everything parallel above this layer (PortfolioRunner, BatchScheduler,
-// TimeSliceScheduler) is one-thread-per-engine or one-thread-per-problem;
+// Everything parallel above this layer (PortfolioRunner's session workers,
+// BatchScheduler) is one-thread-per-session or one-thread-per-problem;
 // this pool is the operator-level counterpart: a static set of workers
 // that split ONE data-parallel loop (signature simulation strata, class
 // hashing shards, per-latch cone traversals) across cores.

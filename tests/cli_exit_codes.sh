@@ -73,6 +73,18 @@ case "$inject_out" in
     ;;
 esac
 
+# The sequential bench path has the same containment: a failing pass
+# falls back to the original network and a failing engine answers
+# UNKNOWN, so the run completes (exit 0) with no wrong verdict.
+for spec in 'prep.pass:1:throw' 'engine.resume:1:throw'; do
+  expect 0 "$CBQ" bench --smoke --schedule seq --inject "$spec" \
+    -o "$TMP/bench.json"
+  grep -q '"verdict_mismatches": 0' "$TMP/bench.json" || {
+    echo "FAIL: bench --schedule seq --inject $spec reported mismatches"
+    fails=$((fails + 1))
+  }
+done
+
 # Auditing a healthy instance must not change the verdict's exit code...
 expect 0 "$CBQ" check "$TMP/safe.aag" --audit --timeout 60
 expect 10 "$CBQ" check "$TMP/unsafe.aag" --audit --timeout 60

@@ -135,7 +135,7 @@ TEST(Cancellation, StopsBddTraversalPromptly) {
                      circuits::makeInstance("evencount", 16, true).net);
 }
 
-// ----- the racing runner -----------------------------------------------------
+// ----- the portfolio runner --------------------------------------------------
 
 /// Random sequential network, same construction as test_random_models.
 Network randomNetwork(util::Random& rng, int latches, int inputs) {

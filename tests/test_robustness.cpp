@@ -18,6 +18,7 @@
 #include "portfolio/budget.hpp"
 #include "portfolio/runner.hpp"
 #include "portfolio/scheduler.hpp"
+#include "prep/pipeline.hpp"
 #include "util/fault.hpp"
 
 namespace cbq {
@@ -298,6 +299,46 @@ TEST_F(ContainmentTest, FakeOomIsContained) {
   // else settles the instance.
   EXPECT_EQ(res.best.verdict, Verdict::Safe);
   EXPECT_GE(res.engineFailures, 1);
+}
+
+// ----- containment on the sequential entry path ------------------------------
+
+/// Arms `spec` and runs the sequential single-engine entry path.
+mc::CheckResult checkFaulted(const std::string& spec, const char* engine,
+                             const mc::Network& net) {
+  auto& inj = FaultInjector::instance();
+  inj.seed(7);
+  std::string err;
+  EXPECT_TRUE(inj.arm(spec, &err)) << err;
+  return prep::checkWithPrep(*mc::makeEngine(engine), net);
+}
+
+TEST_F(ContainmentTest, SeqPrepFailureFallsBackToTheOriginalNetwork) {
+  // A pass blowing up costs the reduction, not the verdict: the engine
+  // checks the original network, and its trace replays there.
+  for (const bool safe : {true, false}) {
+    const auto inst = circuits::makeInstance("haystack", 3, safe);
+    SCOPED_TRACE(inst.net.name);
+    const auto res = checkFaulted("prep.pass:1:throw", "cbq-reach", inst.net);
+    EXPECT_EQ(res.verdict, inst.expected);
+    EXPECT_EQ(res.stats.count("portfolio.prep_failures"), 1);
+    if (!safe) {
+      ASSERT_TRUE(res.cex.has_value());
+      EXPECT_TRUE(mc::replayHitsBad(inst.net, *res.cex));
+    }
+    FaultInjector::instance().disarm();
+  }
+}
+
+TEST_F(ContainmentTest, SeqEngineCrashAnswersUnknownInsteadOfThrowing) {
+  const auto inst = circuits::makeInstance("counter", 3, true);
+  mc::CheckResult res;
+  EXPECT_NO_THROW(
+      res = checkFaulted("engine.resume:1:throw", "cbq-reach", inst.net));
+  EXPECT_EQ(res.verdict, Verdict::Unknown);
+  EXPECT_EQ(res.engine, "cbq-reach");
+  EXPECT_EQ(res.stats.count("portfolio.engine_failures"), 1);
+  EXPECT_EQ(res.stats.count("portfolio.all_engines_failed"), 1);
 }
 
 // ----- batch worker isolation ------------------------------------------------

@@ -6,8 +6,9 @@
 //    verdict (with a replay-verified trace for Unsafe) and the same step
 //    count as one uninterrupted check() — for every engine;
 //  * a finished session's report is final and idempotent;
-//  * the TimeSliceScheduler agrees with the racing runner and with
-//    ground truth, on one worker and on several.
+//  * the time-sliced portfolio (PortfolioRunner, ScheduleMode::Slice)
+//    agrees with the racing schedule and with ground truth, on one worker
+//    and on several, and never pauses a session no rival is waiting on.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +20,6 @@
 #include "mc/network.hpp"
 #include "portfolio/budget.hpp"
 #include "portfolio/runner.hpp"
-#include "portfolio/time_slice.hpp"
 #include "util/random.hpp"
 
 namespace cbq {
@@ -222,6 +222,16 @@ TEST(Session, OwnTimeLimitReportsDoneNotPauseForever) {
 
 // ----- the time-sliced portfolio ---------------------------------------------
 
+/// Slice-schedule options on the raw circuit (no preprocessing), so the
+/// engines — not the prep pipeline — settle every instance.
+portfolio::PortfolioOptions sliceOptions(int workers = 1) {
+  portfolio::PortfolioOptions opts;
+  opts.schedule = portfolio::ScheduleMode::Slice;
+  opts.sliceWorkers = workers;
+  opts.prep.enabled = false;
+  return opts;
+}
+
 TEST(TimeSlice, AgreesWithGroundTruthSingleWorker) {
   const struct {
     const char* family;
@@ -234,11 +244,9 @@ TEST(TimeSlice, AgreesWithGroundTruthSingleWorker) {
   for (const auto& c : kCases) {
     const auto inst = circuits::makeInstance(c.family, c.width, c.safe);
     SCOPED_TRACE(inst.net.name);
-    portfolio::PortfolioOptions opts;
+    portfolio::PortfolioOptions opts = sliceOptions();
     opts.timeLimitSeconds = 120.0;
-    opts.sliceWorkers = 1;
-    const portfolio::TimeSliceScheduler scheduler(opts);
-    const auto res = scheduler.run(inst.net);
+    const auto res = portfolio::PortfolioRunner(opts).run(inst.net);
     EXPECT_EQ(res.best.verdict, inst.expected);
     ASSERT_NE(res.winner(), nullptr);
     if (res.best.verdict == Verdict::Unsafe && res.best.cex.has_value())
@@ -254,7 +262,7 @@ TEST(TimeSlice, AgreesWithRacingRunnerOnRandomModels) {
   util::Random rng(987654321);
   for (int round = 0; round < 10; ++round) {
     const Network net = randomNetwork(rng, 4, 2);
-    portfolio::PortfolioOptions opts;
+    portfolio::PortfolioOptions opts = sliceOptions();
     opts.engines = {"cbq-reach", "bdd-bwd", "bmc", "k-induction"};
     opts.timeLimitSeconds = 60.0;
 
@@ -262,12 +270,11 @@ TEST(TimeSlice, AgreesWithRacingRunnerOnRandomModels) {
     const auto race = portfolio::PortfolioRunner(opts).run(net);
 
     opts.schedule = portfolio::ScheduleMode::Slice;
-    opts.sliceWorkers = 1;
     const auto slice = portfolio::PortfolioRunner(opts).run(net);
 
     SCOPED_TRACE("round " + std::to_string(round));
     // Both definitive: they must agree. (These models are tiny, so both
-    // schedulers always produce a definitive verdict within the budget.)
+    // schedules always produce a definitive verdict within the budget.)
     ASSERT_NE(race.best.verdict, Verdict::Unknown);
     ASSERT_NE(slice.best.verdict, Verdict::Unknown);
     EXPECT_EQ(slice.best.verdict, race.best.verdict);
@@ -279,10 +286,8 @@ TEST(TimeSlice, MultiWorkerAgrees) {
   const auto safeInst = circuits::makeInstance("mult", 6, true);
   const auto unsafeInst = circuits::makeInstance("mult", 6, false);
   for (const auto* inst : {&safeInst, &unsafeInst}) {
-    portfolio::PortfolioOptions opts;
+    portfolio::PortfolioOptions opts = sliceOptions(3);
     opts.timeLimitSeconds = 120.0;
-    opts.schedule = portfolio::ScheduleMode::Slice;
-    opts.sliceWorkers = 3;
     const auto res = portfolio::PortfolioRunner(opts).run(inst->net);
     EXPECT_EQ(res.best.verdict, inst->expected);
   }
@@ -290,11 +295,10 @@ TEST(TimeSlice, MultiWorkerAgrees) {
 
 TEST(TimeSlice, SingleEngineSessionStillWins) {
   const auto inst = circuits::makeInstance("counter", 5, false);
-  portfolio::PortfolioOptions opts;
+  portfolio::PortfolioOptions opts = sliceOptions();
   opts.engines = {"bmc"};
   opts.timeLimitSeconds = 120.0;
-  const portfolio::TimeSliceScheduler scheduler(opts);
-  const auto res = scheduler.run(inst.net);
+  const auto res = portfolio::PortfolioRunner(opts).run(inst.net);
   EXPECT_EQ(res.best.verdict, Verdict::Unsafe);
   ASSERT_TRUE(res.best.cex.has_value());
   EXPECT_TRUE(mc::replayHitsBad(inst.net, *res.best.cex));
@@ -302,21 +306,46 @@ TEST(TimeSlice, SingleEngineSessionStillWins) {
   EXPECT_TRUE(res.runs[0].winner);
 }
 
+TEST(TimeSlice, LoneSessionIsNeverPaused) {
+  // One session on one worker: nothing waits for the worker, so the
+  // session keeps the whole budget — pausing it would cut the paper's
+  // per-pre-image sweep and DC/ODC simplification short for nothing.
+  const auto inst = circuits::makeInstance("counter", 7, false);
+  portfolio::PortfolioOptions opts = sliceOptions();
+  opts.engines = {"cbq-reach"};
+  opts.timeLimitSeconds = 120.0;
+  const auto res = portfolio::PortfolioRunner(opts).run(inst.net);
+  EXPECT_EQ(res.best.verdict, Verdict::Unsafe);
+  ASSERT_EQ(res.runs.size(), 1u);
+  EXPECT_EQ(res.runs[0].slices, 1);
+}
+
+TEST(TimeSlice, RaceNeverPausesASession) {
+  // Race is one worker per engine: no session ever waits for a worker,
+  // so each one is resumed exactly once, winner and cancelled rivals alike.
+  const auto inst = circuits::makeInstance("counter", 5, false);
+  portfolio::PortfolioOptions opts = sliceOptions();
+  opts.schedule = portfolio::ScheduleMode::Race;
+  opts.engines = {"cbq-reach", "bmc", "bdd-bwd"};
+  opts.timeLimitSeconds = 120.0;
+  const auto res = portfolio::PortfolioRunner(opts).run(inst.net);
+  EXPECT_EQ(res.best.verdict, Verdict::Unsafe);
+  for (const auto& run : res.runs) EXPECT_EQ(run.slices, 1) << run.engine;
+}
+
 TEST(TimeSlice, ExpiredBudgetReportsUnknown) {
   const auto inst = circuits::makeInstance("mult", 8, true);
-  portfolio::PortfolioOptions opts;
+  portfolio::PortfolioOptions opts = sliceOptions();
   opts.timeLimitSeconds = 1e-9;  // expired before the first slice
-  const portfolio::TimeSliceScheduler scheduler(opts);
-  const auto res = scheduler.run(inst.net);
+  const auto res = portfolio::PortfolioRunner(opts).run(inst.net);
   EXPECT_EQ(res.best.verdict, Verdict::Unknown);
   EXPECT_EQ(res.winner(), nullptr);
 }
 
 TEST(TimeSlice, RejectsUnknownEngine) {
-  portfolio::PortfolioOptions opts;
+  portfolio::PortfolioOptions opts = sliceOptions();
   opts.engines = {"no-such-engine"};
-  EXPECT_THROW(portfolio::TimeSliceScheduler{opts},
-               std::invalid_argument);
+  EXPECT_THROW(portfolio::PortfolioRunner{opts}, std::invalid_argument);
 }
 
 // ----- dense assignment satellites -------------------------------------------
