@@ -214,6 +214,8 @@ std::optional<Lit> Quantifier::quantifyVarImpl(Lit f, VarId v,
                  static_cast<std::int64_t>(r->stats.satRefuted));
       stats_.add("opt.sat_unknown",
                  static_cast<std::int64_t>(r->stats.satUnknown));
+      stats_.add("opt.odc_sim_refuted",
+                 static_cast<std::int64_t>(r->stats.odcSimRefuted));
     }
   }
   Lit result = buildResult(f0, f1);

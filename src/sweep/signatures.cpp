@@ -27,7 +27,6 @@ Signatures::Signatures(const aig::Aig& aig, std::span<const NodeId> order,
                        int initialWords, int maxWords, util::ThreadPool* pool)
     : aig_(&aig),
       pool_(pool),
-      order_(order.begin(), order.end()),
       support_(support.begin(), support.end()),
       stride_(static_cast<std::size_t>(
           maxWords > initialWords ? maxWords : initialWords)),
@@ -37,9 +36,20 @@ Signatures::Signatures(const aig::Aig& aig, std::span<const NodeId> order,
   supportNode_.reserve(support_.size());
   for (const VarId v : support_) supportNode_.push_back(aig.piNodeOf(v));
 
+  piArena_.assign(support_.size() * stride_, 0);
+  for (std::size_t i = 0; i < support_.size(); ++i)
+    for (std::size_t w = 0; w < words_; ++w)
+      piArena_[i * stride_ + w] = rng.next64();
+
+  relayout(order);
+}
+
+void Signatures::relayout(std::span<const NodeId> order) {
+  order_.assign(order.begin(), order.end());
+
   // Dense slots: constant node first, then the support PIs, then the cone
   // ANDs in topological order.
-  slotOf_.assign(aig.numNodes(), kNoSlot);
+  slotOf_.assign(aig_->numNodes(), kNoSlot);
   Slot next = 0;
   slotOf_[0] = next++;
   for (const NodeId p : supportNode_)
@@ -50,11 +60,13 @@ Signatures::Signatures(const aig::Aig& aig, std::span<const NodeId> order,
   // Level strata: a stable sort of the topological order by level keeps a
   // valid order (every fanin has a strictly smaller level) while making
   // each level a contiguous, internally independent range.
+  const aig::Aig& aig = *aig_;
   levelOrder_ = order_;
   std::stable_sort(levelOrder_.begin(), levelOrder_.end(),
                    [&aig](NodeId a, NodeId b) {
                      return aig.level(a) < aig.level(b);
                    });
+  strata_.clear();
   for (std::size_t i = 0; i < levelOrder_.size();) {
     const unsigned lvl = aig.level(levelOrder_[i]);
     std::size_t j = i + 1;
@@ -64,11 +76,9 @@ Signatures::Signatures(const aig::Aig& aig, std::span<const NodeId> order,
   }
 
   arena_.assign(static_cast<std::size_t>(next) * stride_, 0);
-  piArena_.assign(support_.size() * stride_, 0);
-  for (std::size_t i = 0; i < support_.size(); ++i)
-    for (std::size_t w = 0; w < words_; ++w)
-      piArena_[i * stride_ + w] = rng.next64();
-
+  // The forced-fanout scratch follows the slot count on its next use.
+  forced_.clear();
+  touched_.clear();
   resimulateAll();
 }
 
@@ -117,6 +127,81 @@ bool Signatures::appendWord(std::span<const std::uint64_t> cexBits,
   ++words_;
   simulateColumn(w);
   return true;
+}
+
+void Signatures::refreshWord(std::size_t w,
+                             std::span<const std::uint64_t> cexBits,
+                             int cexCount) {
+  const std::uint64_t keepMask =
+      cexCount >= 64 ? ~std::uint64_t{0}
+                     : ((std::uint64_t{1} << cexCount) - 1);
+  for (std::size_t i = 0; i < support_.size(); ++i) {
+    std::uint64_t& word = piArena_[i * stride_ + w];
+    word = (word & ~keepMask) | (cexBits[i] & keepMask);
+  }
+  simulateColumn(w);
+}
+
+bool Signatures::forcingChanges(NodeId forced, bool value, NodeId root,
+                                std::span<const std::uint64_t> mask) {
+  // A node already taking `value` on every pattern changes nothing.
+  if (value ? allOne(forced) : allZero(forced)) return false;
+
+  const std::size_t slots = arena_.size() / stride_;
+  if (touched_.size() != slots) {
+    forced_.assign(arena_.size(), 0);
+    touched_.assign(slots, 0);
+    epoch_ = 0;
+  }
+  if (++epoch_ == 0) {  // wrapped: no stale stamp may alias the new epoch
+    std::fill(touched_.begin(), touched_.end(), 0);
+    epoch_ = 1;
+  }
+  const std::size_t words = words_;
+  auto row = [&](Slot s) -> const std::uint64_t* {
+    return touched_[s] == epoch_ ? &forced_[s * stride_] : &arena_[s * stride_];
+  };
+
+  const Slot fs = slotOf_[forced];
+  std::fill_n(&forced_[fs * stride_], words, negMask(value));
+  touched_[fs] = epoch_;
+
+  // order_ is topological: nothing before `forced` depends on it, and
+  // nothing after `root` can reach it.
+  const Slot rs = slotOf_[root];
+  if (forced != root) {
+    auto it = std::find(order_.begin(), order_.end(), forced);
+    if (it != order_.end()) ++it;
+    for (; it != order_.end(); ++it) {
+      const NodeId n = *it;
+      const Lit f0 = aig_->fanin0(n);
+      const Lit f1 = aig_->fanin1(n);
+      const Slot s0 = slotOf_[f0.node()];
+      const Slot s1 = slotOf_[f1.node()];
+      if (touched_[s0] == epoch_ || touched_[s1] == epoch_) {
+        const Slot sn = slotOf_[n];
+        const std::uint64_t ma = negMask(f0.negated());
+        const std::uint64_t mb = negMask(f1.negated());
+        const std::uint64_t* a = row(s0);
+        const std::uint64_t* b = row(s1);
+        const std::uint64_t* base = &arena_[sn * stride_];
+        std::uint64_t* o = &forced_[sn * stride_];
+        std::uint64_t diff = 0;
+        for (std::size_t w = 0; w < words; ++w) {
+          o[w] = (a[w] ^ ma) & (b[w] ^ mb);
+          diff |= o[w] ^ base[w];
+        }
+        if (diff != 0) touched_[sn] = epoch_;
+      }
+      if (n == root) break;
+    }
+  }
+  if (touched_[rs] != epoch_) return false;
+  const std::uint64_t* f = &forced_[rs * stride_];
+  const std::uint64_t* base = &arena_[rs * stride_];
+  for (std::size_t w = 0; w < words; ++w)
+    if (((f[w] ^ base[w]) & mask[w]) != 0) return true;
+  return false;
 }
 
 void Signatures::resimulateAll() {

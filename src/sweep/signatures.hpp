@@ -79,6 +79,30 @@ class Signatures {
   [[nodiscard]] bool appendWord(std::span<const std::uint64_t> cexBits,
                                 int cexCount, util::Random& rng);
 
+  /// Overwrites the low `cexCount` bits of active column `w` — bit j of
+  /// `cexBits[i]` (parallel to the support array) is the j-th pattern's
+  /// value of support entry i, as in appendWord — keeping the column's
+  /// other bits, and simulates ONLY that column. Lets a caller grow a
+  /// partly filled counterexample column one pattern at a time.
+  void refreshWord(std::size_t w, std::span<const std::uint64_t> cexBits,
+                   int cexCount);
+
+  /// Re-lays the arena over a new cone `order` on the same support,
+  /// keeping every stored PI column (the pattern bank), and resimulates
+  /// it. The slot table is sized to the manager's current node count, so
+  /// nodes created since the previous layout become addressable.
+  void relayout(std::span<const aig::NodeId> order);
+
+  /// True when forcing AND node `forced` of the cone to the constant
+  /// `value` changes node `root`'s words on some pattern selected by
+  /// `mask` (one word per active column) — a concrete input pattern on
+  /// which the rewrite forced := value is observable at `root`. Only the
+  /// transitive fanout of `forced` is resimulated, into a scratch arena,
+  /// and propagation stops at nodes whose words come out unchanged.
+  [[nodiscard]] bool forcingChanges(aig::NodeId forced, bool value,
+                                    aig::NodeId root,
+                                    std::span<const std::uint64_t> mask);
+
   /// Recomputes every active column of every node from the stored PI
   /// words, node-major (per node, one contiguous SIMD-friendly word loop)
   /// and stratum-parallel when a pool is attached. The result must be
@@ -139,6 +163,12 @@ class Signatures {
   std::vector<Slot> slotOf_;          // NodeId -> arena slot (kNoSlot = out)
   std::vector<std::uint64_t> arena_;  // node-major, slot * stride_ + word
   std::vector<std::uint64_t> piArena_;  // support-major, i * stride_ + word
+
+  // forcingChanges scratch: rows of the forced fanout, valid for a slot
+  // only while touched_[slot] == epoch_.
+  std::vector<std::uint64_t> forced_;
+  std::vector<std::uint32_t> touched_;
+  std::uint32_t epoch_ = 0;
 };
 
 }  // namespace cbq::sweep

@@ -20,7 +20,11 @@
 //    validated by the paper's "additional equivalence check"
 //    fRef ∨ fTgt' ≡ fRef ∨ fTgt (equivalently: redundancy of the EXOR
 //    gate comparing the node before/after), making commits
-//    unconditionally sound even after earlier rewrites.
+//    unconditionally sound even after earlier rewrites. Before building
+//    an attempt, it is simulated on a bank of concrete input patterns
+//    (the random and counterexample words of the input-DC phase, plus
+//    the model of every failed ODC check): a care-set pattern on which
+//    the forced node changes the target refutes it without SAT.
 
 #include <cstdint>
 #include <functional>
@@ -59,6 +63,9 @@ struct DcStats {
   std::size_t constReplacements = 0;  ///< input-DC nodes proven constant
   std::size_t mergeReplacements = 0;  ///< input-DC node-to-node merges
   std::size_t odcReplacements = 0;    ///< ODC-validated replacements
+  std::size_t odcSimRefuted = 0;  ///< ODC attempts refuted by simulation
+  /// SAT queries issued; each answers Holds (one of the three replacement
+  /// counters), Fails (satRefuted) or Unknown (satUnknown).
   std::size_t satChecks = 0;
   std::size_t satRefuted = 0;
   std::size_t satUnknown = 0;

@@ -1,8 +1,9 @@
 // Persistent sweep-session tests: context-shared sweeps must agree with
 // fresh-context sweeps across successive calls, the pair cache must be
 // dropped (or correctly remapped) when the manager identity changes, and
-// the flat signature engine's incremental appendWord must be bit-for-bit
-// identical to a full resimulation.
+// the flat signature engine's incremental appendWord / refreshWord must
+// be bit-for-bit identical to a full resimulation, and its forced-node
+// resimulation must agree with an explicit rebuild.
 
 #include <gtest/gtest.h>
 
@@ -229,6 +230,102 @@ TEST(Signatures, AppendStopsAtCapacity) {
   EXPECT_EQ(sigs.words(), 2u);
   EXPECT_FALSE(sigs.appendWord(cex, 1, rng));  // at capacity: refused
   EXPECT_EQ(sigs.words(), 2u);
+}
+
+/// Value of support PI `v` on bit `bit` of word `w` of the stored patterns.
+bool patternBit(const sweep::Signatures& sigs, const Aig& g, aig::VarId v,
+                std::size_t w, unsigned bit) {
+  return ((sigs.of(g.piNodeOf(v))[w] >> bit) & 1) != 0;
+}
+
+TEST(Signatures, ForcingChangesAgreesWithForcedRebuild) {
+  // Referee: rebuild the root with the node replaced by the constant and
+  // evaluate both roots on every stored pattern the mask selects.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    util::Random rng(seed * 31 + 9);
+    Aig g;
+    const Lit f = test::randomFormula(g, rng, 6, 50);
+    const Lit roots[] = {f};
+    const auto order = g.coneAnds(roots);
+    const auto support = g.supportVars(roots);
+    if (order.empty()) continue;
+    sweep::Signatures sigs(g, order, support, rng, 2, 2);
+    std::vector<std::uint64_t> mask(sigs.words());
+    for (auto& m : mask) m = rng.next64();
+
+    for (const aig::NodeId n : order) {
+      for (const bool value : {false, true}) {
+        aig::NodeMap forced;
+        forced.set(n, value ? aig::kTrue : aig::kFalse);
+        const Lit rebuilt = g.rebuildWithNodeMap(roots, forced).front();
+        bool expected = false;
+        for (std::size_t w = 0; w < sigs.words() && !expected; ++w) {
+          for (unsigned bit = 0; bit < 64 && !expected; ++bit) {
+            if (((mask[w] >> bit) & 1) == 0) continue;
+            std::unordered_map<aig::VarId, bool> a;
+            for (const aig::VarId v : support)
+              a.emplace(v, patternBit(sigs, g, v, w, bit));
+            expected = g.evaluate(f, a) != g.evaluate(rebuilt, a);
+          }
+        }
+        EXPECT_EQ(sigs.forcingChanges(n, value, f.node(), mask), expected)
+            << "seed " << seed << " node " << n << " value " << value;
+      }
+    }
+  }
+}
+
+TEST(Signatures, RefreshAndRelayoutKeepThePatterns) {
+  util::Random rng(41);
+  Aig g;
+  const Lit f = test::randomFormula(g, rng, 6, 50);
+  const Lit roots[] = {f};
+  const auto support = g.supportVars(roots);
+  sweep::Signatures sigs(g, g.coneAnds(roots), support, rng, 1, 3);
+
+  // Grow a partly filled column one pattern at a time; each refresh must
+  // match a full resimulation bit for bit.
+  std::vector<std::uint64_t> cex(support.size(), 0);
+  ASSERT_TRUE(sigs.appendWord(cex, 0, rng));
+  for (int k = 0; k < 5; ++k) {
+    for (auto& c : cex) c |= (rng.next64() & 1) << k;
+    sigs.refreshWord(1, cex, k + 1);
+    const std::uint64_t keep = (std::uint64_t{1} << (k + 1)) - 1;
+    for (std::size_t i = 0; i < support.size(); ++i)
+      EXPECT_EQ(sigs.of(g.piNodeOf(support[i]))[1] & keep, cex[i] & keep);
+    const std::vector<std::uint64_t> incremental(sigs.of(f.node()).begin(),
+                                                 sigs.of(f.node()).end());
+    sigs.resimulateAll();
+    EXPECT_EQ(std::vector<std::uint64_t>(sigs.of(f.node()).begin(),
+                                         sigs.of(f.node()).end()),
+              incremental);
+  }
+
+  // Relayout onto a cone with nodes created after construction: the PI
+  // rows survive, and the new nodes are addressable and simulated.
+  std::vector<std::vector<std::uint64_t>> piRows;
+  for (const aig::VarId v : support)
+    piRows.emplace_back(sigs.of(g.piNodeOf(v)).begin(),
+                        sigs.of(g.piNodeOf(v)).end());
+  const Lit h = g.mkXor(f, g.mkAnd(g.pi(support.front()), !f));
+  const Lit hRoots[] = {h};
+  ASSERT_FALSE(sigs.inCone(h.node()));
+  sigs.relayout(g.coneAnds(hRoots));
+  ASSERT_TRUE(sigs.inCone(h.node()));
+  for (std::size_t i = 0; i < support.size(); ++i) {
+    const auto row = sigs.of(g.piNodeOf(support[i]));
+    EXPECT_EQ(std::vector<std::uint64_t>(row.begin(), row.end()), piRows[i]);
+  }
+  for (std::size_t w = 0; w < sigs.words(); ++w) {
+    for (unsigned bit = 0; bit < 64; bit += 7) {
+      std::unordered_map<aig::VarId, bool> a;
+      for (const aig::VarId v : support)
+        a.emplace(v, patternBit(sigs, g, v, w, bit));
+      const bool simulated =
+          (((sigs.of(h.node())[w] >> bit) & 1) != 0) != h.negated();
+      EXPECT_EQ(simulated, g.evaluate(h, a)) << "word " << w << " bit " << bit;
+    }
+  }
 }
 
 TEST(SolverFocus, FocusedQueriesStaySoundInSharedDatabase) {
