@@ -563,6 +563,51 @@ Report auditCircuitSolver(const sat::CircuitSolver& solver) {
                 .str());
   }
 
+  // Fanout lists: the lists propagation walks (an in-focus node's) name
+  // only in-focus parent ANDs, each under the fanin it hangs off, and
+  // every in-focus AND sits once in each of its two fanins' lists.
+  const auto& nextEdge = Access::circuitNextEdge(solver);
+  std::vector<std::uint32_t> linked(2 * synced, 0);
+  for (aig::NodeId n = 0; n < synced; ++n) {
+    std::size_t steps = 0;
+    for (std::uint32_t e = Access::circuitFanoutHead(solver, n);
+         e != Access::kCircuitNoEdge; e = nextEdge[e]) {
+      const aig::NodeId m = e >> 1;
+      if (++steps > 2 * synced || e >= nextEdge.size() || m >= synced ||
+          !a.isAnd(m)) {
+        r.add("circuit.focus.fanout",
+              (Diag() << "fanout list of node " << n << " holds edge " << e
+                      << " which names no synced AND (or the list cycles)")
+                  .str());
+        break;
+      }
+      const aig::Lit fanin = (e & 1) != 0 ? a.fanin1(m) : a.fanin0(m);
+      if (fanin.node() != n)
+        r.add("circuit.focus.fanout",
+              (Diag() << "fanout list of node " << n << " holds AND " << m
+                      << " whose fanin " << (e & 1) << " is node "
+                      << fanin.node())
+                  .str());
+      else if (!Access::circuitInFocus(solver, m))
+        r.add("circuit.focus.fanout",
+              (Diag() << "fanout list of node " << n
+                      << " holds out-of-focus AND " << m)
+                  .str());
+      else
+        ++linked[e];
+    }
+  }
+  for (aig::NodeId m = 0; m < synced; ++m) {
+    if (!a.isAnd(m) || !Access::circuitInFocus(solver, m)) continue;
+    for (std::uint32_t slot = 0; slot < 2; ++slot)
+      if (linked[2 * m + slot] != 1)
+        r.add("circuit.focus.fanout",
+              (Diag() << "in-focus AND " << m << " appears "
+                      << linked[2 * m + slot]
+                      << " times in the list of its fanin " << slot)
+                  .str());
+  }
+
   return r;
 }
 

@@ -136,8 +136,10 @@ void require(Report report, std::string where);
 /// sane sizes and lie inside the arena, their literals reference synced
 /// nodes, the learnt flag matches the list holding the gate, every gate
 /// is watched by (exactly) the negations of its first two literals with
-/// no dangling watchers, and the justification frontier's heap and index
-/// agree and hold only AND nodes.
+/// no dangling watchers, the justification frontier's heap and index
+/// agree and hold only AND nodes, and the fanout lists hold exactly the
+/// in-focus parents — every in-focus AND (every synced AND when the
+/// solver is unfocused) once in each fanin's list, nothing else.
 [[nodiscard]] Report auditCircuitSolver(const sat::CircuitSolver& solver);
 
 /// A bound session's solver against its manager (no-op when unbound):
@@ -285,6 +287,25 @@ struct Access {
   static const aig::Aig& circuitAig(const sat::CircuitSolver& s) {
     return *s.aig_;
   }
+  static std::vector<std::uint32_t>& circuitHead(sat::CircuitSolver& s) {
+    return s.head_;
+  }
+  static const std::vector<std::uint32_t>& circuitNextEdge(
+      const sat::CircuitSolver& s) {
+    return s.nextEdge_;
+  }
+  static std::vector<std::uint32_t>& circuitNextEdge(sat::CircuitSolver& s) {
+    return s.nextEdge_;
+  }
+  static std::uint32_t circuitFanoutHead(const sat::CircuitSolver& s,
+                                         aig::NodeId n) {
+    return s.fanoutHead(n);
+  }
+  static bool circuitInFocus(const sat::CircuitSolver& s, aig::NodeId n) {
+    return s.inFocus(n);
+  }
+  static constexpr std::uint32_t kCircuitNoEdge =
+      sat::CircuitSolver::kNoEdge;
 };
 
 }  // namespace cbq::audit

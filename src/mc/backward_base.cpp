@@ -20,7 +20,11 @@ using aig::VarId;
 /// network. One circuit solver serves every step: the targets differ but
 /// all live in the archive manager, and each query is phrased purely
 /// through assumptions (target literal + current state values), so
-/// learnt gates carry over for the whole descent.
+/// learnt gates carry over for the whole descent. Each step focuses the
+/// solver on its target, so a step costs the target's cone, not the
+/// whole archive of d frontiers; state inputs outside that cone are
+/// assigned but never propagated, and the next state is still simulated
+/// on the original network.
 Trace reconstructTrace(const Network& net, aig::Aig& archive,
                        const std::vector<Lit>& archNext, Lit archBad,
                        const std::vector<Lit>& frontiers, int d,
@@ -41,6 +45,8 @@ Trace reconstructTrace(const Network& net, aig::Aig& archive,
         t < d ? archive.compose(frontiers[static_cast<std::size_t>(d - 1 - t)],
                                 subst)
               : archBad;
+    const Lit focus[] = {target};
+    solver.focusOn(focus);
 
     assumptions.clear();
     assumptions.push_back(target);
@@ -143,7 +149,15 @@ Progress BackwardReachSession::snapshot(Verdict v, bool done) {
 
 void BackwardReachSession::commitFrontier(Lit pre) {
   frontier_ = pre;
-  reached_ = mgr_.mkOr(reached_, pre);
+  // pre ⇒ reached just failed; if reached ⇒ pre holds, the union is pre
+  // itself. fixSession_ is still focused on {pre, reached}. Fails or an
+  // interrupted query keeps the plain disjunction.
+  if (fixSession_.checkImplies(reached_, pre) == sat::Verdict::Holds) {
+    reached_ = pre;
+    res_.stats.add("reach.reached_collapses");
+  } else {
+    reached_ = mgr_.mkOr(reached_, pre);
+  }
   const Lit fr[] = {frontier_};
   frontiersArch_.push_back(archive_.transferFrom(mgr_, fr).front());
   res_.stats.high("reach.max_frontier_cone",

@@ -17,8 +17,16 @@
 // sweep/sweep_context.hpp): the per-engine eliminator receives one via
 // PreImageRequest and threads it into its quantifier, and the fixpoint
 // checks issue their implication queries against the other. Manager
-// compaction is garbage-triggered (CompactionPolicy) instead of
-// unconditional, so the sessions survive across iterations.
+// compaction follows CompactionPolicy; the default policy re-strashes the
+// live cones after every committed iteration, so the fixpoint solver
+// lives for one iteration and the sweep session carries only its pair
+// cache across (SweepContext::rebindRemapped).
+//
+// No per-iteration cost grows with the depth reached: the reached set
+// collapses to the pre-image whenever the pre-image subsumes it (every
+// design that can stutter), so its cone stays the size of one frontier
+// instead of an OR chain of all of them, and the trace descent focuses
+// each step on that step's target.
 
 #include <functional>
 #include <optional>
@@ -80,6 +88,8 @@ class BackwardReachSession final : public Session {
 
   Progress run(const portfolio::Budget& bud);
   Progress snapshot(Verdict v, bool done);
+  /// Records `pre` (which the fixpoint check just found not contained in
+  /// the reached set) as the new frontier and grows the reached set.
   void commitFrontier(aig::Lit pre);
   void maybeCompact();
 

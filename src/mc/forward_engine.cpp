@@ -67,7 +67,8 @@ void buildModel(const Network& net, ForwardModel& m) {
 /// in the last ring, then step backwards ring by ring with one SAT query
 /// per step (state of ring t, transition into the chosen successor).
 /// One circuit solver serves every step; each query is phrased purely
-/// through assumptions.
+/// through assumptions and focused on its root, so a step costs that
+/// ring's cone, not every ring and scratch node in the manager.
 std::optional<Trace> extractTrace(const Network& net, ForwardModel& m,
                                   const std::vector<Lit>& rings, int d) {
   sat::CircuitSolver solver(m.mgr);
@@ -77,6 +78,7 @@ std::optional<Trace> extractTrace(const Network& net, ForwardModel& m,
   {
     const Lit assumptions[] = {
         m.mgr.mkAnd(rings[static_cast<std::size_t>(d)], m.bad)};
+    solver.focusOn(assumptions);
     if (solver.solveLimited(assumptions, -1) != sat::Status::Sat)
       return std::nullopt;
     for (const VarId v : net.stateVars) state.emplace(v, solver.modelOf(v));
@@ -88,9 +90,9 @@ std::optional<Trace> extractTrace(const Network& net, ForwardModel& m,
   //    δ(s_t, i_t) = s_{t+1}.
   std::vector<std::unordered_map<VarId, bool>> inputsRev{finalInputs};
   for (int t = d - 1; t >= 0; --t) {
-    std::vector<Lit> assumptions;
-    assumptions.push_back(
-        m.mgr.mkAnd(rings[static_cast<std::size_t>(t)], m.tr));
+    const Lit root[] = {m.mgr.mkAnd(rings[static_cast<std::size_t>(t)], m.tr)};
+    solver.focusOn(root);
+    std::vector<Lit> assumptions(std::begin(root), std::end(root));
     // Fix the successor (next-state variables) to s_{t+1}.
     for (std::size_t j = 0; j < net.numLatches(); ++j) {
       const Lit pi(m.mgr.piNodeOf(m.nsVars[j]), false);

@@ -67,6 +67,10 @@ std::optional<Lit> allSatEliminate(aig::Aig& mgr, Lit f,
   // The blocking clauses asserted below are only valid inside this
   // enumeration, so this is the one elimination routine that cannot share
   // the run's persistent session solver; it still reports its effort.
+  // The solver stays unfocused: each blocking clause names a cube built
+  // after the solver, outside f's cone, and a focused solver neither
+  // propagates nor justifies such nodes, so the block would not bind the
+  // PIs and the enumeration would repeat models until it overflowed.
   sat::CircuitSolver solver(mgr);
   solver.setInterrupt([&budget] { return budget.exhausted(); });
   const auto exportEffort = [&] { sat::exportEffort(stats, solver); };

@@ -35,22 +35,28 @@ void CircuitSolver::sync() {
   watches_.resize(2 * static_cast<std::size_t>(total));
   modelStamp_.resize(total, 0);
   modelVal_.resize(total, 0);
-  for (NodeId n = syncedNodes_; n < total; ++n) {
-    if (!aig_->isAnd(n)) continue;
-    const std::uint32_t e0 = 2 * n;
-    const std::uint32_t e1 = 2 * n + 1;
-    const NodeId s0 = aig_->fanin0(n).node();
-    nextEdge_[e0] = head_[s0];
-    head_[s0] = e0;
-    const NodeId s1 = aig_->fanin1(n).node();
-    nextEdge_[e1] = head_[s1];
-    head_[s1] = e1;
+  // New nodes lie outside any current focus, so a focused solver leaves
+  // them unlinked.
+  if (!focused_) {
+    for (NodeId n = syncedNodes_; n < total; ++n)
+      if (aig_->isAnd(n)) linkFanout(n);
   }
   const bool firstSync = (syncedNodes_ == 0);
   syncedNodes_ = total;
   // Node 0 is the constant-FALSE node: pin it at level 0 once. Strashing
   // folds constant fanins, so no AND ever watches it.
   if (firstSync && total > 0) uncheckedEnqueue(aig::kTrue, Reason{});
+}
+
+void CircuitSolver::linkFanout(NodeId m) {
+  const std::uint32_t e0 = 2 * m;
+  const std::uint32_t e1 = 2 * m + 1;
+  const NodeId s0 = aig_->fanin0(m).node();
+  nextEdge_[e0] = head_[s0];
+  head_[s0] = e0;
+  const NodeId s1 = aig_->fanin1(m).node();
+  nextEdge_[e1] = head_[s1];
+  head_[s1] = e1;
 }
 
 // ----- learnt-gate arena ---------------------------------------------------
@@ -165,17 +171,6 @@ void CircuitSolver::frontierClear() {
   heap_.clear();
 }
 
-void CircuitSolver::rebuildFrontierFromTrail() {
-  frontierClear();
-  // Every assigned node sits on the trail (level-0 entries persist), so
-  // one trail scan finds every gate that currently demands justification.
-  for (const aig::Lit p : trail_) {
-    const NodeId n = p.node();
-    if (p.negated() && inFocus(n) && aig_->isAnd(n) && !justified(n))
-      frontierInsert(n);
-  }
-}
-
 // ----- activities ----------------------------------------------------------
 
 void CircuitSolver::varBumpActivity(NodeId n) {
@@ -219,10 +214,9 @@ void CircuitSolver::cancelUntil(int level) {
     // Unassigning n may strip a parent gate of its only justification:
     // re-arm the frontier for parents that stay assigned false. Stale
     // entries are harmless (validity is re-checked at pop).
-    for (std::uint32_t e = head_[n]; e != kNoEdge; e = nextEdge_[e]) {
+    for (std::uint32_t e = fanoutHead(n); e != kNoEdge; e = nextEdge_[e]) {
       const NodeId m = e >> 1;
-      if (nodeValue(m) == LBool::False && inFocus(m) && !justified(m))
-        frontierInsert(m);
+      if (nodeValue(m) == LBool::False && !justified(m)) frontierInsert(m);
     }
   }
   qhead_ = bound;
@@ -324,9 +318,8 @@ bool CircuitSolver::propagateGate(aig::Lit p) {
     }
   }
   // Parent rules via the fanout edges of n (in-focus parents only).
-  for (std::uint32_t e = head_[n]; e != kNoEdge; e = nextEdge_[e]) {
+  for (std::uint32_t e = fanoutHead(n); e != kNoEdge; e = nextEdge_[e]) {
     const NodeId m = e >> 1;
-    if (!inFocus(m)) continue;
     const aig::Lit fl = (e & 1) != 0 ? aig_->fanin1(m) : aig_->fanin0(m);
     if (value(fl) == LBool::False) {
       // A false fanin forces the AND false — (¬m ∨ fl).
@@ -594,23 +587,26 @@ void CircuitSolver::focusOn(std::span<const aig::Lit> roots) {
     std::fill(focusStamp_.begin(), focusStamp_.end(), 0);
     focusEpoch_ = 1;
   }
-  for (const aig::Lit r : roots) focusStamp_[r.node()] = focusEpoch_;
-  frontierClear();
-  // One cone walk both stamps the focus and rebuilds the justification
-  // frontier: any in-focus gate demanding justification is in the cone,
-  // so the (unboundedly growing) trail never needs scanning here.
-  for (const NodeId n : aig_->coneAnds(roots)) {
+  // A node entering the focus starts with an empty fanout list; the walk
+  // below links exactly the cone's ANDs into their fanins' lists.
+  const auto enter = [&](NodeId n) {
+    if (focusStamp_[n] == focusEpoch_) return;
     focusStamp_[n] = focusEpoch_;
-    focusStamp_[aig_->fanin0(n).node()] = focusEpoch_;
-    focusStamp_[aig_->fanin1(n).node()] = focusEpoch_;
+    head_[n] = kNoEdge;
+  };
+  for (const aig::Lit r : roots) enter(r.node());
+  frontierClear();
+  // One cone walk stamps the focus, rebuilds the fanout lists and
+  // rebuilds the justification frontier: any in-focus gate demanding
+  // justification is in the cone, so the (unboundedly growing) trail
+  // never needs scanning here.
+  for (const NodeId n : aig_->coneAnds(roots)) {
+    enter(n);
+    enter(aig_->fanin0(n).node());
+    enter(aig_->fanin1(n).node());
+    linkFanout(n);
     if (nodeValue(n) == LBool::False && !justified(n)) frontierInsert(n);
   }
-}
-
-void CircuitSolver::unfocus() {
-  sync();
-  focused_ = false;
-  rebuildFrontierFromTrail();
 }
 
 // ----- learnt DB reduction -------------------------------------------------

@@ -9,7 +9,9 @@
 //  * BCP walks the AND/INV structure directly. Per node the solver keeps
 //    an intrusive fanout-edge list; assigning a node fires the gate rules
 //    of its own AND and of every parent AND — no watch lists for the
-//    circuit part, the graph is the watch structure.
+//    circuit part, the graph is the watch structure. The lists hold
+//    exactly the parents in focus, so propagation and backtracking never
+//    walk the garbage a growing manager accumulates outside the query.
 //  * Decisions come from a justification frontier: a max-heap (on the
 //    same EVSIDS activities the CNF solver uses, indexed by gate) of
 //    AND nodes currently assigned false with no false fanin. A decision
@@ -61,9 +63,12 @@ class CircuitSolver {
   Status solveLimited(std::span<const aig::Lit> assumptions,
                       std::int64_t conflictBudget);
 
-  /// Restricts justification to the cones of `roots`: gates outside the
-  /// focus never demand justification, so a Sat answer costs the query's
-  /// cone, not the manager. Mirrors Solver::focusDecisions.
+  /// Restricts the solver to the cones of `roots`: gates outside the
+  /// focus are neither propagated nor justified, so a query costs its
+  /// cone, not the manager. Nodes created later stay out of focus until
+  /// the next focusOn. A solver that is never focused covers every node
+  /// (all-SAT enumeration relies on that: its blocking clauses name
+  /// nodes outside the enumerated formula's cone).
   void focusOn(std::span<const aig::Lit> roots);
 
   /// Adds a permanent constraint clause over AIG literals. Returns false
@@ -86,9 +91,6 @@ class CircuitSolver {
   [[nodiscard]] std::uint64_t conflicts() const { return conflicts_; }
   [[nodiscard]] std::uint64_t decisions() const { return decisions_; }
   [[nodiscard]] std::uint64_t propagations() const { return propagations_; }
-
-  /// Back to whole-manager justification.
-  void unfocus();
 
   [[nodiscard]] bool okay() const { return ok_; }
 
@@ -193,6 +195,16 @@ class CircuitSolver {
     return !focused_ || focusStamp_[n] == focusEpoch_;
   }
 
+  /// First fanout edge of `n`. Only an in-focus node's list is current
+  /// (an out-of-focus node has no in-focus parent), so every other list
+  /// reads as empty.
+  [[nodiscard]] std::uint32_t fanoutHead(NodeId n) const {
+    return inFocus(n) ? head_[n] : kNoEdge;
+  }
+
+  /// Pushes AND `m`'s two fanout edges onto its fanins' lists.
+  void linkFanout(NodeId m);
+
   // Propagation. On conflict conflictGate_/conflictLits_ hold the
   // conflicting constraint in clause view (every literal false).
   bool propagate();
@@ -223,10 +235,9 @@ class CircuitSolver {
   }
   void heapUp(int i);
   void heapDown(int i);
-  void rebuildFrontierFromTrail();
 
-  /// Extends per-node state to the manager's current size and registers
-  /// the fanout edges of newly created ANDs.
+  /// Extends per-node state to the manager's current size and, while the
+  /// solver is unfocused, links the fanout edges of newly created ANDs.
   void sync();
 
   void reduceDB();
@@ -239,6 +250,8 @@ class CircuitSolver {
   bool ok_ = true;
 
   // Fanout edges: edge id 2*parent+slot; head_ indexed by fanin node.
+  // The lists hold exactly the in-focus parents: sync() links every AND
+  // of an unfocused solver, focusOn relinks the focus cone's ANDs.
   std::vector<std::uint32_t> head_;
   std::vector<std::uint32_t> nextEdge_;
 

@@ -9,8 +9,11 @@
 // fixpoint check of a run shares that single solver: the AIG itself is
 // the constraint database (nothing is encoded), learnt gates and
 // proven-equivalence facts accumulate, and the solver's heuristic state
-// (activities, saved phases) carries over. The cone IS the solver state,
-// so a growing manager never bloats the session.
+// (activities, saved phases) carries over. Nothing is encoded as the
+// manager grows, and a focused query walks only its own cone's fanout:
+// the cofactor, miter and ODC scratch the manager accumulates between
+// compactions stays outside the focus and costs the session nothing but
+// per-node state.
 //
 // On top of the solver the context keeps a proven/refuted candidate-pair
 // cache. Node functions are immutable within one manager identity

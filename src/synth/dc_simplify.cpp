@@ -55,9 +55,8 @@ class CareSim {
   /// simulated.
   void appendWord(std::span<const std::uint64_t> cexBits, int cexCount,
                   util::Random& rng) {
-    const std::size_t before = sigs_->words();
-    sigs_->appendWord(cexBits, cexCount, rng);
-    if (sigs_->words() > before) recomputeCare(before);
+    if (sigs_->appendWord(cexBits, cexCount, rng))
+      recomputeCare(sigs_->words() - 1);
   }
 
   /// 64-bit mixed hash of the literal's care-masked value.

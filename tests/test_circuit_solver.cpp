@@ -233,6 +233,69 @@ TEST_P(CircuitDiff, LearntGatesAccumulateWithoutChangingAnswers) {
   }
 }
 
+TEST_P(CircuitDiff, FocusChurnAgreesWithCnf) {
+  util::Random rng(static_cast<std::uint64_t>(GetParam()) * 613 + 7);
+  aig::Aig g;
+  // Garbage miters over the same PIs: the cofactor/miter scratch a
+  // quantification round leaves in the manager, fanning out of every PI.
+  const auto garbage = [&](int count) {
+    for (int i = 0; i < count; ++i)
+      g.mkXor(test::randomFormula(g, rng, kVars, 12),
+              test::randomFormula(g, rng, kVars, 12));
+  };
+  garbage(16);
+  std::vector<aig::Lit> pool;
+  for (int i = 0; i < 6; ++i)
+    pool.push_back(test::randomFormula(g, rng, kVars, 25));
+
+  CnfOracle ref(g);
+  sat::CircuitSolver cir(g);
+  for (int round = 0; round < 10; ++round) {
+    const aig::Lit a = pool[rng.below(pool.size())];
+    const aig::Lit b = pool[rng.below(pool.size())];
+    garbage(4);
+    // Odd rounds focus on a miter built after the previous focus, so
+    // nodes synced while out of focus enter it.
+    const aig::Lit miter = g.mkXor(a, b);
+    std::vector<aig::Lit> roots{a, b};
+    if (round % 2 == 1) roots = {miter};
+    ref.cnf.focusOn(roots);
+    cir.focusOn(roots);
+    const auto focused = audit::auditCircuitSolver(cir);
+    ASSERT_TRUE(focused.ok()) << "round " << round << ": "
+                              << focused.summary();
+    garbage(4);  // the manager grows between focus and solve
+
+    if (round % 2 == 1) {
+      const Verdict v = sat::checkSat(cir, miter);
+      ASSERT_EQ(v, cnf::checkSat(ref.cnf, miter)) << "round " << round;
+      ASSERT_EQ(v == Verdict::Fails,
+                test::equivalentExhaustive(g, a, b, kVars));
+      if (v == Verdict::Holds) {
+        EXPECT_TRUE(g.evaluate(miter, denseModel(cir, kVars)));
+      }
+    } else {
+      const Verdict v = sat::checkEquiv(cir, a, b);
+      ASSERT_EQ(v, cnf::checkEquiv(ref.cnf, a, b)) << "round " << round;
+      ASSERT_EQ(v == Verdict::Holds,
+                test::equivalentExhaustive(g, a, b, kVars));
+      if (v == Verdict::Fails) {
+        const std::vector<bool> m = denseModel(cir, kVars);
+        EXPECT_NE(g.evaluate(a, m), g.evaluate(b, m)) << "round " << round;
+      }
+    }
+    // A focus root under a PI assumption, which may lie outside the
+    // focus: assigned, never propagated.
+    const aig::Lit assume[] = {
+        roots.front(),
+        g.pi(static_cast<aig::VarId>(rng.below(kVars))) ^ rng.flip()};
+    ASSERT_EQ(cir.solveLimited(assume, -1), ref.solve(assume))
+        << "round " << round;
+    const auto rep = audit::auditCircuitSolver(cir);
+    ASSERT_TRUE(rep.ok()) << "round " << round << ": " << rep.summary();
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CircuitDiff, ::testing::Range(0, 12));
 
 /// Dense model of the session's last Sat answer over PIs 0..kVars-1.
@@ -400,6 +463,46 @@ TEST(CircuitAudit, CorruptedArenaLitIsCaught) {
   arena[gref + 2] = aig::Lit(static_cast<aig::NodeId>(1u << 20), false).raw();
   const auto rep = audit::auditCircuitSolver(s);
   EXPECT_TRUE(rep.has("circuit.arena.dangling-lit")) << rep.summary();
+}
+
+TEST(CircuitAudit, OutOfFocusFanoutIsCaught) {
+  aig::Aig g;
+  util::Random rng(5);
+  const aig::Lit f = test::randomFormula(g, rng, kVars, 30);
+  test::randomFormula(g, rng, kVars, 30);
+  sat::CircuitSolver s(g);
+  const aig::Lit roots[] = {f};
+  s.focusOn(roots);
+  ASSERT_TRUE(audit::auditCircuitSolver(s).ok());
+  // Splice an out-of-focus AND into the list of its in-focus fanin, as a
+  // focus change that forgot to drop the old parents would.
+  auto& head = audit::Access::circuitHead(s);
+  auto& next = audit::Access::circuitNextEdge(s);
+  bool spliced = false;
+  for (aig::NodeId m = 0; m < g.numNodes() && !spliced; ++m) {
+    if (!g.isAnd(m) || audit::Access::circuitInFocus(s, m)) continue;
+    const aig::NodeId n = g.fanin0(m).node();
+    if (!audit::Access::circuitInFocus(s, n)) continue;
+    next[2 * m] = head[n];
+    head[n] = 2 * m;
+    spliced = true;
+  }
+  ASSERT_TRUE(spliced);
+  const auto rep = audit::auditCircuitSolver(s);
+  EXPECT_TRUE(rep.has("circuit.focus.fanout")) << rep.summary();
+}
+
+TEST(CircuitAudit, DroppedFanoutEdgeIsCaught) {
+  aig::Aig g;
+  std::unique_ptr<sat::CircuitSolver> holder;
+  auto& s = solverWithGates(g, holder);  // unfocused: every AND is linked
+  auto& head = audit::Access::circuitHead(s);
+  auto& next = audit::Access::circuitNextEdge(s);
+  const aig::NodeId n = g.piNodeOf(0);
+  ASSERT_NE(head[n], audit::Access::kCircuitNoEdge);
+  head[n] = next[head[n]];
+  const auto rep = audit::auditCircuitSolver(s);
+  EXPECT_TRUE(rep.has("circuit.focus.fanout")) << rep.summary();
 }
 
 TEST(CircuitAudit, DroppedWatcherIsCaught) {

@@ -8,6 +8,7 @@
 #include "circuits/suite.hpp"
 #include "mc/engines.hpp"
 #include "mc/unroller.hpp"
+#include "prep/pipeline.hpp"
 
 namespace cbq {
 namespace {
@@ -102,6 +103,37 @@ TEST(Engines, SafeFixpointDepthsAgreeBetweenAigAndBddBackward) {
     ASSERT_EQ(a.verdict, Verdict::Safe) << family;
     ASSERT_EQ(b.verdict, Verdict::Safe) << family;
     EXPECT_EQ(a.steps, b.steps) << family;
+  }
+}
+
+TEST(Engines, StutteringDesignsKeepTheReachedSetOneFrontierWide) {
+  // An enable input that holds state makes every pre-image contain the
+  // reached set, so the reached set collapses to the pre-image instead of
+  // growing an OR chain with the depth.
+  for (const char* family : {"counter", "haystack"}) {
+    const auto inst = circuits::makeInstance(family, 8, false);
+    const auto res = prep::checkWithPrep(mc::CircuitQuantReach{}, inst.net);
+    ASSERT_EQ(res.verdict, Verdict::Unsafe) << family;
+    EXPECT_EQ(res.steps, expectedCexDepth(inst)) << family;
+    EXPECT_GT(res.stats.count("reach.reached_collapses"), 0) << family;
+    EXPECT_LE(res.stats.gauge("reach.max_reached_cone"),
+              2 * res.stats.gauge("reach.max_frontier_cone"))
+        << family;
+  }
+}
+
+TEST(Engines, NonStutteringDesignsMatchBddBackward) {
+  // No collapse applies where the pre-image does not subsume the reached
+  // set; verdicts and depths must still be the BDD engine's.
+  for (const char* family : {"lfsr", "ring"}) {
+    for (const bool safe : {true, false}) {
+      const auto inst = circuits::makeInstance(family, 5, safe);
+      const auto a = mc::CircuitQuantReach{}.check(inst.net);
+      const auto b = mc::BddBackwardReach{}.check(inst.net);
+      ASSERT_EQ(a.verdict, inst.expected) << inst.net.name;
+      EXPECT_EQ(a.verdict, b.verdict) << inst.net.name;
+      EXPECT_EQ(a.steps, b.steps) << inst.net.name;
+    }
   }
 }
 
