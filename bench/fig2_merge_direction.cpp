@@ -56,9 +56,10 @@ int main() {
       for (const bool backward : {false, true}) {
         sweep::SweepOptions opts;
         opts.backward = backward;
+        sweep::SweepContext ctx;  // fresh per call: each direction cold
         util::Timer timer;
         const aig::Lit roots[] = {f0, f1};
-        const auto r = sweep::sweep(g, roots, opts);
+        const auto r = sweep::sweep(g, roots, opts, ctx);
         const double ms = timer.milliseconds();
         if (backward) {
           bwdChecks += static_cast<double>(r.stats.satChecks);

@@ -39,7 +39,7 @@ int main() {
       if (res.verdict == mc::Verdict::Unknown) {
         cell = "?";
       } else {
-        cell = res.verdict == mc::Verdict::Safe ? "S" : "U";
+        cell.assign(1, res.verdict == mc::Verdict::Safe ? 'S' : 'U');
         if (res.verdict != inst.expected) {
           cell += "  X";
           ++disagreements;
@@ -49,8 +49,12 @@ int main() {
         cell += " BOGUS";
         ++bogusTraces;
       }
-      cell += "/" + std::to_string(res.steps) + "/" +
-              util::Table::num(res.seconds * 1e3, 1);
+      // Appended piecewise: `"/" + std::to_string(...)` trips g++-12's
+      // -Wrestrict false positive.
+      cell += '/';
+      cell += std::to_string(res.steps);
+      cell += '/';
+      cell += util::Table::num(res.seconds * 1e3, 1);
       row.push_back(cell);
     }
     table.addRow(std::move(row));

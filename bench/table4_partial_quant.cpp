@@ -53,7 +53,8 @@ int main() {
       opts.growthLimit = bound;
       opts.growthSlack = 0;
       opts.abortRetries = 0;
-      quant::Quantifier q(mgr, opts);
+      sweep::SweepContext ctx;
+      quant::Quantifier q(mgr, opts, ctx);
       util::Timer timer;
       const auto r = q.quantifyAll(f, net.inputVars);
       const double ms = timer.milliseconds();

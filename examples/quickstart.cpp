@@ -29,8 +29,10 @@ int main() {
   // --- 2. quantify one variable --------------------------------------------
   // ∃x.f = (a^b) | (a^c). The quantifier computes the two cofactors,
   // merges shared sub-circuits (§2.1 of the paper) and simplifies each
-  // cofactor under the other's don't-cares (§2.2).
-  quant::Quantifier q(g);
+  // cofactor under the other's don't-cares (§2.2). Every SAT check of
+  // both phases runs on one persistent sweep session.
+  sweep::SweepContext session;
+  quant::Quantifier q(g, {}, session);
   const aig::Lit exF = q.quantifyVarForced(f, 0);
   std::printf("after exists(x): %zu AND nodes, support:", g.coneSize(exF));
   for (const aig::VarId v : g.supportVars(exF)) std::printf(" %u", v);

@@ -44,7 +44,8 @@ int main(int argc, char** argv) {
   plain.mergePhase = false;
   plain.optPhase = false;
   plain.rewriteResult = false;
-  quant::Quantifier qPlain(mgr, plain);
+  sweep::SweepContext session;  // one sweep session for both pipelines
+  quant::Quantifier qPlain(mgr, plain, session);
   const aig::Lit rPlain = qPlain.quantifyVarForced(pre, enable);
   std::printf("shannon expansion only:   %4zu AND nodes\n",
               mgr.coneSize(rPlain));
@@ -52,7 +53,7 @@ int main(int argc, char** argv) {
   // 2. Full pipeline.
   quant::QuantOptions full;
   full.useSubstitution = false;  // force the cofactor path
-  quant::Quantifier qFull(mgr, full);
+  quant::Quantifier qFull(mgr, full, session);
   const aig::Lit rFull = qFull.quantifyVarForced(pre, enable);
   std::printf("merge + dc optimization:  %4zu AND nodes "
               "(%lld merges, %lld dc replacements)\n",
@@ -72,7 +73,8 @@ int main(int argc, char** argv) {
     const aig::Lit def = g2.mkXor(g2.pi(1), g2.pi(2));
     const aig::Lit f =
         g2.mkAnd(g2.mkXnor(v, def), g2.mkOr(v, g2.pi(3)));
-    quant::Quantifier q3(g2);
+    sweep::SweepContext session2;
+    quant::Quantifier q3(g2, {}, session2);
     const auto sub = q3.quantifyBySubstitution(f, 0);
     std::printf("substitution rule (§3):   %4zu AND nodes "
                 "(in-lined, no cofactoring)\n",

@@ -663,11 +663,18 @@ mc::Network readBench(std::istream& in, std::string name) {
 }
 
 void writeBench(const Network& net, std::ostream& out) {
+  // Appending (instead of `"i" + std::to_string(k)`) keeps g++-12's
+  // -Wrestrict false positive on prepend-into-temporary quiet.
+  auto numbered = [](char prefix, std::size_t k) {
+    std::string name(1, prefix);
+    name += std::to_string(k);
+    return name;
+  };
   std::unordered_map<VarId, std::string> piName;
   for (std::size_t k = 0; k < net.inputVars.size(); ++k)
-    piName.emplace(net.inputVars[k], "i" + std::to_string(k));
+    piName.emplace(net.inputVars[k], numbered('i', k));
   for (std::size_t k = 0; k < net.stateVars.size(); ++k)
-    piName.emplace(net.stateVars[k], "l" + std::to_string(k));
+    piName.emplace(net.stateVars[k], numbered('l', k));
 
   std::vector<Lit> roots(net.next.begin(), net.next.end());
   roots.push_back(net.bad);
@@ -711,7 +718,7 @@ void writeBench(const Network& net, std::ostream& out) {
   };
 
   for (const aig::NodeId n : order) {
-    nodeName.emplace(n, "g" + std::to_string(n));
+    nodeName.emplace(n, numbered('g', n));
     const std::string a = litName(net.aig.fanin0(n));
     const std::string b = litName(net.aig.fanin1(n));
     flushInverters();

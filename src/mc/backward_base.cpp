@@ -83,13 +83,8 @@ Trace reconstructTrace(const Network& net, aig::Aig& archive,
 
 BackwardReachSession::BackwardReachSession(
     const Network& net, std::string engineName, const ReachLimits& limits,
-    const CompactionPolicy& compaction, std::size_t hardConeLimit,
     InputEliminator eliminate)
-    : net_(&net),
-      limits_(limits),
-      compaction_(compaction),
-      hardConeLimit_(hardConeLimit),
-      eliminate_(std::move(eliminate)) {
+    : net_(&net), limits_(limits), eliminate_(std::move(eliminate)) {
   res_.engine = std::move(engineName);
 
   // Working manager: next-state functions + bad cone.
@@ -165,16 +160,10 @@ void BackwardReachSession::commitFrontier(Lit pre) {
   ++committedThisSlice_;
 }
 
-void BackwardReachSession::maybeCompact() {
-  if (!compaction_.enabled) return;
+void BackwardReachSession::compact() {
+  CBQ_OBS_SPAN("engine", "compact");
   std::vector<Lit> live{reached_, frontier_, badL_};
   live.insert(live.end(), nextL_.begin(), nextL_.end());
-  const std::size_t liveSize = mgr_.coneSize(live);
-  if (mgr_.numNodes() < compaction_.minNodes ||
-      static_cast<double>(mgr_.numNodes()) <=
-          compaction_.garbageRatio * static_cast<double>(liveSize))
-    return;
-  CBQ_OBS_SPAN("engine", "compact");
   // Re-strash every live cone into a fresh manager. The transfer map
   // lets the sweep session carry its proven/refuted pair cache across
   // the NodeId change; the fixpoint session just rebinds (it records no
@@ -247,7 +236,7 @@ Progress BackwardReachSession::run(const portfolio::Budget& bud) {
         const Lit rr[] = {reached_};
         const std::size_t sz = mgr_.coneSize(rr);
         res_.stats.high("reach.max_reached_cone", static_cast<double>(sz));
-        if (sz > hardConeLimit_ || bud.nodesExceeded(sz))
+        if (sz > kHardConeLimit || bud.nodesExceeded(sz))
           return snapshot(Verdict::Unknown, true);
         ++iter_;
         phase_ = Phase::Pre;
@@ -287,7 +276,7 @@ Progress BackwardReachSession::run(const portfolio::Budget& bud) {
         if (mgr_.evaluate(frontier_, initDense_)) {
           phase_ = Phase::Trace;
         } else {
-          maybeCompact();
+          compact();
           phase_ = Phase::Guard;
         }
         break;

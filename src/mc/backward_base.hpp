@@ -16,11 +16,13 @@
 // solver + proven/refuted pair cache bound to the working manager, see
 // sweep/sweep_context.hpp): the per-engine eliminator receives one via
 // PreImageRequest and threads it into its quantifier, and the fixpoint
-// checks issue their implication queries against the other. Manager
-// compaction follows CompactionPolicy; the default policy re-strashes the
-// live cones after every committed iteration, so the fixpoint solver
-// lives for one iteration and the sweep session carries only its pair
-// cache across (SweepContext::rebindRemapped).
+// checks issue their implication queries against the other. Compaction
+// re-strashes the live cones into a fresh manager after every committed
+// iteration: it drops the scratch nodes that cofactoring and sweeping
+// leave behind and re-applies the construction rewrite rules across the
+// whole live set. The fixpoint solver therefore lives for one iteration,
+// and the sweep session carries only its pair cache across
+// (SweepContext::rebindRemapped).
 //
 // No per-iteration cost grows with the depth reached: the reached set
 // collapses to the pre-image whenever the pre-image subsumes it (every
@@ -64,9 +66,7 @@ using InputEliminator =
 class BackwardReachSession final : public Session {
  public:
   BackwardReachSession(const Network& net, std::string engineName,
-                       const ReachLimits& limits,
-                       const CompactionPolicy& compaction,
-                       std::size_t hardConeLimit, InputEliminator eliminate);
+                       const ReachLimits& limits, InputEliminator eliminate);
 
   [[nodiscard]] std::string name() const override { return res_.engine; }
 
@@ -91,12 +91,10 @@ class BackwardReachSession final : public Session {
   /// Records `pre` (which the fixpoint check just found not contained in
   /// the reached set) as the new frontier and grows the reached set.
   void commitFrontier(aig::Lit pre);
-  void maybeCompact();
+  void compact();
 
   const Network* net_;
   ReachLimits limits_;
-  CompactionPolicy compaction_;
-  std::size_t hardConeLimit_;
   InputEliminator eliminate_;
 
   CheckResult res_;  ///< cumulative engine/steps/stats/cex record

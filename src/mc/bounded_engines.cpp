@@ -160,10 +160,8 @@ class KInductionSession final : public Session {
         step_->ensureFrame(k_);
         for (int j = 0; j < k_; ++j)
           stepSolver_->addClause({!step_->badLit(j)});
-        if (opts_.uniquePath) {
-          for (int i = 0; i < k_; ++i)
-            for (int j = i + 1; j <= k_; ++j) step_->assertDistinct(i, j);
-        }
+        for (int i = 0; i < k_; ++i)
+          for (int j = i + 1; j <= k_; ++j) step_->assertDistinct(i, j);
         stepK_ = k_;
       }
       CBQ_OBS_SPAN("engine", "ind-step");

@@ -125,10 +125,8 @@ std::unique_ptr<Session> CircuitQuantReach::start(const Network& net) const {
   const auto eliminate =
       [quantOpts = opts_.quant, carry = EliminateCarry{}](
           const detail::PreImageRequest& req) mutable -> std::optional<Lit> {
-    quant::QuantOptions qopts = quantOpts;
-    qopts.interrupt = [b = req.budget] { return b->exhausted(); };
-    qopts.context = req.session;  // run-wide solver + pair cache
-    quant::Quantifier q(*req.mgr, qopts);
+    // The run-wide solver + pair cache; its interrupt polls the budget.
+    quant::Quantifier q(*req.mgr, quantOpts, *req.session);
     Lit f = req.formula;
     std::vector<VarId> vars(req.net->inputVars);
     if (carry.active && carry.formula == req.formula) {
@@ -155,8 +153,7 @@ std::unique_ptr<Session> CircuitQuantReach::start(const Network& net) const {
     return f;
   };
   return std::make_unique<detail::BackwardReachSession>(
-      net, name(), opts_.limits, opts_.compaction, opts_.hardConeLimit,
-      eliminate);
+      net, name(), opts_.limits, eliminate);
 }
 
 std::unique_ptr<Session> AllSatPreimageReach::start(const Network& net) const {
@@ -167,8 +164,7 @@ std::unique_ptr<Session> AllSatPreimageReach::start(const Network& net) const {
                            maxEnum, *req.stats, *req.budget, carry);
   };
   return std::make_unique<detail::BackwardReachSession>(
-      net, name(), opts_.limits, CompactionPolicy{},
-      /*hardConeLimit=*/2'000'000, eliminate);
+      net, name(), opts_.limits, eliminate);
 }
 
 std::unique_ptr<Session> HybridReach::start(const Network& net) const {
@@ -180,10 +176,8 @@ std::unique_ptr<Session> HybridReach::start(const Network& net) const {
     // eliminated, blow-up-prone ones abort and stay. A pause mid-phase-2
     // retries phase 1, which replays from the warm session pair cache and
     // reproduces the same partial result, re-keying the phase-2 carry.
-    quant::QuantOptions qopts = quantOpts;
-    qopts.interrupt = [b = req.budget] { return b->exhausted(); };
-    qopts.context = req.session;  // shared with the fixpoint checks
-    quant::Quantifier q(*req.mgr, qopts);
+    // The run-wide session, shared with the fixpoint checks.
+    quant::Quantifier q(*req.mgr, quantOpts, *req.session);
     auto r = q.quantifyAll(req.formula, req.net->inputVars);
     req.stats->merge(q.stats());
     if (req.budget->exhausted() && !r.residual.empty())
@@ -196,8 +190,7 @@ std::unique_ptr<Session> HybridReach::start(const Network& net) const {
                            *req.budget, carry);
   };
   return std::make_unique<detail::BackwardReachSession>(
-      net, name(), opts_.limits, CompactionPolicy{},
-      /*hardConeLimit=*/2'000'000, eliminate);
+      net, name(), opts_.limits, eliminate);
 }
 
 PreprocessResult preprocessQuantifyInputs(const Network& net,
@@ -224,7 +217,8 @@ PreprocessResult preprocessQuantifyInputs(const Network& net,
   }
   out.inputsBefore = badInputs.size();
 
-  quant::Quantifier q(out.net.aig, opts);
+  sweep::SweepContext ctx;
+  quant::Quantifier q(out.net.aig, opts, ctx);
   auto r = q.quantifyAll(bad, badInputs);
   out.net.bad = r.f;
 

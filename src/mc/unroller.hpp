@@ -1,7 +1,8 @@
 #pragma once
 // Time-frame expansion of a Network into a SAT solver.
 //
-// Used by BMC, k-induction and backward-trace reconstruction. Frames are
+// Used by BMC and k-induction (trace reconstruction in the backward
+// engines runs on sat::CircuitSolver over the frontier archive). Frames are
 // encoded eagerly one at a time, so there is no deep recursion across
 // frames: frame k's state literals are the next-state literals computed in
 // frame k-1.

@@ -210,9 +210,10 @@ PassResult structuralSimplify(const Network& net, std::int64_t satBudget,
 
   sweep::SweepOptions so;
   so.satBudget = satBudget;
-  so.interrupt = std::move(interrupt);
   so.pool = pool;
-  const auto sw = sweep::sweep(cur.aig, roots, so);
+  sweep::SweepContext ctx;
+  ctx.setInterrupt(std::move(interrupt));
+  const auto sw = sweep::sweep(cur.aig, roots, so, ctx);
 
   std::vector<char> kept(cur.numLatches(), 1);
   std::vector<Lit> next(sw.roots.begin(), sw.roots.end() - 1);

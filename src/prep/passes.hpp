@@ -64,8 +64,10 @@ PassResult constLatchSweep(const mc::Network& net,
 /// noise-level shrink still perturbs the cone structure the backward
 /// engines cofactor through, which measurably hurts more than two saved
 /// nodes help (counter10: 73 -> 71 ANDs, 1.9x slower fixpoint).
-/// `interrupt` (optional) is polled inside the sweeper's SAT checks; when
-/// it fires the sweep stops with whatever merges are already proven.
+/// `interrupt` (optional) is installed on the pass's sweep session, so
+/// the sweeper polls it per compare point and its solver inside each SAT
+/// check; when it fires the sweep stops with whatever merges are already
+/// proven.
 PassResult structuralSimplify(const mc::Network& net,
                               std::int64_t satBudget = 200,
                               std::size_t maxAnds = 100000,

@@ -15,7 +15,7 @@ using aig::NodeId;
 using aig::VarId;
 
 std::optional<Lit> Quantifier::quantifyVar(Lit f, VarId v) {
-  return quantifyVarImpl(f, v, opts_.allowAborts);
+  return quantifyVarImpl(f, v, /*enforceGrowth=*/true);
 }
 
 Lit Quantifier::quantifyVarForced(Lit f, VarId v) {
@@ -146,7 +146,7 @@ std::optional<Lit> Quantifier::quantifyVarImpl(Lit f, VarId v,
   // ----- merge phase (§2.1) ------------------------------------------------
   if (opts_.mergePhase && !f0.isConstant() && !f1.isConstant()) {
     const Lit pair[] = {f0, f1};
-    const auto swept = sweep::sweep(*aig_, pair, opts_.sweepOpts);
+    const auto swept = sweep::sweep(*aig_, pair, opts_.sweepOpts, *ctx_);
     f0 = swept.roots[0];
     f1 = swept.roots[1];
     stats_.add("merge.bdd_merges",
@@ -169,38 +169,15 @@ std::optional<Lit> Quantifier::quantifyVarImpl(Lit f, VarId v,
     if (f0 == !f1) return aig::kTrue;
   }
 
-  // ----- optimization phase (§2.2), adaptively scheduled -------------------
-  auto buildResult = [&](Lit a, Lit b) {
-    Lit r = aig_->mkOr(a, b);
-    if (opts_.rewriteResult) {
-      const Lit roots[] = {r};
-      r = synth::rewrite(*aig_, roots).front();
-    }
-    return r;
-  };
-
-  bool needOpt = opts_.optPhase && !f0.isConstant() && !f1.isConstant();
-  if (needOpt && opts_.optPhaseAdaptive && opts_.context != nullptr &&
-      !opts_.context->shouldAttemptDc()) {
-    // The run's feedback says DC proofs have not been shrinking cones on
-    // this workload — skip the phase (periodic re-probes keep it honest).
-    needOpt = false;
-    stats_.add("opt.skipped_feedback");
-  }
-  if (needOpt) {
+  // ----- optimization phase (§2.2) ----------------------------------------
+  if (opts_.optPhase && !f0.isConstant() && !f1.isConstant()) {
     // Use f1's onset as DCs for f0, then the simplified f0's onset for f1.
     const auto r0 = synth::dcSimplify(*aig_, /*fRef=*/f1, /*fTgt=*/f0,
-                                      opts_.dcOpts);
+                                      opts_.dcOpts, *ctx_);
     f0 = r0.target;
     const auto r1 = synth::dcSimplify(*aig_, /*fRef=*/f0, /*fTgt=*/f1,
-                                      opts_.dcOpts);
+                                      opts_.dcOpts, *ctx_);
     f1 = r1.target;
-    if (opts_.context != nullptr) {
-      opts_.context->noteDcOutcome(r0.stats.nodesBefore,
-                                   r0.stats.nodesAfter);
-      opts_.context->noteDcOutcome(r1.stats.nodesBefore,
-                                   r1.stats.nodesAfter);
-    }
     for (const auto* r : {&r0, &r1}) {
       stats_.add("opt.const_repl",
                  static_cast<std::int64_t>(r->stats.constReplacements));
@@ -218,10 +195,10 @@ std::optional<Lit> Quantifier::quantifyVarImpl(Lit f, VarId v,
                  static_cast<std::int64_t>(r->stats.odcSimRefuted));
     }
   }
-  Lit result = buildResult(f0, f1);
-  if (opts_.finalSweep && !result.isConstant()) {
+  Lit result = aig_->mkOr(f0, f1);
+  if (opts_.rewriteResult) {
     const Lit roots[] = {result};
-    result = sweep::sweep(*aig_, roots, opts_.sweepOpts).roots.front();
+    result = synth::rewrite(*aig_, roots).front();
   }
 
   const std::size_t after = aig_->coneSize(result);
@@ -307,7 +284,7 @@ Quantifier::Result Quantifier::quantifyAll(Lit f,
   int retriesLeft = opts_.abortRetries;
   std::vector<VarId> aborted;
   while (!remaining.empty()) {
-    if (opts_.interrupt && opts_.interrupt()) {
+    if (ctx_->interrupted()) {
       // Interrupted: everything unprocessed becomes residual.
       aborted.insert(aborted.end(), remaining.begin(), remaining.end());
       stats_.add("quant.interrupts");

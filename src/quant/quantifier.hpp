@@ -21,7 +21,6 @@
 // finish the job on a formula with far fewer decision variables.
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <utility>
@@ -38,61 +37,30 @@ struct QuantOptions {
   bool useSubstitution = true;   ///< §3 in-lining fast path (see below)
   bool mergePhase = true;        ///< enable §2.1 (sweeping of the cofactors)
   bool optPhase = true;          ///< enable §2.2 (DC-based simplification)
-
-  /// Adaptive §2.2 scheduling, driven by measured benefit: every
-  /// dcSimplify call reports its shrink ratio to the run's SweepContext;
-  /// once the running average shows the DC phase is not reducing cones
-  /// (multiplier-style workloads, where each proof is expensive and buys
-  /// nothing), the phase is skipped except for periodic re-probes. On
-  /// blow-up-prone families (counters, queues) the ratio stays low and
-  /// the full machinery runs every time. Requires `context`; without a
-  /// session the phase always runs (the pre-session behaviour).
-  bool optPhaseAdaptive = true;
   bool rewriteResult = true;     ///< structural cleanup of the disjunction
-  bool finalSweep = false;       ///< extra sweep of F0 ∨ F1 (category-2 opt)
   sweep::SweepOptions sweepOpts{};
   synth::DcOptions dcOpts{};
-  bool allowAborts = true;       ///< §4 partial quantification
-  double growthLimit = 2.0;      ///< abort var when result cone exceeds
-  std::size_t growthSlack = 32;  ///<   growthLimit * before + growthSlack
+  double growthLimit = 2.0;      ///< §4 partial quantification: abort var
+  std::size_t growthSlack = 32;  ///<   when result cone exceeds
+                                 ///<   growthLimit * before + growthSlack
   int abortRetries = 1;          ///< re-attempts of aborted vars at the end
-
-  /// Cooperative stop, polled between variables by quantifyAll: while it
-  /// returns true, unprocessed variables are reported as residual so the
-  /// caller can notice the interruption and bail out. Engines bind this to
-  /// their run Budget (portfolio cancellation / deadline).
-  std::function<bool()> interrupt{};
-
-  /// Persistent sweep session shared by every merge-phase sweep and every
-  /// DC simplification this quantifier performs (and, when the engine owns
-  /// the context, by all its quantifiers and fixpoint checks across a
-  /// whole reachability run). Propagated into sweepOpts.context /
-  /// dcOpts.context by the Quantifier constructor unless those are already
-  /// set. Null = per-call throwaway solvers (the pre-session behaviour).
-  sweep::SweepContext* context = nullptr;
 };
 
 /// Quantifier bound to one AIG manager. Accumulates statistics across
 /// calls; engines read them for the ablation experiments.
+///
+/// Every merge-phase sweep and every DC simplification runs on `ctx`, the
+/// persistent sweep session (when the engine owns it, shared by all its
+/// quantifiers and fixpoint checks across a whole reachability run). The
+/// context's interrupt is polled between variables by quantifyAll: once
+/// it fires, unprocessed variables are reported as residual so the caller
+/// can notice the interruption and bail out; it also reaches the inner
+/// SAT-check loops of both phases. The context must outlive the
+/// quantifier.
 class Quantifier {
  public:
-  explicit Quantifier(aig::Aig& aig, QuantOptions opts = {})
-      : aig_(&aig), opts_(std::move(opts)) {
-    // The per-variable phases run long on hard cones; the interrupt must
-    // reach their inner SAT-check loops, not just the variable schedule.
-    if (opts_.interrupt) {
-      if (!opts_.sweepOpts.interrupt)
-        opts_.sweepOpts.interrupt = opts_.interrupt;
-      if (!opts_.dcOpts.interrupt) opts_.dcOpts.interrupt = opts_.interrupt;
-    }
-    // One session for every sweep and DC pass of this quantifier.
-    if (opts_.context != nullptr) {
-      if (opts_.sweepOpts.context == nullptr)
-        opts_.sweepOpts.context = opts_.context;
-      if (opts_.dcOpts.context == nullptr)
-        opts_.dcOpts.context = opts_.context;
-    }
-  }
+  Quantifier(aig::Aig& aig, QuantOptions opts, sweep::SweepContext& ctx)
+      : aig_(&aig), opts_(std::move(opts)), ctx_(&ctx) {}
 
   /// ∃v.f — full per-variable pipeline. Returns std::nullopt when partial
   /// quantification aborted the variable (result would exceed the growth
@@ -136,6 +104,7 @@ class Quantifier {
 
   aig::Aig* aig_;
   QuantOptions opts_;
+  sweep::SweepContext* ctx_;
   obs::Metrics stats_;
 };
 

@@ -147,20 +147,6 @@ void SweepContext::recordRefuted(aig::Lit a, aig::Lit b) {
   pairFacts_[pairKey(a, b)] = false;
 }
 
-void SweepContext::noteDcOutcome(std::size_t before, std::size_t after) {
-  if (before < 8) return;  // too small to be signal
-  const double ratio =
-      static_cast<double>(after) / static_cast<double>(before);
-  dcShrinkEwma_ = dcSamples_ == 0 ? ratio
-                                  : 0.75 * dcShrinkEwma_ + 0.25 * ratio;
-  ++dcSamples_;
-}
-
-bool SweepContext::shouldAttemptDc() {
-  if (dcSamples_ < 8 || dcShrinkEwma_ < 0.95) return true;
-  return (++dcProbeTick_ & 15u) == 0;  // periodic re-probe
-}
-
 void SweepContext::noteOdcOutcome(std::size_t attempts,
                                   std::size_t accepted) {
   if (attempts == 0) return;

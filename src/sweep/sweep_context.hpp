@@ -48,6 +48,11 @@ class SweepContext {
   /// races and wall deadlines).
   void setInterrupt(std::function<bool()> callback);
 
+  /// Polls the installed interrupt (false when none is installed). The
+  /// sweeper, both DC phases and the quantifier's variable schedule stop
+  /// early — soundly — once it fires.
+  [[nodiscard]] bool interrupted() const { return interrupt_ && interrupt_(); }
+
   /// Binds the session to `aig`, reusing the live solver/cache when the
   /// manager identity is unchanged. Returns true when the session was
   /// (re)built — the previous solver was retired and the cache dropped.
@@ -100,19 +105,10 @@ class SweepContext {
   void learnEquiv(aig::Lit a, aig::Lit b);
   void learnConstant(aig::Lit a, bool value);
 
-  // ----- DC benefit feedback --------------------------------------------
-  // Run-level controller for the quantifier's §2.2 phase: dcSimplify
-  // outcomes feed an exponentially weighted shrink ratio; while the phase
-  // is not reducing cones the quantifier skips it, re-probing every 16th
-  // opportunity so a workload shift can turn it back on. The state
+  // ----- ODC benefit feedback -------------------------------------------
+  // Run-level controller for dcSimplify's observability phase. The state
   // deliberately survives rebinds/compactions — it describes the
   // workload, not the manager.
-
-  /// Reports one dcSimplify outcome (target cone sizes before/after).
-  void noteDcOutcome(std::size_t before, std::size_t after);
-
-  /// Should the next dcSimplify run? (Always true before enough samples.)
-  [[nodiscard]] bool shouldAttemptDc();
 
   /// Reports one ODC phase outcome. ODC validation checks are global
   /// equivalence proofs over fRef ∨ fTgt — brutally expensive on
@@ -172,10 +168,6 @@ class SweepContext {
   std::uint64_t retiredConflicts_ = 0;
   std::uint64_t retiredDecisions_ = 0;
   std::uint64_t retiredPropagations_ = 0;
-
-  double dcShrinkEwma_ = 1.0;
-  std::uint64_t dcSamples_ = 0;
-  std::uint32_t dcProbeTick_ = 0;
 
   double odcAcceptEwma_ = 1.0;
   std::uint64_t odcSamples_ = 0;

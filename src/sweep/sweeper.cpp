@@ -20,6 +20,10 @@ using aig::Lit;
 using aig::NodeId;
 using aig::VarId;
 
+/// Shared BDD manager node limit of layer 2: cones whose BDDs grow past
+/// it drop out of BDD sweeping and are left to the SAT layer.
+constexpr std::size_t kBddNodeLimit = 2000;
+
 /// Nodes reachable from `roots` when merges in `mergeMap` are applied —
 /// backward mode skips compare points that merging has already detached.
 /// Returned as a node-indexed flag vector.
@@ -47,7 +51,7 @@ std::vector<std::uint8_t> referencedNodes(const aig::Aig& aig,
 }  // namespace
 
 SweepResult sweep(aig::Aig& aig, std::span<const Lit> roots,
-                  const SweepOptions& opts) {
+                  const SweepOptions& opts, SweepContext& ctx) {
   CBQ_OBS_SPAN("sweep", "sweep");
   SweepResult out;
   out.roots.assign(roots.begin(), roots.end());
@@ -80,15 +84,11 @@ SweepResult sweep(aig::Aig& aig, std::span<const Lit> roots,
   aig::NodeMap mergeMap;
   std::vector<std::uint8_t> disqualified(aig.numNodes(), 0);
 
-  // Persistent session: shared circuit solver + pair cache when the
-  // caller provides one, private throwaway session otherwise.
-  SweepContext localCtx;
-  SweepContext* ctx = opts.context != nullptr ? opts.context : &localCtx;
-  ctx->bind(aig);
+  ctx.bind(aig);
 
   // ----- layer 2: BDD sweeping -------------------------------------------
-  if (opts.useBdd && opts.bddNodeLimit > 0) {
-    bdd::BddManager bm(opts.bddNodeLimit);
+  if (opts.useBdd) {
+    bdd::BddManager bm(kBddNodeLimit);
     std::vector<bdd::BddRef> nodeBdd(aig.numNodes(), bdd::kFalseBdd);
     std::vector<bool> hasBdd(aig.numNodes(), false);
     nodeBdd[0] = bdd::kFalseBdd;
@@ -128,13 +128,13 @@ SweepResult sweep(aig::Aig& aig, std::span<const Lit> roots,
         if (b == bdd::kFalseBdd || b == bdd::kTrueBdd) {
           const Lit target = b == bdd::kTrueBdd ? aig::kTrue : aig::kFalse;
           mergeMap.set(n, target);
-          ctx->recordProven(Lit(n, false), target);
+          ctx.recordProven(Lit(n, false), target);
           ++out.stats.constMerges;
           continue;
         }
         if (auto it = bddRep.find(b); it != bddRep.end()) {
           mergeMap.set(n, it->second);
-          ctx->recordProven(Lit(n, false), it->second);
+          ctx.recordProven(Lit(n, false), it->second);
           ++out.stats.bddMerges;
           continue;
         }
@@ -147,7 +147,7 @@ SweepResult sweep(aig::Aig& aig, std::span<const Lit> roots,
         }
         if (auto it = bddRep.find(nb); it != bddRep.end()) {
           mergeMap.set(n, !it->second);
-          ctx->recordProven(Lit(n, false), !it->second);
+          ctx.recordProven(Lit(n, false), !it->second);
           ++out.stats.bddMerges;
           continue;
         }
@@ -161,12 +161,7 @@ SweepResult sweep(aig::Aig& aig, std::span<const Lit> roots,
   // does not grow before the final rebuild — one focus call covers every
   // check of this sweep even when the session's solver carries the whole
   // run's history.
-  if (opts.useSat) ctx->focusOn(roots);
-
-  auto learn = [&](Lit a, Lit b) {
-    if (!opts.learnEquivalences) return;
-    ctx->learnEquiv(a, b);
-  };
+  if (opts.useSat) ctx.focusOn(roots);
 
   struct EquivClass {
     Lit rep;                      // representative literal (phase-adjusted)
@@ -353,7 +348,7 @@ SweepResult sweep(aig::Aig& aig, std::span<const Lit> roots,
       if (opts.backward) std::reverse(members.begin(), members.end());
 
       for (const NodeId m : members) {
-        if (opts.interrupt && opts.interrupt()) {
+        if (ctx.interrupted()) {
           interrupted = true;  // rebuild with the merges proven so far
           break;
         }
@@ -370,7 +365,7 @@ SweepResult sweep(aig::Aig& aig, std::span<const Lit> roots,
 
         // Session pair cache first: facts proven or refuted in ANY earlier
         // round/call on this manager skip the solver entirely.
-        switch (ctx->lookupPair(Lit(m, false), target)) {
+        switch (ctx.lookupPair(Lit(m, false), target)) {
           case SweepContext::PairFact::Proven: {
             mergeMap.set(m, target);
             ++out.stats.cacheHitsProven;
@@ -392,32 +387,31 @@ SweepResult sweep(aig::Aig& aig, std::span<const Lit> roots,
 
         sat::Verdict verdict;
         if (cls.constant) {
-          verdict = ctx->checkConstant(Lit(m, false), cls.constValue,
+          verdict = ctx.checkConstant(Lit(m, false), cls.constValue,
                                        opts.satBudget);
         } else {
-          verdict = ctx->checkEquiv(Lit(m, false), target, opts.satBudget);
+          verdict = ctx.checkEquiv(Lit(m, false), target, opts.satBudget);
         }
         ++out.stats.satChecks;
 
         switch (verdict) {
           case sat::Verdict::Holds: {
             mergeMap.set(m, target);
-            ctx->recordProven(Lit(m, false), target);
+            ctx.recordProven(Lit(m, false), target);
             if (cls.constant) {
               ++out.stats.constMerges;
-              if (opts.learnEquivalences)
-                ctx->learnConstant(Lit(m, false), cls.constValue);
+              ctx.learnConstant(Lit(m, false), cls.constValue);
             } else {
               ++out.stats.satMerges;
-              learn(Lit(m, false), target);
+              ctx.learnEquiv(Lit(m, false), target);
             }
             break;
           }
           case sat::Verdict::Fails: {
             ++out.stats.satRefuted;
-            ctx->recordRefuted(Lit(m, false), target);
+            ctx.recordRefuted(Lit(m, false), target);
             for (std::size_t i = 0; i < support.size(); ++i) {
-              const std::uint64_t bit = ctx->modelOf(support[i]) ? 1 : 0;
+              const std::uint64_t bit = ctx.modelOf(support[i]) ? 1 : 0;
               cexBits[i] |= bit << cexCount;
             }
             ++cexCount;

@@ -29,19 +29,17 @@
 // similar (one root-level proof subsumes everything below).
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
 #include "aig/aig.hpp"
+#include "sweep/sweep_context.hpp"
 
 namespace cbq::util {
 class ThreadPool;
 }
 
 namespace cbq::sweep {
-
-class SweepContext;
 
 struct SweepOptions {
   int numWords = 2;               ///< initial random simulation words/node
@@ -50,23 +48,10 @@ struct SweepOptions {
                                   ///  numWords + maxRounds, so cex appends
                                   ///  never hit the cap)
   std::int64_t satBudget = 2000;  ///< conflicts per SAT equivalence query
-  std::size_t bddNodeLimit = 2000;///< shared BDD manager limit (0 = off)
   bool useBdd = true;             ///< enable layer 2
   bool useSat = true;             ///< enable layer 3
   bool backward = false;          ///< outputs-first compare-point order
-  bool learnEquivalences = true;  ///< assert proven merges as clauses
   std::uint64_t seed = 0x5eed;    ///< simulation seed
-
-  /// Cooperative stop, polled once per SAT compare-point check. Sweeping
-  /// is an optimization: when the callback fires, the rounds stop and the
-  /// cones are rebuilt with whatever merges are already proven (sound).
-  std::function<bool()> interrupt{};
-
-  /// Persistent sweep session (circuit solver + pair cache shared across
-  /// calls). When null, each sweep() builds a private throwaway session —
-  /// the pre-session behaviour. The context must be bound (or bindable)
-  /// to the same manager the sweep runs in; sweep() calls bind() itself.
-  SweepContext* context = nullptr;
 
   /// Intra-sweep parallelism (non-owning; null = serial): signature
   /// simulation runs stratum-parallel and class refinement shards across
@@ -99,7 +84,13 @@ struct SweepResult {
 /// Detects equivalent nodes in the cones of `roots` and rebuilds the cones
 /// with merges applied. New nodes are added to `aig`; the returned literals
 /// express the same functions as the inputs.
+///
+/// Every SAT check runs on `ctx`'s circuit solver and consults its pair
+/// cache; sweep() binds `ctx` to `aig` itself. `ctx.interrupted()` is
+/// polled once per SAT compare point: sweeping is an optimization, so
+/// when it fires the rounds stop and the cones are rebuilt with the
+/// merges already proven (sound).
 SweepResult sweep(aig::Aig& aig, std::span<const aig::Lit> roots,
-                  const SweepOptions& opts = {});
+                  const SweepOptions& opts, SweepContext& ctx);
 
 }  // namespace cbq::sweep

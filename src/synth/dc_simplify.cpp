@@ -193,7 +193,7 @@ bool inputDcPhase(aig::Aig& aig, Lit fRef, CareSim& sim,
     int cexCount = 0;
 
     for (const NodeId n : targetOrder) {
-      if (opts.interrupt && opts.interrupt()) {
+      if (ctx.interrupted()) {
         interrupted = true;  // keep the replacements proven so far
         break;
       }
@@ -267,14 +267,15 @@ bool inputDcPhase(aig::Aig& aig, Lit fRef, CareSim& sim,
 /// Phase B: ODC attempts n := 0/1 on out.target, each committed only when
 /// the paper's equivalence check fRef ∨ fTgt' ≡ fRef ∨ fTgt answers
 /// Holds. An attempt that a banked care-set pattern already refutes skips
-/// the rebuild and the SAT call; every SAT refutation grows the bank.
+/// the rebuild and the SAT call; every SAT refutation grows the bank. The
+/// interrupt is polled before each attempt.
 void odcPhase(aig::Aig& aig, Lit fRef, CareSim& sim, sweep::SweepContext& ctx,
               util::Random& rng, const DcOptions& opts, DcResult& out) {
   CBQ_OBS_SPAN("synth", "odc");
   int attempts = 0;
   bool changed = true;
-  while (changed && attempts < opts.odcAttempts &&
-         !(opts.interrupt && opts.interrupt())) {
+  bool interrupted = false;
+  while (changed && attempts < opts.odcAttempts) {
     changed = false;
     const Lit current = out.target;
     sim.retarget(current);
@@ -285,6 +286,10 @@ void odcPhase(aig::Aig& aig, Lit fRef, CareSim& sim, sweep::SweepContext& ctx,
       if (attempts >= opts.odcAttempts) break;
       for (const bool value : {false, true}) {
         if (attempts >= opts.odcAttempts) break;
+        if (ctx.interrupted()) {
+          interrupted = true;  // keep the replacements committed so far
+          break;
+        }
         ++attempts;
         if (sim.refutesOdc(n, value)) {
           ++out.stats.odcSimRefuted;
@@ -322,16 +327,17 @@ void odcPhase(aig::Aig& aig, Lit fRef, CareSim& sim, sweep::SweepContext& ctx,
         if (changed) break;
       }
       if (changed) break;  // restart scan on the new, smaller cone
+      if (interrupted) break;
     }
   }
-  if (opts.context != nullptr)
-    ctx.noteOdcOutcome(static_cast<std::size_t>(attempts),
-                       out.stats.odcReplacements);
+  ctx.noteOdcOutcome(static_cast<std::size_t>(attempts),
+                     out.stats.odcReplacements);
 }
 
 }  // namespace
 
-DcResult dcSimplify(aig::Aig& aig, Lit fRef, Lit fTgt, const DcOptions& opts) {
+DcResult dcSimplify(aig::Aig& aig, Lit fRef, Lit fTgt, const DcOptions& opts,
+                    sweep::SweepContext& ctx) {
   DcResult out;
   out.target = fTgt;
   {
@@ -351,28 +357,22 @@ DcResult dcSimplify(aig::Aig& aig, Lit fRef, Lit fTgt, const DcOptions& opts) {
               std::max(opts.numWords, 1) + std::max(opts.maxRounds, 0) +
                   kOdcBankWords);
 
-  // Share the run's persistent solver when a session is provided (every
-  // query below is assumption-only); otherwise a private one.
-  sweep::SweepContext localCtx;
-  sweep::SweepContext* ctx =
-      opts.context != nullptr ? opts.context : &localCtx;
-  ctx->bind(aig);
+  ctx.bind(aig);
   {
     // Phase A never grows the manager, so the joint cone covers every
     // input-DC query; phase B re-focuses per attempt (its miters may
     // strash onto nodes outside this cone).
     const Lit focusRoots[] = {fRef, fTgt};
-    ctx->focusOn(focusRoots);
+    ctx.focusOn(focusRoots);
   }
 
-  const bool finished = inputDcPhase(aig, fRef, sim, *ctx, rng, opts, out);
+  const bool finished = inputDcPhase(aig, fRef, sim, ctx, rng, opts, out);
 
   // Feedback-gated: each validation is a global equivalence proof over
   // fRef ∨ fTgt, which on some workloads never accepts — the session's
   // accept-rate tracker turns the phase off there (with re-probes).
-  if (opts.useOdc && finished &&
-      (opts.context == nullptr || ctx->shouldAttemptOdc()))
-    odcPhase(aig, fRef, sim, *ctx, rng, opts, out);
+  if (opts.useOdc && finished && ctx.shouldAttemptOdc())
+    odcPhase(aig, fRef, sim, ctx, rng, opts, out);
 
   {
     const Lit roots[] = {out.target};

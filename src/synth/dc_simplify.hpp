@@ -27,14 +27,10 @@
 //    the forced node changes the target refutes it without SAT.
 
 #include <cstdint>
-#include <functional>
 #include <span>
 
 #include "aig/aig.hpp"
-
-namespace cbq::sweep {
-class SweepContext;
-}
+#include "sweep/sweep_context.hpp"
 
 namespace cbq::synth {
 
@@ -45,18 +41,6 @@ struct DcOptions {
   bool useOdc = true;              ///< enable the ODC phase
   int odcAttempts = 48;            ///< max globally-verified ODC trials
   std::uint64_t seed = 0xdc;       ///< simulation seed
-
-  /// Cooperative stop, polled once per SAT query site. Simplification is
-  /// an optimization: when the callback fires, the phases stop early and
-  /// the current (sound) result is returned.
-  std::function<bool()> interrupt{};
-
-  /// Persistent sweep session whose circuit solver the DC checks share
-  /// (all queries here are assumption-only, so they coexist with the
-  /// sweeping checks in one solver). Care-set-relative equivalences are
-  /// NOT recorded in the session's pair cache — they only hold under
-  /// ¬fRef, not globally. Null = private throwaway solver per call.
-  sweep::SweepContext* context = nullptr;
 };
 
 struct DcStats {
@@ -80,8 +64,17 @@ struct DcResult {
 
 /// Simplifies `fTgt` using the onset of `fRef` as a don't-care set.
 /// Postcondition: fRef ∨ result ≡ fRef ∨ fTgt.
+///
+/// Every check runs on `ctx`'s circuit solver (all queries are
+/// assumption-only, so they coexist with the sweeping checks). Care-set
+/// equivalences hold only under ¬fRef and are NOT recorded in the pair
+/// cache. `ctx.interrupted()` is polled before every input-DC query and
+/// every ODC attempt: when it fires, the phases stop and the current
+/// (sound) result is returned.
+/// The ODC phase runs while the context's accept-rate gate
+/// (SweepContext::shouldAttemptOdc) lets it.
 DcResult dcSimplify(aig::Aig& aig, aig::Lit fRef, aig::Lit fTgt,
-                    const DcOptions& opts = {});
+                    const DcOptions& opts, sweep::SweepContext& ctx);
 
 /// Structural cleanup: rebuilds the cones through the manager's
 /// construction rules (strash + one/two-level rewrites). Cheap and always

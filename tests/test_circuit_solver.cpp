@@ -88,8 +88,9 @@ TEST(CircuitSolver, BudgetZeroIsUnknown) {
   const aig::Lit a = test::randomFormula(g, rng, kVars, 40);
   const aig::Lit b = test::randomFormula(g, rng, kVars, 40);
   sat::CircuitSolver s(g);
-  if (a != b && a != !b)
+  if (a != b && a != !b) {
     EXPECT_EQ(sat::checkEquiv(s, a, b, 0), Verdict::Unknown);
+  }
 }
 
 TEST(CircuitSolver, InterruptThenResume) {
@@ -196,8 +197,9 @@ TEST_P(CircuitDiff, AgreesUnderAssumptionsAndFocus) {
     }
   }
   EXPECT_EQ(stCir == sat::Status::Sat, satisfiable);
-  if (stCir == sat::Status::Sat)
+  if (stCir == sat::Status::Sat) {
     EXPECT_TRUE(g.evaluate(f, denseModel(cir, kVars)));
+  }
 }
 
 TEST_P(CircuitDiff, LearntGatesAccumulateWithoutChangingAnswers) {

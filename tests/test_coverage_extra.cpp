@@ -50,20 +50,9 @@ TEST(SweepOptions, RoundLimitIsHonoured) {
   sweep::SweepOptions opts;
   opts.maxRounds = 1;
   const aig::Lit roots[] = {f};
-  const auto r = sweep::sweep(g, roots, opts);
+  sweep::SweepContext ctx;
+  const auto r = sweep::sweep(g, roots, opts, ctx);
   EXPECT_LE(r.stats.rounds, 1u);
-  EXPECT_EQ(test::truthTable(g, r.roots[0], 5),
-            test::truthTable(g, f, 5));
-}
-
-TEST(SweepOptions, LearningOffStillSound) {
-  aig::Aig g;
-  util::Random rng(6);
-  const auto f = test::randomFormula(g, rng, 5, 60);
-  sweep::SweepOptions opts;
-  opts.learnEquivalences = false;
-  const aig::Lit roots[] = {f};
-  const auto r = sweep::sweep(g, roots, opts);
   EXPECT_EQ(test::truthTable(g, r.roots[0], 5),
             test::truthTable(g, f, 5));
 }
@@ -80,7 +69,8 @@ TEST(SweepOptions, MoreSimulationWordsReduceFalseCandidates) {
     sweep::SweepOptions opts;
     opts.numWords = words;
     const aig::Lit roots[] = {f};
-    const auto r = sweep::sweep(g, roots, opts);
+    sweep::SweepContext ctx;
+    const auto r = sweep::sweep(g, roots, opts, ctx);
     EXPECT_FALSE(r.roots[0].isConstant()) << words;
   }
 }
@@ -138,7 +128,8 @@ TEST(Sat, SustainedIncrementalLoad) {
 
 TEST(QuantExtra, VarsOutsideSupportAreFreeToQuantify) {
   aig::Aig g;
-  quant::Quantifier q(g);
+  sweep::SweepContext ctx;
+  quant::Quantifier q(g, {}, ctx);
   const aig::Lit f = g.mkAnd(g.pi(0), g.pi(1));
   const aig::VarId vars[] = {5, 6, 7};
   const auto r = q.quantifyAll(f, vars);
@@ -150,7 +141,8 @@ TEST(QuantExtra, MaxConeGaugeTracksPeak) {
   aig::Aig g;
   util::Random rng(23);
   const auto f = test::randomFormula(g, rng, 6, 60);
-  quant::Quantifier q(g);
+  sweep::SweepContext ctx;
+  quant::Quantifier q(g, {}, ctx);
   q.quantifyVarForced(f, 0);
   EXPECT_GT(q.stats().gauge("quant.max_cone"), 0.0);
 }

@@ -154,13 +154,11 @@ TEST(Engines, BmcDepthLimitYieldsUnknownOnDeepBug) {
   EXPECT_EQ(engine.check(inst.net).verdict, Verdict::Unknown);
 }
 
-TEST(Engines, InductionWithoutUniquePathWeaker) {
-  // The arbiter's one-hot invariant is not inductive without the
-  // simple-path strengthening at small k; with it, induction closes.
+TEST(Engines, InductionWithSimplePathClosesRing) {
+  // k-induction with its simple-path (state-distinct) constraints proves
+  // the safe ring.
   const auto inst = circuits::makeInstance("ring", 4, true);
-  mc::InductionOptions with;
-  with.uniquePath = true;
-  const auto r = mc::KInduction(with).check(inst.net);
+  const auto r = mc::KInduction().check(inst.net);
   EXPECT_EQ(r.verdict, Verdict::Safe);
 }
 
@@ -183,19 +181,15 @@ TEST(Engines, AllSatEnumerationCapGivesUnknown) {
 }
 
 TEST(Engines, CompactionDoesNotChangeVerdicts) {
-  for (const bool compact : {false, true}) {
-    mc::CircuitQuantReachOptions opts;
-    opts.compaction.enabled = compact;
-    // Force a compaction on every iteration when enabled — the harshest
-    // setting for the persistent session (rebind each time).
-    opts.compaction.garbageRatio = 0.0;
-    opts.compaction.minNodes = 0;
-    mc::CircuitQuantReach engine(opts);
-    const auto safeInst = circuits::makeInstance("lfsr", 4, true);
-    EXPECT_EQ(engine.check(safeInst.net).verdict, Verdict::Safe);
-    const auto badInst = circuits::makeInstance("lfsr", 4, false);
-    EXPECT_EQ(engine.check(badInst.net).verdict, Verdict::Unsafe);
-  }
+  // The engine compacts after every committed iteration — the harshest
+  // setting for the persistent session (a remap each time).
+  mc::CircuitQuantReach engine;
+  const auto safeInst = circuits::makeInstance("lfsr", 4, true);
+  EXPECT_EQ(engine.check(safeInst.net).verdict, Verdict::Safe);
+  const auto badInst = circuits::makeInstance("lfsr", 4, false);
+  const auto bad = engine.check(badInst.net);
+  EXPECT_EQ(bad.verdict, Verdict::Unsafe);
+  EXPECT_GE(bad.stats.count("reach.compactions"), 1);
 }
 
 TEST(Preprocess, QuantifyingInputsPreservesVerdicts) {

@@ -147,7 +147,8 @@ TEST(ParallelSweep, MergesIdenticalAtAnyLaneCount) {
       sweep::SweepOptions opts;
       opts.pool = pool;
       const Lit roots[] = {a, b};
-      return sweep::sweep(g, roots, opts);
+      sweep::SweepContext ctx;
+      return sweep::sweep(g, roots, opts, ctx);
     };
     const auto serial = runSweep(nullptr);
     EXPECT_EQ(test::truthTable(g, serial.roots[0], 6), ttA);

@@ -186,8 +186,9 @@ TEST(PortfolioRunner, WinnerMatchesSequentialVerdictOnRandomModels) {
         << "seed " << seed;
     // An accepted Unsafe must carry a replay-checked counterexample
     // whenever the winning engine produces traces.
-    if (pr.best.verdict == Verdict::Unsafe && pr.best.cex.has_value())
+    if (pr.best.verdict == Verdict::Unsafe && pr.best.cex.has_value()) {
       EXPECT_TRUE(mc::replayHitsBad(net, *pr.best.cex)) << "seed " << seed;
+    }
   }
 }
 

@@ -44,7 +44,8 @@ TEST_P(QuantRandomized, SingleVarMatchesBddReference) {
   util::Random rng(static_cast<std::uint64_t>(GetParam()) * 211 + 1);
   Aig g;
   const Lit f = test::randomFormula(g, rng, 5, 50);
-  Quantifier q(g);
+  sweep::SweepContext ctx;
+  Quantifier q(g, {}, ctx);
   for (VarId v = 0; v < 5; ++v) {
     const Lit r = q.quantifyVarForced(f, v);
     EXPECT_FALSE(g.dependsOn(r, v));
@@ -64,16 +65,14 @@ TEST_P(QuantRandomized, PipelineVariantsAllCorrect) {
 
   for (const bool merge : {false, true}) {
     for (const bool opt : {false, true}) {
-      for (const bool finalSweep : {false, true}) {
-        QuantOptions o;
-        o.mergePhase = merge;
-        o.optPhase = opt;
-        o.finalSweep = finalSweep;
-        Quantifier q(g, o);
-        const Lit r = q.quantifyVarForced(f, v);
-        EXPECT_EQ(test::truthTable(g, r, 5), expect)
-            << "merge=" << merge << " opt=" << opt << " fs=" << finalSweep;
-      }
+      QuantOptions o;
+      o.mergePhase = merge;
+      o.optPhase = opt;
+      sweep::SweepContext ctx;
+      Quantifier q(g, o, ctx);
+      const Lit r = q.quantifyVarForced(f, v);
+      EXPECT_EQ(test::truthTable(g, r, 5), expect)
+          << "merge=" << merge << " opt=" << opt;
     }
   }
 }
@@ -83,7 +82,8 @@ TEST_P(QuantRandomized, MultiVarMatchesBddReference) {
   Aig g;
   const Lit f = test::randomFormula(g, rng, 6, 60);
   const VarId vars[] = {0, 2, 4};
-  Quantifier q(g);
+  sweep::SweepContext ctx;
+  Quantifier q(g, {}, ctx);
   const auto r = q.quantifyAll(f, vars);
   EXPECT_TRUE(r.residual.empty());  // defaults should manage these sizes
   for (const VarId v : vars) EXPECT_FALSE(g.dependsOn(r.f, v));
@@ -95,7 +95,8 @@ TEST_P(QuantRandomized, QuantifyingFullSupportYieldsConstant) {
   Aig g;
   const Lit f = test::randomFormula(g, rng, 5, 40);
   const VarId vars[] = {0, 1, 2, 3, 4};
-  Quantifier q(g);
+  sweep::SweepContext ctx;
+  Quantifier q(g, {}, ctx);
   const auto r = q.quantifyAll(f, vars);
   ASSERT_TRUE(r.residual.empty());
   ASSERT_TRUE(r.f.isConstant());
@@ -110,7 +111,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, QuantRandomized, ::testing::Range(0, 10));
 
 TEST(Quant, TrivialCases) {
   Aig g;
-  Quantifier q(g);
+  sweep::SweepContext ctx;
+  Quantifier q(g, {}, ctx);
   // Constants and non-support variables.
   EXPECT_EQ(q.quantifyVarForced(aig::kTrue, 0), aig::kTrue);
   EXPECT_EQ(q.quantifyVarForced(aig::kFalse, 0), aig::kFalse);
@@ -127,7 +129,8 @@ TEST(Quant, EqualCofactorsShortCircuit) {
   Aig g;
   // f = y | (x & !x & ...) — x vanishes: cofactors equal.
   const Lit f = g.mkOr(g.pi(1), g.mkAnd(g.pi(0), aig::kFalse));
-  Quantifier q(g);
+  sweep::SweepContext ctx;
+  Quantifier q(g, {}, ctx);
   EXPECT_EQ(q.quantifyVarForced(f, 0), g.pi(1));
   EXPECT_EQ(q.stats().count("quant.vars_trivial"), 1);
 }
@@ -136,7 +139,8 @@ TEST(Quant, OppositeCofactorsGiveTautology) {
   Aig g;
   // f = x XOR y: cofactors w.r.t. x are y and !y -> ∃x.f = true.
   const Lit f = g.mkXor(g.pi(0), g.pi(1));
-  Quantifier q(g);
+  sweep::SweepContext ctx;
+  Quantifier q(g, {}, ctx);
   EXPECT_EQ(q.quantifyVarForced(f, 0), aig::kTrue);
 }
 
@@ -154,7 +158,8 @@ TEST(Quant, AbortOnTinyGrowthBudget) {
   o.growthSlack = 0;
   o.mergePhase = false;
   o.optPhase = false;
-  Quantifier q(g, o);
+  sweep::SweepContext ctx;
+  Quantifier q(g, o, ctx);
   const auto r = q.quantifyVar(f, pick);
   EXPECT_FALSE(r.has_value());
   EXPECT_EQ(q.stats().count("quant.vars_aborted"), 1);
@@ -170,7 +175,8 @@ TEST(Quant, PartialQuantificationReportsResiduals) {
   o.mergePhase = false;
   o.optPhase = false;
   o.abortRetries = 0;
-  Quantifier q(g, o);
+  sweep::SweepContext ctx;
+  Quantifier q(g, o, ctx);
   const auto support = g.supportVars(f);
   const auto r = q.quantifyAll(f, support);
   // Whatever was aborted must still be in the result's support; whatever
@@ -194,7 +200,8 @@ TEST(Quant, ForcedModeIgnoresGrowthBudget) {
   QuantOptions o;
   o.growthLimit = 0.0;
   o.growthSlack = 0;
-  Quantifier q(g, o);
+  sweep::SweepContext ctx;
+  Quantifier q(g, o, ctx);
   const Lit r = q.quantifyVarForced(f, 0);
   EXPECT_FALSE(g.dependsOn(r, 0));
 }
@@ -203,7 +210,8 @@ TEST(Quant, StatsAccumulateAcrossCalls) {
   Aig g;
   util::Random rng(80);
   const Lit f = test::randomFormula(g, rng, 5, 50);
-  Quantifier q(g);
+  sweep::SweepContext ctx;
+  Quantifier q(g, {}, ctx);
   q.quantifyVarForced(f, 0);
   q.quantifyVarForced(f, 1);
   EXPECT_GE(q.stats().count("quant.vars_attempted"), 2);
@@ -214,7 +222,8 @@ TEST(Quant, StatsAccumulateAcrossCalls) {
 
 TEST(QuantSubstitution, LiteralConjunct) {
   Aig g;
-  Quantifier q(g);
+  sweep::SweepContext ctx;
+  Quantifier q(g, {}, ctx);
   // ∃v.(v ∧ R) = R[v := 1].
   const Lit v = g.pi(0);
   const Lit rest = g.mkOr(g.pi(1), g.mkAnd(v, g.pi(2)));
@@ -229,7 +238,8 @@ TEST(QuantSubstitution, LiteralConjunct) {
 
 TEST(QuantSubstitution, NegatedLiteralConjunct) {
   Aig g;
-  Quantifier q(g);
+  sweep::SweepContext ctx;
+  Quantifier q(g, {}, ctx);
   const Lit v = g.pi(0);
   const Lit f = g.mkAnd(!v, g.mkOr(v, g.pi(1)));
   const auto r = q.quantifyBySubstitution(f, 0);
@@ -239,7 +249,8 @@ TEST(QuantSubstitution, NegatedLiteralConjunct) {
 
 TEST(QuantSubstitution, DefinitionConjunct) {
   Aig g;
-  Quantifier q(g);
+  sweep::SweepContext ctx;
+  Quantifier q(g, {}, ctx);
   // ∃v.((v ↔ a&b) ∧ (v | c)) = (a&b) | c.
   const Lit v = g.pi(0);
   const Lit def = g.mkAnd(g.pi(1), g.pi(2));
@@ -252,7 +263,8 @@ TEST(QuantSubstitution, DefinitionConjunct) {
 
 TEST(QuantSubstitution, ComplementedDefinitionForms) {
   Aig g;
-  Quantifier q(g);
+  sweep::SweepContext ctx;
+  Quantifier q(g, {}, ctx);
   const Lit v = g.pi(0);
   const Lit gdef = g.mkXor(g.pi(1), g.pi(2));
   // XNOR(¬v, g) ≡ v ↔ ¬g; the rule must recover def = ¬g.
@@ -265,7 +277,8 @@ TEST(QuantSubstitution, ComplementedDefinitionForms) {
 
 TEST(QuantSubstitution, RejectsSelfReferentialDefinition) {
   Aig g;
-  Quantifier q(g);
+  sweep::SweepContext ctx;
+  Quantifier q(g, {}, ctx);
   // v ↔ (v & a) is not a definition (g depends on v): no substitution.
   const Lit v = g.pi(0);
   const Lit f = g.mkAnd(g.mkXnor(v, g.mkAnd(v, g.pi(1))), g.pi(2));
@@ -274,7 +287,8 @@ TEST(QuantSubstitution, RejectsSelfReferentialDefinition) {
 
 TEST(QuantSubstitution, NoDefinitionMeansNullopt) {
   Aig g;
-  Quantifier q(g);
+  sweep::SweepContext ctx;
+  Quantifier q(g, {}, ctx);
   const Lit f = g.mkOr(g.pi(0), g.pi(1));  // OR at top: no conjuncts
   EXPECT_FALSE(q.quantifyBySubstitution(f, 0).has_value());
   const Lit f2 = g.mkAnd(g.mkOr(g.pi(0), g.pi(1)), g.pi(2));
@@ -293,10 +307,11 @@ TEST(QuantSubstitution, AgreesWithGeneralPipelineRandomized) {
 
     QuantOptions noSub;
     noSub.useSubstitution = false;
-    Quantifier qGeneral(g, noSub);
+    sweep::SweepContext ctx;
+    Quantifier qGeneral(g, noSub, ctx);
     const Lit viaCofactors = qGeneral.quantifyVarForced(f, 0);
 
-    Quantifier qSub(g);
+    Quantifier qSub(g, {}, ctx);
     const auto viaSub = qSub.quantifyBySubstitution(f, 0);
     ASSERT_TRUE(viaSub.has_value()) << "round " << round;
     EXPECT_TRUE(test::equivalentExhaustive(g, viaCofactors, *viaSub, 5))
@@ -307,7 +322,8 @@ TEST(QuantSubstitution, AgreesWithGeneralPipelineRandomized) {
 TEST(QuantSubstitution, FastPathUsedByQuantifyVar) {
   Aig g;
   QuantOptions opts;  // substitution on by default
-  Quantifier q(g, opts);
+  sweep::SweepContext ctx;
+  Quantifier q(g, opts, ctx);
   const Lit v = g.pi(0);
   const Lit f = g.mkAnd(g.mkXnor(v, g.pi(1)), g.mkOr(v, g.pi(2)));
   const auto r = q.quantifyVar(f, 0);
@@ -327,7 +343,8 @@ TEST(Quant, SchedulingPrefersCheaperVariable) {
     deep = g.mkXor(deep, test::randomFormula(g, rng, 4, 6));
   const Lit f = g.mkOr(g.mkAnd(g.pi(0), g.pi(2)), deep);
   const VarId vars[] = {0, 1};
-  Quantifier q(g);
+  sweep::SweepContext ctx;
+  Quantifier q(g, {}, ctx);
   const auto r = q.quantifyAll(f, vars);
   EXPECT_TRUE(r.residual.empty());
   EXPECT_FALSE(g.dependsOn(r.f, 0));

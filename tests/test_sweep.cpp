@@ -14,6 +14,7 @@ namespace {
 using aig::Aig;
 using aig::Lit;
 using sweep::sweep;
+using sweep::SweepContext;
 using sweep::SweepOptions;
 
 class SweepRandomized : public ::testing::TestWithParam<int> {};
@@ -27,7 +28,8 @@ TEST_P(SweepRandomized, PreservesSemantics) {
   const auto ttB = test::truthTable(g, b, 5);
 
   const Lit roots[] = {a, b};
-  const auto result = sweep(g, roots, {});
+  SweepContext ctx;
+  const auto result = sweep(g, roots, {}, ctx);
   EXPECT_EQ(test::truthTable(g, result.roots[0], 5), ttA);
   EXPECT_EQ(test::truthTable(g, result.roots[1], 5), ttB);
   EXPECT_LE(result.stats.nodesAfter, result.stats.nodesBefore);
@@ -41,7 +43,8 @@ TEST_P(SweepRandomized, BackwardModePreservesSemantics) {
   SweepOptions opts;
   opts.backward = true;
   const Lit roots[] = {a};
-  const auto result = sweep(g, roots, opts);
+  SweepContext ctx;
+  const auto result = sweep(g, roots, opts, ctx);
   EXPECT_EQ(test::truthTable(g, result.roots[0], 5), tt);
 }
 
@@ -54,13 +57,17 @@ TEST_P(SweepRandomized, SatOnlyAndBddOnlyLayersAreSound) {
     SweepOptions opts;
     opts.useBdd = false;
     const Lit roots[] = {a};
-    EXPECT_EQ(test::truthTable(g, sweep(g, roots, opts).roots[0], 5), tt);
+    SweepContext ctx;
+    EXPECT_EQ(test::truthTable(g, sweep(g, roots, opts, ctx).roots[0], 5),
+              tt);
   }
   {
     SweepOptions opts;
     opts.useSat = false;
     const Lit roots[] = {a};
-    EXPECT_EQ(test::truthTable(g, sweep(g, roots, opts).roots[0], 5), tt);
+    SweepContext ctx;
+    EXPECT_EQ(test::truthTable(g, sweep(g, roots, opts, ctx).roots[0], 5),
+              tt);
   }
 }
 
@@ -83,7 +90,8 @@ TEST(Sweep, MergesPlantedEquivalence) {
   auto [f1, f2] = plantEquivalentPair(g);
   // Wrap both in a common observer so the merged cone is measurable.
   const Lit roots[] = {f1, f2};
-  const auto result = sweep(g, roots, {});
+  SweepContext ctx;
+  const auto result = sweep(g, roots, {}, ctx);
   EXPECT_EQ(result.roots[0], result.roots[1]);
   EXPECT_GT(result.stats.bddMerges + result.stats.satMerges, 0u);
 }
@@ -97,7 +105,8 @@ TEST(Sweep, MergesComplementedEquivalence) {
   const Lit f1 = !g.mkAnd(a, b);
   const Lit f2 = g.mkOr(!a, !b);
   const Lit roots[] = {f1, f2};
-  const auto r = sweep(g, roots, {});
+  SweepContext ctx;
+  const auto r = sweep(g, roots, {}, ctx);
   EXPECT_EQ(r.roots[0], r.roots[1]);
 }
 
@@ -111,7 +120,8 @@ TEST(Sweep, DetectsConstantNodes) {
                         g.mkAnd(g.mkOr(a, !b), g.mkOr(!a, !b)));
   if (f.isConstant()) GTEST_SKIP() << "construction rules already folded it";
   const Lit roots[] = {f};
-  const auto r = sweep(g, roots, {});
+  SweepContext ctx;
+  const auto r = sweep(g, roots, {}, ctx);
   EXPECT_TRUE(r.roots[0].isFalse());
   EXPECT_GT(r.stats.constMerges, 0u);
 }
@@ -122,7 +132,8 @@ TEST(Sweep, SatOnlyFindsPlantedEquivalence) {
   SweepOptions opts;
   opts.useBdd = false;
   const Lit roots[] = {f1, f2};
-  const auto r = sweep(g, roots, opts);
+  SweepContext ctx;
+  const auto r = sweep(g, roots, opts, ctx);
   EXPECT_EQ(r.roots[0], r.roots[1]);
   EXPECT_GT(r.stats.satMerges, 0u);
   EXPECT_GT(r.stats.satChecks, 0u);
@@ -134,7 +145,8 @@ TEST(Sweep, BddOnlyFindsPlantedEquivalence) {
   SweepOptions opts;
   opts.useSat = false;
   const Lit roots[] = {f1, f2};
-  const auto r = sweep(g, roots, opts);
+  SweepContext ctx;
+  const auto r = sweep(g, roots, opts, ctx);
   EXPECT_EQ(r.roots[0], r.roots[1]);
   EXPECT_GT(r.stats.bddMerges, 0u);
 }
@@ -156,7 +168,8 @@ TEST(Sweep, RefutationsRefineSignatures) {
     opts.numWords = 1;
     opts.seed = seed;
     const Lit roots[] = {allOnes};
-    const auto r = sweep(g, roots, opts);
+    SweepContext ctx;
+    const auto r = sweep(g, roots, opts, ctx);
     EXPECT_FALSE(r.roots[0].isConstant());  // never merged wrongly
     sawRefutation = r.stats.satRefuted >= 1;
   }
@@ -179,7 +192,8 @@ TEST(Sweep, FullArenaRefusesAppendsButStaysSound) {
     opts.maxWords = 1;  // no room for counterexample columns
     opts.seed = seed;
     const Lit roots[] = {allOnes};
-    const auto r = sweep(g, roots, opts);
+    SweepContext ctx;
+    const auto r = sweep(g, roots, opts, ctx);
     EXPECT_FALSE(r.roots[0].isConstant());
     if (r.stats.satRefuted >= 1) {
       EXPECT_GE(r.stats.arenaFull, 1u);
@@ -192,7 +206,8 @@ TEST(Sweep, FullArenaRefusesAppendsButStaysSound) {
 TEST(Sweep, ConstantAndPiRootsSurvive) {
   Aig g;
   const Lit roots[] = {aig::kTrue, g.pi(3), aig::kFalse};
-  const auto r = sweep(g, roots, {});
+  SweepContext ctx;
+  const auto r = sweep(g, roots, {}, ctx);
   EXPECT_EQ(r.roots[0], aig::kTrue);
   EXPECT_EQ(r.roots[1], g.pi(3));
   EXPECT_EQ(r.roots[2], aig::kFalse);
@@ -211,7 +226,8 @@ TEST(Sweep, CofactorPairScenarioSharesAggressively) {
   SweepOptions opts;
   opts.backward = true;
   const Lit roots[] = {f0, f1};
-  const auto r = sweep(g, roots, opts);
+  SweepContext ctx;
+  const auto r = sweep(g, roots, opts, ctx);
   const auto t0 = test::truthTable(g, r.roots[0], 6);
   const auto t1 = test::truthTable(g, r.roots[1], 6);
   EXPECT_EQ(t0, test::truthTable(g, f0, 6));
@@ -223,7 +239,8 @@ TEST(Sweep, StatsAreConsistent) {
   util::Random rng(7);
   const Lit f = test::randomFormula(g, rng, 5, 60);
   const Lit roots[] = {f};
-  const auto r = sweep(g, roots, {});
+  SweepContext ctx;
+  const auto r = sweep(g, roots, {}, ctx);
   EXPECT_GE(r.stats.satChecks, r.stats.satMerges + r.stats.satRefuted);
   EXPECT_GE(r.stats.rounds, 1u);
 }

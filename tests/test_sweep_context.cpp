@@ -1,18 +1,25 @@
 // Persistent sweep-session tests: context-shared sweeps must agree with
 // fresh-context sweeps across successive calls, the pair cache must be
-// dropped (or correctly remapped) when the manager identity changes, and
+// dropped (or correctly remapped) when the manager identity changes, the
+// context's interrupt must reach every poll site (sweeper, both DC
+// phases, the quantifier's variable schedule) and leave sound results,
 // the flat signature engine's incremental appendWord / refreshWord must
 // be bit-for-bit identical to a full resimulation, and its forced-node
 // resimulation must agree with an explicit rebuild.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "cnf/aig_cnf.hpp"
 #include "helpers.hpp"
+#include "quant/quantifier.hpp"
 #include "sat/solver.hpp"
 #include "sweep/signatures.hpp"
 #include "sweep/sweep_context.hpp"
 #include "sweep/sweeper.hpp"
+#include "synth/dc_simplify.hpp"
 #include "util/random.hpp"
 
 namespace cbq {
@@ -41,17 +48,15 @@ TEST_P(SweepContextRandomized, PersistentAgreesWithFreshAcrossCalls) {
     const Lit f = formulas.back();
     const auto tt = test::truthTable(g, f, 5);
 
-    SweepOptions withCtx;
-    withCtx.context = &ctx;
-    withCtx.seed = seed + static_cast<std::uint64_t>(call);
+    SweepOptions opts;
+    opts.seed = seed + static_cast<std::uint64_t>(call);
     const Lit roots[] = {f};
-    const auto persistent = sweep(g, roots, withCtx);
+    const auto persistent = sweep(g, roots, opts, ctx);
     EXPECT_EQ(test::truthTable(g, persistent.roots[0], 5), tt)
         << "call " << call;
 
-    SweepOptions freshOpts;
-    freshOpts.seed = seed + static_cast<std::uint64_t>(call);
-    const auto fresh = sweep(g, roots, freshOpts);
+    SweepContext freshCtx;
+    const auto fresh = sweep(g, roots, opts, freshCtx);
     EXPECT_EQ(test::truthTable(g, fresh.roots[0], 5), tt) << "call " << call;
     // Both pipelines must agree on the function; structure may differ
     // (the persistent context can merge through cached facts).
@@ -77,14 +82,13 @@ TEST_P(SweepContextRandomized, RepeatSweepHitsPairCache) {
 
   SweepContext ctx;
   SweepOptions opts;
-  opts.context = &ctx;
   opts.useBdd = false;  // force the SAT layer to do the proving
-  const auto first = sweep(g, roots, opts);
+  const auto first = sweep(g, roots, opts, ctx);
   const auto lookupsAfterFirst = ctx.counters().lookups;
 
   // Same roots again: everything provable was recorded, so the second
   // call must consult the cache and issue no more SAT checks than before.
-  const auto second = sweep(g, roots, opts);
+  const auto second = sweep(g, roots, opts, ctx);
   EXPECT_GT(ctx.counters().lookups, lookupsAfterFirst);
   EXPECT_LE(second.stats.satChecks, first.stats.satChecks);
   if (first.stats.satMerges > 0) {
@@ -158,11 +162,9 @@ TEST(SweepContext, SweepAfterCompactionStaysSound) {
     Aig g;
     SweepContext ctx;
     Lit f = test::randomFormula(g, rng, 5, 50);
-    SweepOptions opts;
-    opts.context = &ctx;
     {
       const Lit roots[] = {f};
-      f = sweep(g, roots, opts).roots[0];
+      f = sweep(g, roots, {}, ctx).roots[0];
     }
     const auto tt = test::truthTable(g, f, 5);
 
@@ -172,13 +174,175 @@ TEST(SweepContext, SweepAfterCompactionStaysSound) {
     g = std::move(fresh);
 
     const Lit roots2[] = {f};
-    const auto swept = sweep(g, roots2, opts);
+    const auto swept = sweep(g, roots2, {}, ctx);
     EXPECT_EQ(test::truthTable(g, swept.roots[0], 5), tt) << seed;
     // A rebind only happens when both sweeps saw non-empty cones (a
     // sweep of a constant/PI root returns before binding).
     anyRebind = anyRebind || ctx.counters().rebinds >= 1;
   }
   EXPECT_TRUE(anyRebind);
+}
+
+/// Installs on `ctx` an interrupt that counts its polls in `polls` and
+/// fires — and stays fired — once more than `fireAfter` polls were made.
+/// The solver polls the same callback, so every poll site of the run
+/// (per compare point, per DC query, per variable, per SAT solve) sees
+/// one shared count.
+void interruptAfter(SweepContext& ctx, int& polls, int fireAfter) {
+  polls = 0;
+  ctx.setInterrupt([&polls, fireAfter] { return ++polls > fireAfter; });
+}
+
+constexpr int kNever = std::numeric_limits<int>::max();
+
+TEST(SweepContextInterrupt, SweepStopsEarlyAndStaysSound) {
+  // Cofactor pair: many equivalent nodes, and one simulation word over
+  // 8 variables also proposes false candidates for SAT to refute.
+  util::Random rng(73);
+  Aig g;
+  const Lit f = test::randomFormula(g, rng, 8, 100);
+  const Lit a = g.cofactor(f, 7, false);
+  const Lit b = g.cofactor(f, 7, true);
+  const auto ttA = test::truthTable(g, a, 8);
+  const auto ttB = test::truthTable(g, b, 8);
+  const Lit roots[] = {a, b};
+  SweepOptions opts;
+  opts.useBdd = false;  // every merge goes through a polled SAT check
+  opts.numWords = 1;
+
+  int polls = 0;
+  SweepContext full;
+  interruptAfter(full, polls, kNever);
+  const auto baseline = sweep(g, roots, opts, full);
+  const int totalPolls = polls;
+  ASSERT_GT(baseline.stats.satChecks, 0u);
+
+  for (int n = 0; n < totalPolls; ++n) {
+    SweepContext ctx;
+    interruptAfter(ctx, polls, n);
+    const auto r = sweep(g, roots, opts, ctx);
+    EXPECT_EQ(test::truthTable(g, r.roots[0], 8), ttA) << "n=" << n;
+    EXPECT_EQ(test::truthTable(g, r.roots[1], 8), ttB) << "n=" << n;
+    EXPECT_LE(r.stats.satChecks, baseline.stats.satChecks) << "n=" << n;
+    // The compare-point poll stops the rounds: at most one more solver
+    // poll can see the fired interrupt before the sweeper does.
+    EXPECT_LE(polls, n + 2) << "n=" << n;
+    // The first poll precedes the first SAT check.
+    if (n == 0) {
+      EXPECT_EQ(r.stats.satChecks, 0u);
+    }
+  }
+}
+
+TEST(SweepContextInterrupt, DcSimplifyKeepsItsPostcondition) {
+  // A counter pre-image's cofactor pair: with enable = 0 the state must
+  // already be K, with enable = 1 the incremented state must be K. Phase
+  // A issues care-set queries and phase B commits ODC rewrites after SAT
+  // checks, so interrupting at every poll position covers both phases.
+  constexpr int kBits = 6;
+  constexpr unsigned kTarget = 0x2b;
+  Aig g;
+  std::vector<Lit> s;
+  for (int i = 0; i < kBits; ++i)
+    s.push_back(g.pi(static_cast<aig::VarId>(i)));
+  std::vector<Lit> next;
+  Lit carry = aig::kTrue;
+  for (const Lit b : s) {
+    next.push_back(g.mkXor(b, carry));
+    carry = g.mkAnd(b, carry);
+  }
+  auto equalsTarget = [&](const std::vector<Lit>& x) {
+    Lit eq = aig::kTrue;
+    for (std::size_t i = 0; i < x.size(); ++i)
+      eq = g.mkAnd(eq, ((kTarget >> i) & 1) != 0 ? x[i] : !x[i]);
+    return eq;
+  };
+  const Lit fRef = equalsTarget(s);
+  const Lit fTgt = equalsTarget(next);
+  const auto expect = test::truthTable(g, g.mkOr(fRef, fTgt), kBits);
+
+  int polls = 0;
+  SweepContext full;
+  interruptAfter(full, polls, kNever);
+  const auto baseline = synth::dcSimplify(g, fRef, fTgt, {}, full);
+  const int totalPolls = polls;
+  ASSERT_GT(baseline.stats.odcReplacements, 0u);
+
+  for (int n = 0; n < totalPolls; ++n) {
+    SweepContext ctx;
+    interruptAfter(ctx, polls, n);
+    const auto r = synth::dcSimplify(g, fRef, fTgt, {}, ctx);
+    EXPECT_EQ(test::truthTable(g, g.mkOr(fRef, r.target), kBits), expect)
+        << "n=" << n;
+    // Both phases poll before every query: at most one more solver poll
+    // can see the fired interrupt before a phase site does.
+    EXPECT_LE(polls, n + 2) << "n=" << n;
+    if (n == 0) {
+      EXPECT_EQ(r.stats.satChecks, 0u);
+    }
+  }
+}
+
+/// Truth table of ∃elim . f over variables 0..numVars-1, by enumeration.
+std::vector<bool> existsTable(const Aig& g, Lit f,
+                              const std::vector<aig::VarId>& elim,
+                              int numVars) {
+  const auto tt = test::truthTable(g, f, numVars);
+  std::size_t elimMask = 0;
+  for (const aig::VarId v : elim) elimMask |= std::size_t{1} << v;
+  std::vector<bool> out(tt.size(), false);
+  for (std::size_t m = 0; m < tt.size(); ++m) {
+    if (!tt[m]) continue;
+    // Every assignment that differs from m only on `elim` sees f true.
+    for (std::size_t k = 0; k < tt.size(); ++k)
+      if ((k & ~elimMask) == (m & ~elimMask)) out[k] = true;
+  }
+  return out;
+}
+
+TEST(SweepContextInterrupt, QuantifyAllReportsUnprocessedVarsAsResidual) {
+  util::Random rng(87);
+  Aig g;
+  const Lit f = test::randomFormula(g, rng, 5, 50);
+  ASSERT_EQ(g.supportVars(f).size(), 5u);
+  const std::vector<aig::VarId> vars = {0, 1, 2, 3};
+  quant::QuantOptions opts;
+  opts.growthLimit = 1e9;  // no growth aborts: residual means interrupted
+
+  int polls = 0;
+  {
+    SweepContext ctx;
+    interruptAfter(ctx, polls, kNever);
+    quant::Quantifier q(g, opts, ctx);
+    const auto r = q.quantifyAll(f, vars);
+    ASSERT_TRUE(r.residual.empty());
+  }
+  const int totalPolls = polls;
+
+  bool sawPartial = false;
+  for (int n = 0; n < totalPolls; ++n) {
+    SweepContext ctx;
+    interruptAfter(ctx, polls, n);
+    quant::Quantifier q(g, opts, ctx);
+    const auto r = q.quantifyAll(f, vars);
+    std::vector<aig::VarId> eliminated;
+    for (const aig::VarId v : vars)
+      if (!std::binary_search(r.residual.begin(), r.residual.end(), v))
+        eliminated.push_back(v);
+    EXPECT_EQ(test::truthTable(g, r.f, 5), existsTable(g, f, eliminated, 5))
+        << "n=" << n;
+    EXPECT_EQ(q.stats().count("quant.interrupts"),
+              r.residual.empty() ? 0 : 1)
+        << "n=" << n;
+    if (n == 0) {
+      // The schedule polls before the first variable.
+      EXPECT_EQ(r.f, f);
+      EXPECT_EQ(r.residual, vars);
+    }
+    sawPartial = sawPartial ||
+                 (!r.residual.empty() && r.residual.size() < vars.size());
+  }
+  EXPECT_TRUE(sawPartial);
 }
 
 TEST(Signatures, IncrementalAppendEqualsFullResimulation) {

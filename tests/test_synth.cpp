@@ -34,7 +34,8 @@ TEST_P(DcRandomized, DisjunctionIsPreserved) {
   const Lit fTgt = test::randomFormula(g, rng, 5, 40);
   const auto before = orTable(g, fRef, fTgt, 5);
 
-  const auto r = dcSimplify(g, fRef, fTgt, {});
+  sweep::SweepContext ctx;
+  const auto r = dcSimplify(g, fRef, fTgt, {}, ctx);
   EXPECT_EQ(orTable(g, fRef, r.target, 5), before);
 }
 
@@ -46,7 +47,8 @@ TEST_P(DcRandomized, OdcDisabledStillPreserves) {
   const auto before = orTable(g, fRef, fTgt, 5);
   DcOptions opts;
   opts.useOdc = false;
-  const auto r = dcSimplify(g, fRef, fTgt, opts);
+  sweep::SweepContext ctx;
+  const auto r = dcSimplify(g, fRef, fTgt, opts, ctx);
   EXPECT_EQ(orTable(g, fRef, r.target, 5), before);
 }
 
@@ -59,7 +61,8 @@ TEST_P(DcRandomized, InputDcReplacementsMatchOutsideDcSet) {
   const Lit fTgt = test::randomFormula(g, rng, 5, 30);
   DcOptions opts;
   opts.useOdc = false;  // ODC replacements are allowed to differ pointwise
-  const auto r = dcSimplify(g, fRef, fTgt, opts);
+  sweep::SweepContext ctx;
+  const auto r = dcSimplify(g, fRef, fTgt, opts, ctx);
   EXPECT_EQ(r.stats.odcReplacements, 0u);
   EXPECT_EQ(r.stats.odcSimRefuted, 0u);
   const auto tRef = test::truthTable(g, fRef, 5);
@@ -109,7 +112,8 @@ TEST_P(DcRandomized, OdcOnLargerConesPreservesDisjunction) {
     opts.numWords = 1;
     opts.maxRounds = rounds;
     opts.odcAttempts = 400;
-    const auto r = dcSimplify(g, p.fRef, p.fTgt, opts);
+    sweep::SweepContext ctx;
+    const auto r = dcSimplify(g, p.fRef, p.fTgt, opts, ctx);
     EXPECT_EQ(orTable(g, p.fRef, r.target, p.vars), before) << rounds;
     EXPECT_TRUE(statsAddUp(r.stats)) << rounds;
   }
@@ -120,14 +124,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DcRandomized, ::testing::Range(0, 12));
 TEST(DcSimplify, TautologicalReferenceCollapsesTarget) {
   Aig g;
   const Lit fTgt = g.mkAnd(g.pi(0), g.pi(1));
-  const auto r = dcSimplify(g, aig::kTrue, fTgt, {});
+  sweep::SweepContext ctx;
+  const auto r = dcSimplify(g, aig::kTrue, fTgt, {}, ctx);
   EXPECT_TRUE(r.target.isFalse());
 }
 
 TEST(DcSimplify, ConstantTargetIsFixpoint) {
   Aig g;
   const Lit fRef = g.pi(0);
-  const auto r = dcSimplify(g, fRef, aig::kFalse, {});
+  sweep::SweepContext ctx;
+  const auto r = dcSimplify(g, fRef, aig::kFalse, {}, ctx);
   EXPECT_TRUE(r.target.isFalse());
 }
 
@@ -139,7 +145,8 @@ TEST(DcSimplify, SubsumedTargetShrinksToConstant) {
   const Lit b = g.pi(1);
   const Lit fRef = g.mkOr(a, b);
   const Lit fTgt = g.mkAnd(a, b);
-  const auto r = dcSimplify(g, fRef, fTgt, {});
+  sweep::SweepContext ctx;
+  const auto r = dcSimplify(g, fRef, fTgt, {}, ctx);
   EXPECT_TRUE(r.target.isFalse());
   EXPECT_GT(r.stats.constReplacements + r.stats.odcReplacements, 0u);
 }
@@ -154,7 +161,8 @@ TEST(DcSimplify, MergeCandidateWithinCareSet) {
   const Lit fRef = a;
   const Lit fTgt = g.mkAnd(g.mkXor(a, b), c);
   const auto before = orTable(g, fRef, fTgt, 3);
-  const auto r = dcSimplify(g, fRef, fTgt, {});
+  sweep::SweepContext ctx;
+  const auto r = dcSimplify(g, fRef, fTgt, {}, ctx);
   EXPECT_EQ(orTable(g, fRef, r.target, 3), before);
   EXPECT_LE(g.coneSize(r.target), g.coneSize(fTgt));
 }
@@ -171,7 +179,8 @@ TEST(DcSimplify, OdcBankGrowsOnTheRandomizedPairs) {
     opts.numWords = 1;
     opts.maxRounds = 0;  // every SAT refutation is a phase-B bank pattern
     opts.odcAttempts = 400;
-    const auto r = dcSimplify(g, p.fRef, p.fTgt, opts);
+    sweep::SweepContext ctx;
+    const auto r = dcSimplify(g, p.fRef, p.fTgt, opts, ctx);
     simRefuted += r.stats.odcSimRefuted;
     banked += r.stats.satRefuted;
   }
@@ -208,7 +217,8 @@ TEST(DcSimplify, OdcBankRollsIntoFreshColumns) {
   DcOptions opts;
   opts.maxRounds = 0;  // every SAT refutation is a phase-B bank pattern
   opts.odcAttempts = 4000;
-  const auto r = dcSimplify(g, fRef, fTgt, opts);
+  sweep::SweepContext ctx;
+  const auto r = dcSimplify(g, fRef, fTgt, opts, ctx);
   EXPECT_EQ(orTable(g, fRef, r.target, kBits), before);
   EXPECT_TRUE(statsAddUp(r.stats));
   EXPECT_GT(r.stats.satRefuted, 64u);
@@ -224,7 +234,8 @@ TEST(DcSimplify, StatsAccounting) {
   util::Random rng(21);
   const Lit fRef = test::randomFormula(g, rng, 4, 20);
   const Lit fTgt = test::randomFormula(g, rng, 4, 20);
-  const auto r = dcSimplify(g, fRef, fTgt, {});
+  sweep::SweepContext ctx;
+  const auto r = dcSimplify(g, fRef, fTgt, {}, ctx);
   EXPECT_TRUE(statsAddUp(r.stats));
   EXPECT_EQ(r.stats.nodesBefore, g.coneSize(fTgt));
 }
@@ -250,7 +261,8 @@ TEST(DcSimplify, CounterCofactorsUseTheBankAndStillCommitOdc) {
   const Lit fRef = equalsConst(g, s, kTarget);
   const Lit fTgt = equalsConst(g, next, kTarget);
   const auto before = orTable(g, fRef, fTgt, kBits);
-  const auto r = dcSimplify(g, fRef, fTgt, {});
+  sweep::SweepContext ctx;
+  const auto r = dcSimplify(g, fRef, fTgt, {}, ctx);
   EXPECT_EQ(orTable(g, fRef, r.target, kBits), before);
   EXPECT_GT(r.stats.odcSimRefuted, 0u);
   EXPECT_GT(r.stats.odcReplacements, 0u);
