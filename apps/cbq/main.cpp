@@ -25,8 +25,9 @@
 // failed to load; `bench` returns 0 on verdict agreement, 2 on mismatch.
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -34,6 +35,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "audit/audit.hpp"
@@ -48,7 +50,6 @@
 #include "portfolio/scheduler.hpp"
 #include "sweep/signatures.hpp"
 #include "util/fault.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -62,8 +63,7 @@ struct Args {
   std::size_t nodeLimit = 0;
   int jobs = 0;
   int width = 4;
-  int workers = 1;     // slice-mode worker threads
-  int parThreads = 1;  // intra-problem lanes (prep + signature layer)
+  int workers = 1;  // slice-mode worker threads
   bool unsafe = false;
   bool quiet = false;
   bool audit = false;          // --audit: arm invariant audits (exit 30)
@@ -93,7 +93,6 @@ cbq::portfolio::RunInfo makeRunInfo(const Args& args,
   auto info = cbq::portfolio::RunInfo::capture();
   info.command = args.command;
   info.jobs = args.jobs;
-  info.parThreads = args.parThreads;
   info.schedule = schedule.empty() ? "race" : schedule;
   return info;
 }
@@ -219,6 +218,26 @@ void printFaultStats() {
 #endif
 }
 
+/// Parses all of `v` as a non-negative number. Trailing garbage, a sign,
+/// overflow, NaN, or a real above 1e9 print "cbq: bad value for FLAG" and
+/// return false. The cap keeps --timeout (31 years) and --mem-limit (a
+/// petabyte) inside the clock-tick and byte conversions downstream.
+template <typename T>
+bool parseNumber(const char* flag, const char* v, T& out) {
+  const char* end = v + std::strlen(v);
+  T parsed{};
+  const auto [ptr, ec] = std::from_chars(v, end, parsed);
+  bool ok = ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && parsed <= 1e9;
+  if constexpr (std::is_signed_v<T>) ok = ok && parsed >= 0;
+  if (!ok) {
+    std::fprintf(stderr, "cbq: bad value for %s\n", flag);
+    return false;
+  }
+  out = parsed;
+  return true;
+}
+
 bool parseArgs(int argc, char** argv, int first, Args& args) {
   for (int i = first; i < argc; ++i) {
     const std::string a = argv[i];
@@ -229,22 +248,18 @@ bool parseArgs(int argc, char** argv, int first, Args& args) {
       }
       return argv[++i];
     };
+    auto number = [&](const char* flag, auto& out) {
+      const char* v = value(flag);
+      return v != nullptr && parseNumber(flag, v, out);
+    };
     if (a == "--timeout" || a == "-t") {
-      const char* v = value("--timeout");
-      if (!v) return false;
-      args.timeout = std::atof(v);
+      if (!number("--timeout", args.timeout)) return false;
     } else if (a == "--node-limit") {
-      const char* v = value("--node-limit");
-      if (!v) return false;
-      args.nodeLimit = static_cast<std::size_t>(std::atoll(v));
+      if (!number("--node-limit", args.nodeLimit)) return false;
     } else if (a == "--jobs" || a == "-j") {
-      const char* v = value("--jobs");
-      if (!v) return false;
-      args.jobs = std::atoi(v);
+      if (!number("--jobs", args.jobs)) return false;
     } else if (a == "--width" || a == "-w") {
-      const char* v = value("--width");
-      if (!v) return false;
-      args.width = std::atoi(v);
+      if (!number("--width", args.width)) return false;
     } else if (a == "--engine") {
       const char* v = value("--engine");
       if (!v) return false;
@@ -258,25 +273,17 @@ bool parseArgs(int argc, char** argv, int first, Args& args) {
       if (!v) return false;
       args.inject.emplace_back(v);
     } else if (a == "--inject-seed") {
-      const char* v = value("--inject-seed");
-      if (!v) return false;
-      args.injectSeed = static_cast<std::uint64_t>(std::strtoull(v, nullptr, 10));
+      if (!number("--inject-seed", args.injectSeed)) return false;
     } else if (a == "--mem-limit") {
-      const char* v = value("--mem-limit");
-      if (!v) return false;
-      args.memLimitMb = std::atof(v);
+      if (!number("--mem-limit", args.memLimitMb)) return false;
     } else if (a == "--retries") {
-      const char* v = value("--retries");
-      if (!v) return false;
-      args.retries = std::atoi(v);
+      if (!number("--retries", args.retries)) return false;
     } else if (a == "--fallback-engines") {
       const char* v = value("--fallback-engines");
       if (!v) return false;
       args.fallbackEngines = splitCsv(v);
     } else if (a == "--seeds") {
-      const char* v = value("--seeds");
-      if (!v) return false;
-      args.seeds = std::atoi(v);
+      if (!number("--seeds", args.seeds)) return false;
     } else if (a == "--schedule") {
       const char* v = value("--schedule");
       if (!v) return false;
@@ -288,13 +295,7 @@ bool parseArgs(int argc, char** argv, int first, Args& args) {
     } else if (a.rfind("--prep=", 0) == 0) {
       args.prepSpec = a.substr(7);
     } else if (a == "--workers") {
-      const char* v = value("--workers");
-      if (!v) return false;
-      args.workers = std::atoi(v);
-    } else if (a == "--par-threads") {
-      const char* v = value("--par-threads");
-      if (!v) return false;
-      args.parThreads = std::atoi(v);
+      if (!number("--workers", args.workers)) return false;
     } else if (a == "--output" || a == "-o") {
       const char* v = value("-o");
       if (!v) return false;
@@ -343,7 +344,7 @@ int usage() {
       "  cbq check <file> [--engine NAME | --engines A,B,C] [--timeout S]\n"
       "            [--node-limit N] [--schedule race|slice] [--workers N]\n"
       "            [--prep on|off|coi,const,sweep,latchcorr]\n"
-      "            [--par-threads N] [--trace FILE] [--progress]\n"
+      "            [--trace FILE] [--progress]\n"
       "      run the portfolio on one circuit (.aag/.aig/.bench);\n"
       "      --schedule race (default) gives every engine a worker thread,\n"
       "      --schedule slice shares --workers threads (default 1:\n"
@@ -352,9 +353,7 @@ int usage() {
       "      a single --engine runs that engine alone. The preprocessing\n"
       "      pipeline (--prep, default on) shrinks the problem before any\n"
       "      engine starts; counterexamples are lifted back and replayed\n"
-      "      on the original circuit. --par-threads N parallelizes the\n"
-      "      preprocessing + signature layer INSIDE one problem (results\n"
-      "      are bit-identical at any N). --trace FILE records a Chrome\n"
+      "      on the original circuit. --trace FILE records a Chrome\n"
       "      trace-event profile (chrome://tracing / Perfetto); --progress\n"
       "      streams NDJSON progress events on stderr.\n"
       "      --audit runs the deep-invariant auditor on the loaded circuit\n"
@@ -366,7 +365,7 @@ int usage() {
       "      30 audit violation (only with --audit)\n"
       "  cbq batch <dir-or-files...> [--jobs N] [--engines A,B,C]\n"
       "            [--timeout S] [--node-limit N] [--schedule race|slice]\n"
-      "            [--prep ...] [--par-threads N] [--json F] [--csv F]\n"
+      "            [--prep ...] [--json F] [--csv F]\n"
       "            [--quiet] [--trace FILE] [--progress]\n"
       "      verify every circuit file with a worker pool; --timeout is\n"
       "      the per-problem budget\n"
@@ -407,12 +406,13 @@ int usage() {
       "      engine sequentially (default cbq-reach); slice/race run the\n"
       "      engine portfolio time-sliced on one core / racing on\n"
       "      threads; --smoke restricts to a few tiny circuits for CI\n"
-      "  cbq bench-par [--par-threads N] [--timeout S] [--smoke] [-o FILE]\n"
-      "      intra-problem parallelism harness: times the signature\n"
-      "      resimulation kernel (reference / SIMD / threaded) and the\n"
-      "      end-to-end check at 1 vs N lanes on giant-family instances\n"
+      "  cbq bench-par [--timeout S] [--smoke] [-o FILE]\n"
+      "      giant-circuit harness: times the signature resimulation\n"
+      "      kernel (column-major reference vs node-major SIMD) and one\n"
+      "      end-to-end cbq-reach check on giant-family instances\n"
       "      (million-AND scale; --smoke shrinks them for CI) and writes\n"
-      "      BENCH_par.json; exits 2 if the verdicts disagree\n",
+      "      BENCH_par.json; exits 2 if a verdict contradicts the\n"
+      "      expected one\n",
       stderr);
   return 1;
 }
@@ -488,16 +488,6 @@ int cmdCheck(const Args& args) {
   if (!parseSchedule(args.schedule, opts.schedule)) return 1;
   if (!parsePrep(args.prepSpec, opts.prep)) return 1;
   opts.sliceWorkers = args.workers;
-
-  // One process-wide pool: the pool's one-region-at-a-time guard keeps
-  // the intra-problem thread budget global even if engine-level threads
-  // reach preprocessing code concurrently.
-  std::unique_ptr<cbq::util::ThreadPool> pool;
-  if (args.parThreads > 1) {
-    pool = std::make_unique<cbq::util::ThreadPool>(args.parThreads);
-    opts.prep.pool = pool.get();
-    opts.parThreads = args.parThreads;
-  }
 
   // --progress streams NDJSON events on stderr; the streamer must outlive
   // the run because engine threads call into it at slice boundaries.
@@ -636,15 +626,6 @@ int cmdBatch(const Args& args) {
   if (!parseSchedule(args.schedule, opts.portfolio.schedule)) return 1;
   if (!parsePrep(args.prepSpec, opts.portfolio.prep)) return 1;
   opts.portfolio.sliceWorkers = args.workers;
-
-  // Batch workers share ONE pool; its busy-guard serializes the parallel
-  // regions, so --jobs and --par-threads never multiply thread counts.
-  std::unique_ptr<cbq::util::ThreadPool> pool;
-  if (args.parThreads > 1) {
-    pool = std::make_unique<cbq::util::ThreadPool>(args.parThreads);
-    opts.portfolio.prep.pool = pool.get();
-    opts.portfolio.parThreads = args.parThreads;
-  }
 
   std::unique_ptr<cbq::obs::ProgressStreamer> streamer;
   if (args.progress) {
@@ -810,11 +791,6 @@ int cmdBench(const Args& args) {
   }
   cbq::prep::PrepOptions prepOpts;
   if (!parsePrep(args.prepSpec, prepOpts)) return 1;
-  std::unique_ptr<cbq::util::ThreadPool> pool;
-  if (args.parThreads > 1) {
-    pool = std::make_unique<cbq::util::ThreadPool>(args.parThreads);
-    prepOpts.pool = pool.get();
-  }
 
   auto instances = cbq::circuits::standardSuite();
   if (args.smoke) {
@@ -979,19 +955,13 @@ int cmdBench(const Args& args) {
   return mismatches == 0 ? 0 : 2;
 }
 
-/// `cbq bench-par`: the intra-problem parallelism harness. Generates
-/// giant-family instances (million-AND scale unless --smoke), times the
-/// signature-resimulation kernel in its three shapes — column-major
-/// reference, node-major SIMD-friendly serial, node-major + thread pool —
-/// and the end-to-end check at --par-threads 1 vs N, then writes
-/// BENCH_par.json. The verdicts at both thread counts must agree (exit 2
-/// otherwise); host_threads in the report keeps numbers honest when the
-/// machine has fewer cores than the requested lane count.
+/// `cbq bench-par`: the giant-circuit harness. Generates giant-family
+/// instances (million-AND scale unless --smoke), times the signature
+/// resimulation kernel in its two shapes — column-major reference and
+/// node-major SIMD-friendly — and one end-to-end cbq-reach check, then
+/// writes BENCH_par.json. A definitive verdict that contradicts the
+/// instance's expected one is a mismatch (exit 2).
 int cmdBenchPar(const Args& args) {
-  const unsigned hw = std::thread::hardware_concurrency();
-  const int threads = args.parThreads > 1
-                          ? args.parThreads
-                          : static_cast<int>(hw > 2 ? hw : 2);
   const double timeout = args.timeout > 0.0 ? args.timeout : 300.0;
   const std::string outPath =
       args.output.empty() ? "BENCH_par.json" : args.output;
@@ -1022,11 +992,9 @@ int cmdBenchPar(const Args& args) {
   struct Row {
     std::string name;
     std::size_t ands = 0, sigNodes = 0;
-    double refMs = 0, simdMs = 0, parMs = 0;
-    double serialSec = 0, parSec = 0;
+    double refMs = 0, simdMs = 0, checkSec = 0;
     const char* expected;
-    const char* v1;
-    const char* vN;
+    const char* verdict;
     bool agree = true;
   };
   std::vector<Row> rows;
@@ -1058,39 +1026,23 @@ int cmdBenchPar(const Args& args) {
       row.refMs = bestOfMs(kReps, [&] { sigs.resimulateAllReference(); });
       row.simdMs = bestOfMs(kReps, [&] { sigs.resimulateAll(); });
     }
-    {
-      cbq::util::ThreadPool pool(threads);
-      cbq::util::Random rng(1);
-      cbq::sweep::Signatures sigs(inst.net.aig, order, support, rng,
-                                  kWords, kWords, &pool);
-      row.parMs = bestOfMs(kReps, [&] { sigs.resimulateAll(); });
-    }
 
-    // End-to-end: the same single-engine check at 1 lane and N lanes.
-    auto runCheck = [&](int lanes, double& seconds) {
-      cbq::portfolio::PortfolioOptions popts;
-      popts.engines = {"cbq-reach"};
-      popts.timeLimitSeconds = timeout;
-      popts.parThreads = lanes;
-      const cbq::portfolio::PortfolioRunner runner(popts);
-      cbq::util::Timer t;
-      const auto pr = runner.run(inst.net);
-      seconds = t.seconds();
-      return pr.best.verdict;
-    };
-    const Verdict v1 = runCheck(1, row.serialSec);
-    const Verdict vN = runCheck(threads, row.parSec);
-    row.v1 = cbq::mc::toString(v1);
-    row.vN = cbq::mc::toString(vN);
-    row.agree = v1 == vN &&
-                (v1 == Verdict::Unknown || v1 == inst.expected);
+    cbq::portfolio::PortfolioOptions popts;
+    popts.engines = {"cbq-reach"};
+    popts.timeLimitSeconds = timeout;
+    const cbq::portfolio::PortfolioRunner runner(popts);
+    cbq::util::Timer t;
+    const Verdict v = runner.run(inst.net).best.verdict;
+    row.checkSec = t.seconds();
+    row.verdict = cbq::mc::toString(v);
+    row.agree = v == Verdict::Unknown || v == inst.expected;
     if (!row.agree) ++mismatches;
     if (!args.quiet) {
-      std::printf("%-20s %8zu ands  resim ref %.1fms simd %.1fms "
-                  "par(%d) %.1fms  check 1t %.2fs %dt %.2fs  %s/%s%s\n",
+      std::printf("%-20s %8zu ands  resim ref %.1fms simd %.1fms  "
+                  "check %.2fs  %s%s\n",
                   row.name.c_str(), row.ands, row.refMs, row.simdMs,
-                  threads, row.parMs, row.serialSec, threads, row.parSec,
-                  row.v1, row.vN, row.agree ? "" : "  MISMATCH");
+                  row.checkSec, row.verdict,
+                  row.agree ? "" : "  MISMATCH");
       std::fflush(stdout);
     }
     rows.push_back(std::move(row));
@@ -1105,8 +1057,8 @@ int cmdBenchPar(const Args& args) {
   out << "  \"run\": ";
   makeRunInfo(args, "par").writeJson(out);
   out << ",\n";
-  out << "  \"host_threads\": " << hw << ",\n";
-  out << "  \"par_threads\": " << threads << ",\n";
+  out << "  \"host_threads\": " << std::thread::hardware_concurrency()
+      << ",\n";
   out << "  \"sig_words\": " << kWords << ",\n";
   out << "  \"smoke\": " << (args.smoke ? "true" : "false") << ",\n";
   out << "  \"verdict_mismatches\": " << mismatches << ",\n";
@@ -1118,12 +1070,10 @@ int cmdBenchPar(const Args& args) {
         << ", \"sig_nodes\": " << r.sigNodes
         << ", \"resim_reference_ms\": " << r.refMs
         << ", \"resim_simd_ms\": " << r.simdMs
-        << ", \"resim_threaded_ms\": " << r.parMs
-        << ", \"check_1thread_seconds\": " << r.serialSec
-        << ", \"check_par_seconds\": " << r.parSec
-        << ", \"expected\": \"" << r.expected << "\", \"verdict_1thread\": \""
-        << r.v1 << "\", \"verdict_par\": \"" << r.vN
-        << "\", \"agree\": " << (r.agree ? "true" : "false") << "}";
+        << ", \"check_seconds\": " << r.checkSec
+        << ", \"expected\": \"" << r.expected << "\", \"verdict\": \""
+        << r.verdict << "\", \"agree\": " << (r.agree ? "true" : "false")
+        << "}";
   }
   out << "\n  ]\n}\n";
 

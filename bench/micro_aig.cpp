@@ -1,7 +1,7 @@
 // Micro-benchmarks of the AIG substrate: construction throughput,
 // cofactoring, composition, simulation, cross-manager transfer and the
-// sweeper's signature-resimulation kernel in its serial/SIMD/threaded
-// shapes.
+// sweeper's signature-resimulation kernel in its column-major and
+// node-major shapes.
 
 #include <benchmark/benchmark.h>
 
@@ -12,7 +12,6 @@
 #include "circuits/suite.hpp"
 #include "sweep/signatures.hpp"
 #include "util/random.hpp"
-#include "util/thread_pool.hpp"
 #include "util/var_table.hpp"
 
 namespace {
@@ -88,12 +87,11 @@ void BM_TransferCompact(benchmark::State& state) {
 }
 BENCHMARK(BM_TransferCompact)->Arg(1000)->Arg(10000);
 
-// --- signature resimulation: the parallel sweeping hot loop ------------
+// --- signature resimulation: the sweeping hot loop ---------------------
 //
-// Three shapes of the same 16-word recomputation over one random cone:
-//   SigResimReference — the pre-parallel column-major serial loop
-//   SigResimSimd      — node-major contiguous word rows, serial
-//   SigResimThreaded  — node-major + stratum-parallel thread pool
+// Two shapes of the same 16-word recomputation over one cone:
+//   SigResimReference — column-major, one word column at a time
+//   SigResimSimd      — node-major contiguous word rows
 // Items processed = nodes * words * 64 simulated bits.
 
 constexpr int kSigWords = 16;
@@ -107,10 +105,9 @@ struct SigBench {
   cbq::mc::Network net;
   std::vector<cbq::aig::NodeId> order;
   std::vector<VarId> support;
-  std::unique_ptr<cbq::util::ThreadPool> pool;
   std::unique_ptr<cbq::sweep::Signatures> sigs;
 
-  explicit SigBench(int ops, int threads)
+  explicit SigBench(int ops)
       : net(cbq::circuits::makeInstance("giant", ops / 16 > 0 ? ops / 16 : 1,
                                         true)
                 .net) {
@@ -119,14 +116,13 @@ struct SigBench {
     roots.push_back(net.bad);
     order = net.aig.coneAnds(roots);
     support = net.aig.supportVars(roots);
-    if (threads > 1) pool = std::make_unique<cbq::util::ThreadPool>(threads);
     sigs = std::make_unique<cbq::sweep::Signatures>(
-        net.aig, order, support, rng, kSigWords, kSigWords, pool.get());
+        net.aig, order, support, rng, kSigWords, kSigWords);
   }
 };
 
 void BM_SigResimReference(benchmark::State& state) {
-  SigBench b(static_cast<int>(state.range(0)), 1);
+  SigBench b(static_cast<int>(state.range(0)));
   for (auto _ : state) b.sigs->resimulateAllReference();
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(b.order.size()) *
@@ -135,29 +131,13 @@ void BM_SigResimReference(benchmark::State& state) {
 BENCHMARK(BM_SigResimReference)->Arg(10000)->Arg(100000)->Arg(1000000);
 
 void BM_SigResimSimd(benchmark::State& state) {
-  SigBench b(static_cast<int>(state.range(0)), 1);
+  SigBench b(static_cast<int>(state.range(0)));
   for (auto _ : state) b.sigs->resimulateAll();
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(b.order.size()) *
                           kSigWords * 64);
 }
 BENCHMARK(BM_SigResimSimd)->Arg(10000)->Arg(100000)->Arg(1000000);
-
-void BM_SigResimThreaded(benchmark::State& state) {
-  SigBench b(static_cast<int>(state.range(0)),
-             static_cast<int>(state.range(1)));
-  for (auto _ : state) b.sigs->resimulateAll();
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(b.order.size()) *
-                          kSigWords * 64);
-}
-BENCHMARK(BM_SigResimThreaded)
-    ->Args({10000, 2})
-    ->Args({10000, 8})
-    ->Args({100000, 2})
-    ->Args({100000, 8})
-    ->Args({1000000, 2})
-    ->Args({1000000, 8});
 
 void BM_ConeTraversal(benchmark::State& state) {
   Aig g;

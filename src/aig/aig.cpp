@@ -196,41 +196,6 @@ std::vector<NodeId> Aig::coneAnds(std::span<const Lit> roots) const {
   return order;
 }
 
-std::vector<NodeId> Aig::coneAnds(std::span<const Lit> roots,
-                                  TraversalScratch& scratch) const {
-  // Same walk as above, but over caller-owned marks: many threads may run
-  // this at once on one manager (each with its own scratch) because the
-  // shared stamp_/epoch_ members are never touched.
-  scratch.stamp.resize(nodes_.size(), 0);
-  if (++scratch.epoch == 0) {
-    std::fill(scratch.stamp.begin(), scratch.stamp.end(), 0u);
-    scratch.epoch = 1;
-  }
-  const auto seen = [&](NodeId n) { return scratch.stamp[n] == scratch.epoch; };
-  const auto mark = [&](NodeId n) { scratch.stamp[n] = scratch.epoch; };
-
-  std::vector<NodeId> order;
-  std::vector<std::pair<NodeId, bool>> stack;  // (node, children done)
-  for (Lit r : roots) stack.emplace_back(r.node(), false);
-  while (!stack.empty()) {
-    auto [n, done] = stack.back();
-    stack.pop_back();
-    if (done) {
-      order.push_back(n);
-      continue;
-    }
-    if (seen(n) || !isAnd(n)) {
-      if (!seen(n)) mark(n);
-      continue;
-    }
-    mark(n);
-    stack.emplace_back(n, true);
-    stack.emplace_back(fanin0(n).node(), false);
-    stack.emplace_back(fanin1(n).node(), false);
-  }
-  return order;
-}
-
 std::size_t Aig::coneSize(Lit root) const {
   const Lit roots[] = {root};
   return coneAnds(roots).size();

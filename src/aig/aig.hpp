@@ -146,12 +146,12 @@ class Aig {
 
   // ----- traversal ----------------------------------------------------
 
-  /// Caller-owned visited marks for the concurrent-read-safe traversal
-  /// overloads below. The default traversals use the manager's shared
-  /// epoch scratch, which makes them NOT safe to call concurrently even
-  /// though they are const; parallel code (prep's per-latch cone walks,
-  /// sharded sweeping) keeps one TraversalScratch per worker lane
-  /// instead. Reusable across calls — the epoch stamp makes clears O(1).
+  /// Caller-owned visited marks for the const-safe supportVars overload
+  /// below. The default traversals use the manager's shared epoch
+  /// scratch, which they mutate even though they are const; the
+  /// auditor's support walk (its only user) takes this instead, so an
+  /// audit never writes to the manager it inspects.
+  /// Reusable across calls — the epoch stamp makes clears O(1).
   struct TraversalScratch {
     std::vector<std::uint32_t> stamp;
     std::uint32_t epoch = 0;
@@ -160,12 +160,6 @@ class Aig {
   /// AND nodes in the transitive fanin of `roots`, in topological order
   /// (fanins before fanouts). PIs and the constant are not included.
   [[nodiscard]] std::vector<NodeId> coneAnds(std::span<const Lit> roots) const;
-
-  /// As coneAnds, but using caller-owned scratch: safe to run from many
-  /// threads at once on one (otherwise unmutated) manager, one scratch
-  /// per thread.
-  [[nodiscard]] std::vector<NodeId> coneAnds(std::span<const Lit> roots,
-                                             TraversalScratch& scratch) const;
 
   /// Number of AND nodes in the cone of `root` — the paper's circuit-size
   /// metric for state sets.
@@ -178,8 +172,7 @@ class Aig {
       std::span<const Lit> roots) const;
   [[nodiscard]] std::vector<VarId> supportVars(Lit root) const;
 
-  /// Concurrent-read-safe variant with caller-owned scratch (see
-  /// TraversalScratch).
+  /// Variant with caller-owned scratch (see TraversalScratch).
   [[nodiscard]] std::vector<VarId> supportVars(
       std::span<const Lit> roots, TraversalScratch& scratch) const;
 

@@ -358,7 +358,6 @@ Report auditSignatures(const sweep::Signatures& sigs) {
   const auto& slotOf = Access::slotOf(sigs);
   const auto& arena = Access::arena(sigs);
   const auto& order = Access::order(sigs);
-  const auto& levelOrder = Access::levelOrder(sigs);
   const std::size_t stride = sigs.stride();
 
   if (sigs.words() > stride)
@@ -391,20 +390,7 @@ Report auditSignatures(const sweep::Signatures& sigs) {
                 .str());
   }
 
-  // The stratified order is a permutation of the cone order; every cone
-  // node holds a slot.
-  {
-    std::vector<aig::NodeId> x(order.begin(), order.end());
-    std::vector<aig::NodeId> y(levelOrder.begin(), levelOrder.end());
-    std::sort(x.begin(), x.end());
-    std::sort(y.begin(), y.end());
-    if (x != y)
-      r.add("sig.strata.order",
-            (Diag() << "level order (" << y.size()
-                    << " nodes) is not a permutation of the cone order ("
-                    << x.size() << " nodes)")
-                .str());
-  }
+  // Every cone node holds a slot.
   for (const aig::NodeId n : order)
     if (!sigs.inCone(n))
       r.add("sig.slot.out-of-range",

@@ -236,10 +236,6 @@ struct Access {
   static const std::vector<aig::NodeId>& order(const sweep::Signatures& s) {
     return s.order_;
   }
-  static const std::vector<aig::NodeId>& levelOrder(
-      const sweep::Signatures& s) {
-    return s.levelOrder_;
-  }
 
   // UnionFind
   static std::vector<std::uint32_t>& parents(sweep::UnionFind& u) {

@@ -129,10 +129,6 @@ Progress BackwardReachSession::snapshot(Verdict v, bool done) {
   fixSession_.exportStats(p.result.stats);
   p.bound = iter_;
   p.advanced = committedThisSlice_ > 0;
-  {
-    const Lit fr[] = {frontier_};
-    p.frontierCone = mgr_.coneSize(fr);
-  }
   p.effort =
       static_cast<std::uint64_t>(p.result.stats.count("sat.conflicts") +
                                  p.result.stats.count("sat.decisions") +

@@ -110,10 +110,7 @@ class BddSessionBase : public Session {
     p.result.steps = iter_;
     p.bound = iter_;
     p.advanced = committedThisSlice_ > 0;
-    if (mgr_ != nullptr) {
-      p.frontierCone = mgr_->numNodes();
-      p.effort = mgr_->numNodes();
-    }
+    if (mgr_ != nullptr) p.effort = mgr_->numNodes();
     return p;
   }
 

@@ -260,10 +260,6 @@ class ForwardReachSession final : public Session {
     session_.exportStats(p.result.stats);
     p.bound = iter_;
     p.advanced = committedThisSlice_ > 0;
-    {
-      const Lit fr[] = {frontier_};
-      p.frontierCone = m_.mgr.coneSize(fr);
-    }
     p.effort =
         static_cast<std::uint64_t>(p.result.stats.count("sat.conflicts") +
                                    p.result.stats.count("sat.decisions") +

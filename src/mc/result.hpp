@@ -67,7 +67,6 @@ struct Progress {
   bool done = false;
   int bound = 0;            ///< fixpoint iterations committed / BMC depth
   bool advanced = false;    ///< committed >= 1 bound in this resume
-  std::size_t frontierCone = 0;  ///< frontier cone size / live BDD nodes
   /// Cumulative solver effort (conflicts + decisions + propagations; BDD
   /// engines report live nodes). Set by the engine; the Session base
   /// derives effortDelta.

@@ -7,14 +7,14 @@
 // CheckResult exactly as before, plus
 //   * latency histograms with fixed log2(nanosecond) buckets, so "how long
 //     do fixpoint SAT checks take" is answerable without a profiler, and
-//   * thread safety — pool lanes and the portfolio's session workers
+//   * thread safety — the portfolio's session workers and batch workers
 //     may all touch a registry concurrently.
 // The JSON/CSV report writers and the `cbq bench` harness read counters
 // exclusively from these registries; there is no side channel.
 //
 // Naming convention: dotted lowercase paths, subsystem first —
 // sat.conflicts, sweep.cache_lookups, prep.coi.seconds, reach.compactions,
-// sched.promotions, pool.lane_busy_ns, mem.aig_peak_nodes. The README's
+// sched.promotions, mem.aig_peak_nodes. The README's
 // observability section keeps the catalogue.
 
 #include <array>
@@ -98,8 +98,8 @@ class Metrics {
 };
 
 /// The process-wide registry for cross-cutting infrastructure that has no
-/// per-problem result record to write into: thread-pool lane occupancy,
-/// tracer drops, service-level totals. Per-run metrics belong in the
+/// per-problem result record to write into: tracer drops, service-level
+/// totals. Per-run metrics belong in the
 /// CheckResult's registry, not here.
 Metrics& globalMetrics();
 

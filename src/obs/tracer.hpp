@@ -22,7 +22,7 @@
 // corrupt a trace), anchored at process start so Chrome's timeline starts
 // near zero.
 //
-// Categories in use: prep, engine, sat, sweep, quant, bdd, pool, sched —
+// Categories in use: prep, engine, sat, sweep, quant, synth, bdd, sched —
 // one Perfetto track per thread (worker lane), colored by category. See
 // README "Observability".
 
@@ -63,8 +63,8 @@ void disableTracing();
 /// Drops every recorded event (buffers stay registered).
 void clearTrace();
 
-/// Labels the calling thread's track in the trace viewer ("pool lane 3",
-/// "slice worker 0", ...). Cheap; callable whether or not tracing is
+/// Labels the calling thread's track in the trace viewer ("worker 1",
+/// "worker 2", ...). Cheap; callable whether or not tracing is
 /// enabled (the label sticks for the thread's lifetime).
 void setThreadLabel(std::string_view label);
 

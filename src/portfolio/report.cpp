@@ -101,7 +101,6 @@ void RunInfo::writeJson(std::ostream& out) const {
       << "\"git\": \"" << jsonEscape(gitDescribe) << "\", "
       << "\"timestamp\": \"" << jsonEscape(timestamp) << "\", "
       << "\"jobs\": " << jobs << ", "
-      << "\"par_threads\": " << parThreads << ", "
       << "\"host_threads\": " << hostThreads << ", "
       << "\"schedule\": \"" << jsonEscape(schedule) << "\"}";
 }

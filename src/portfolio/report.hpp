@@ -18,7 +18,6 @@ struct RunInfo {
   std::string gitDescribe;  ///< obs::gitDescribe() of the binary
   std::string timestamp;    ///< ISO-8601 UTC at run start
   int jobs = 1;             ///< batch worker threads
-  int parThreads = 1;       ///< intra-problem lanes
   unsigned hostThreads = 0; ///< std::thread::hardware_concurrency()
   std::string schedule;     ///< "race" or "slice"
 

@@ -12,7 +12,6 @@
 #include "audit/audit.hpp"
 #include "obs/tracer.hpp"
 #include "util/sync.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace cbq::portfolio {
@@ -276,21 +275,12 @@ PortfolioResult solve(const mc::Network& net,
                       const PortfolioOptions& opts) {
   util::Timer wall;
 
-  // A parThreads budget > 1 equips the pipeline with a per-run worker
-  // pool unless the caller already shares one (the CLI creates a single
-  // process-wide pool).
-  prep::PrepOptions prepOpts = opts.prep;
-  std::unique_ptr<util::ThreadPool> ownPool;
-  if (prepOpts.pool == nullptr && opts.parThreads > 1) {
-    ownPool = std::make_unique<util::ThreadPool>(opts.parThreads);
-    prepOpts.pool = ownPool.get();
-  }
   // Preprocessing failure containment: a pass blowing up costs us the
   // reduction, not the problem. Fall back to the identity preparation and
   // let the engines check the original network.
   prep::PreparedProblem prepared;
   try {
-    prepared = prep::Pipeline(prepOpts).run(net, budget);
+    prepared = prep::Pipeline(opts.prep).run(net, budget);
   } catch (const audit::AuditError&) {
     // NOT contained: an armed audit firing means the pipeline built a
     // structurally corrupt network. Falling back would mask the bug the

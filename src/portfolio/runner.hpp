@@ -55,15 +55,6 @@ struct PortfolioOptions {
   /// Unsafe verdicts are lifted back and refereed on the original.
   prep::PrepOptions prep{};
 
-  /// Intra-problem thread budget: when > 1 and prep.pool is null, the
-  /// runner creates a ThreadPool of this many lanes for the run and
-  /// hands it to the pipeline (and through it to the sweeper). The
-  /// pool's one-region-at-a-time guard makes this budget GLOBAL: engine-
-  /// level parallelism (session workers, batch workers) and intra-problem
-  /// parallelism never stack multiplicatively. Results are bit-identical
-  /// at any value (tests/test_parallel.cpp).
-  int parThreads = 1;
-
   /// Live telemetry sink (obs/progress.hpp): called at natural boundaries
   /// — prep done, slice finished, engine failed, final verdict. May be
   /// invoked concurrently from several workers; null disables.

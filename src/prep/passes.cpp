@@ -7,7 +7,6 @@
 
 #include "sweep/sweeper.hpp"
 #include "util/random.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cbq::prep {
 
@@ -52,36 +51,18 @@ std::optional<Lit> latchLit(const aig::Aig& g, VarId v) {
 
 }  // namespace
 
-PassResult coiReduction(const Network& net, obs::Metrics* stats,
-                        util::ThreadPool* pool) {
+PassResult coiReduction(const Network& net, obs::Metrics* stats) {
   const std::size_t numL = net.numLatches();
 
   std::unordered_map<VarId, std::size_t> latchOf;
   latchOf.reserve(numL);
   for (std::size_t i = 0; i < numL; ++i) latchOf.emplace(net.stateVars[i], i);
 
-  // Per-cone variable supports up front, as one parallel-for: entry i is
-  // the i-th next-state cone, entry numL the bad cone. Each traversal
-  // uses per-lane scratch and writes only its own entry, so the support
-  // sets — and everything derived from them — are identical at any
-  // thread count.
+  // Per-cone variable supports up front: entry i is the i-th next-state
+  // cone, entry numL the bad cone.
   std::vector<std::vector<VarId>> supportOf(numL + 1);
-  {
-    const int lanes = pool != nullptr ? pool->threads() : 1;
-    std::vector<aig::Aig::TraversalScratch> scratch(
-        static_cast<std::size_t>(lanes));
-    auto body = [&](std::size_t begin, std::size_t end, int lane) {
-      for (std::size_t i = begin; i < end; ++i) {
-        const Lit roots[] = {i < numL ? net.next[i] : net.bad};
-        supportOf[i] = net.aig.supportVars(
-            roots, scratch[static_cast<std::size_t>(lane)]);
-      }
-    };
-    if (pool != nullptr)
-      pool->parallelFor(numL + 1, 1, body);
-    else
-      body(0, numL + 1, 0);
-  }
+  for (std::size_t i = 0; i <= numL; ++i)
+    supportOf[i] = net.aig.supportVars(i < numL ? net.next[i] : net.bad);
 
   // Transitive support closure over the latch dependency graph, seeded by
   // the bad cone's state support.
@@ -135,29 +116,18 @@ PassResult coiReduction(const Network& net, obs::Metrics* stats,
   return out;
 }
 
-PassResult constLatchSweep(const Network& net, obs::Metrics* stats,
-                           util::ThreadPool* pool) {
+PassResult constLatchSweep(const Network& net, obs::Metrics* stats) {
   const std::size_t numL = net.numLatches();
 
   // Read-only candidate scan first: the common case is "nothing stuck",
-  // and it must not cost a full network clone. Pure per-latch literal
-  // comparisons writing disjoint flags — a textbook parallel-for.
-  std::vector<char> isCand(numL, 0);
-  {
-    auto body = [&](std::size_t begin, std::size_t end, int) {
-      for (std::size_t i = begin; i < end; ++i) {
-        const Lit nx = net.next[i];
-        isCand[i] = nx == (net.init[i] ? aig::kTrue : aig::kFalse) ||
-                    nx == latchLit(net.aig, net.stateVars[i]);
-      }
-    };
-    if (pool != nullptr)
-      pool->parallelFor(numL, 4096, body);
-    else
-      body(0, numL, 0);
+  // and it must not cost a full network clone.
+  bool anyCand = false;
+  for (std::size_t i = 0; i < numL && !anyCand; ++i) {
+    const Lit nx = net.next[i];
+    anyCand = nx == (net.init[i] ? aig::kTrue : aig::kFalse) ||
+              nx == latchLit(net.aig, net.stateVars[i]);
   }
-  if (std::find(isCand.begin(), isCand.end(), char{1}) == isCand.end())
-    return {};
+  if (!anyCand) return {};
 
   Network cur = mc::cloneNetwork(net);  // compose mutates the manager
 
@@ -201,7 +171,7 @@ PassResult constLatchSweep(const Network& net, obs::Metrics* stats,
 PassResult structuralSimplify(const Network& net, std::int64_t satBudget,
                               std::size_t maxAnds, double minShrink,
                               std::function<bool()> interrupt,
-                              obs::Metrics* stats, util::ThreadPool* pool) {
+                              obs::Metrics* stats) {
   if (maxAnds != 0 && net.aig.numAnds() > maxAnds) return {};
 
   Network cur = mc::cloneNetwork(net);
@@ -210,7 +180,6 @@ PassResult structuralSimplify(const Network& net, std::int64_t satBudget,
 
   sweep::SweepOptions so;
   so.satBudget = satBudget;
-  so.pool = pool;
   sweep::SweepContext ctx;
   ctx.setInterrupt(std::move(interrupt));
   const auto sw = sweep::sweep(cur.aig, roots, so, ctx);
@@ -241,7 +210,7 @@ PassResult structuralSimplify(const Network& net, std::int64_t satBudget,
 PassResult latchCorrespondence(const Network& net, std::size_t maxAnds,
                                std::size_t growthLimit,
                                std::function<bool()> interrupt,
-                               obs::Metrics* stats, util::ThreadPool* pool) {
+                               obs::Metrics* stats) {
   const std::size_t numL = net.numLatches();
   if (numL < 2) return {};
   // Gate on what the compose rounds actually touch — the next-state
@@ -266,33 +235,17 @@ PassResult latchCorrespondence(const Network& net, std::size_t maxAnds,
     }
   }
 
-  // ----- simulation prefilter (read-only on `net`, stratum-parallel) -----
+  // ----- simulation prefilter (read-only on `net`) -------------------------
   // Drive every latch variable with its current class's random word,
   // inputs with fresh noise, simulate the next-state cones word-parallel,
   // and split classes whose members' next-state words differ. A split
   // here only anticipates a structural split below (see passes.hpp), but
   // costs one O(cone) simulation instead of a manager-growing compose
-  // round. All RNG draws happen serially, and the simulation writes one
-  // slot per node, so the refinement — like everything in this pass — is
-  // bit-identical at any thread count.
+  // round.
   {
     std::vector<Lit> simRoots(net.next.begin(), net.next.end());
     const auto simOrder = net.aig.coneAnds(simRoots);
     const auto supVars = net.aig.supportVars(simRoots);
-    std::vector<aig::NodeId> lvlOrder = simOrder;
-    std::stable_sort(lvlOrder.begin(), lvlOrder.end(),
-                     [&](aig::NodeId a, aig::NodeId b) {
-                       return net.aig.level(a) < net.aig.level(b);
-                     });
-    std::vector<std::pair<std::size_t, std::size_t>> strata;
-    for (std::size_t i = 0; i < lvlOrder.size();) {
-      const unsigned lvl = net.aig.level(lvlOrder[i]);
-      std::size_t j = i + 1;
-      while (j < lvlOrder.size() && net.aig.level(lvlOrder[j]) == lvl) ++j;
-      strata.emplace_back(i, j);
-      i = j;
-    }
-
     std::unordered_map<VarId, std::size_t> latchOf;
     latchOf.reserve(numL);
     for (std::size_t i = 0; i < numL; ++i)
@@ -313,23 +266,14 @@ PassResult latchCorrespondence(const Network& net, std::size_t maxAnds,
       for (const VarId v : supVars)
         if (!latchOf.contains(v)) val[net.aig.piNodeOf(v)] = rng.next64();
 
-      for (const auto& [sb, se] : strata) {
-        auto body = [&](std::size_t begin, std::size_t end, int) {
-          for (std::size_t i = begin; i < end; ++i) {
-            const aig::NodeId n = lvlOrder[sb + i];
-            const Lit f0 = net.aig.fanin0(n);
-            const Lit f1 = net.aig.fanin1(n);
-            const std::uint64_t a =
-                val[f0.node()] ^ (f0.negated() ? ~std::uint64_t{0} : 0);
-            const std::uint64_t b =
-                val[f1.node()] ^ (f1.negated() ? ~std::uint64_t{0} : 0);
-            val[n] = a & b;
-          }
-        };
-        if (pool != nullptr)
-          pool->parallelFor(se - sb, 4096, body);
-        else
-          body(0, se - sb, 0);
+      for (const aig::NodeId n : simOrder) {
+        const Lit f0 = net.aig.fanin0(n);
+        const Lit f1 = net.aig.fanin1(n);
+        const std::uint64_t a =
+            val[f0.node()] ^ (f0.negated() ? ~std::uint64_t{0} : 0);
+        const std::uint64_t b =
+            val[f1.node()] ^ (f1.negated() ? ~std::uint64_t{0} : 0);
+        val[n] = a & b;
       }
 
       std::unordered_map<std::uint64_t, std::size_t> wordId;

@@ -14,10 +14,6 @@
 #include "prep/trace_lift.hpp"
 #include "obs/metrics.hpp"
 
-namespace cbq::util {
-class ThreadPool;
-}
-
 namespace cbq::prep {
 
 /// Outcome of one pass. When `changed` is false the pass was an identity:
@@ -34,15 +30,8 @@ struct PassResult {
 /// `bad`; closure: supports of the kept next-state functions) and only the
 /// inputs feeding a kept cone. Everything else never influences the
 /// violation condition at any step and is dropped.
-///
-/// `pool` (here and in every pass below; non-owning, null = serial)
-/// parallelizes the read-only analysis phases — per-latch support
-/// traversals here, candidate scanning in constLatchSweep, cone
-/// simulation in latchCorrespondence, the sweeper's signature layer in
-/// structuralSimplify. Every pass produces bit-identical networks,
-/// transforms, and stats at any thread count.
-PassResult coiReduction(const mc::Network& net, obs::Metrics* stats = nullptr,
-                        util::ThreadPool* pool = nullptr);
+PassResult coiReduction(const mc::Network& net,
+                        obs::Metrics* stats = nullptr);
 
 /// Constant/stuck-at latch sweep: a latch whose next-state function is the
 /// constant equal to its reset value, or whose next-state is its own
@@ -51,8 +40,7 @@ PassResult coiReduction(const mc::Network& net, obs::Metrics* stats = nullptr,
 /// cone; substitution can expose further constant latches, so the sweep
 /// iterates to closure.
 PassResult constLatchSweep(const mc::Network& net,
-                           obs::Metrics* stats = nullptr,
-                           util::ThreadPool* pool = nullptr);
+                           obs::Metrics* stats = nullptr);
 
 /// Structural simplification: runs the sweeper (BDD + SAT equivalence
 /// merging) over {next functions, bad} and compacts into a fresh manager,
@@ -73,8 +61,7 @@ PassResult structuralSimplify(const mc::Network& net,
                               std::size_t maxAnds = 100000,
                               double minShrink = 0.05,
                               std::function<bool()> interrupt = {},
-                              obs::Metrics* stats = nullptr,
-                              util::ThreadPool* pool = nullptr);
+                              obs::Metrics* stats = nullptr);
 
 /// Latch correspondence: greatest-fixpoint partition refinement. Latches
 /// start classed by reset value; each round substitutes every latch by its
@@ -93,9 +80,8 @@ PassResult structuralSimplify(const mc::Network& net,
 /// when `interrupt` fires between rounds.
 /// A word-parallel simulation prefilter runs before the compose loop:
 /// each latch variable is driven by its CURRENT class representative's
-/// random word, the next-state cones are simulated (stratum-parallel
-/// under `pool`), and classes whose members' next-state words differ are
-/// split. Simulation under a class-consistent assignment can never
+/// random word, the next-state cones are simulated in topological order,
+/// and classes whose members' next-state words differ are split. Simulation under a class-consistent assignment can never
 /// distinguish latches the structural fixpoint keeps together (equal
 /// composed literals evaluate equally), so the prefilter only
 /// anticipates splits the compose loop would make anyway — the final
@@ -105,7 +91,6 @@ PassResult latchCorrespondence(const mc::Network& net,
                                std::size_t maxAnds = 100000,
                                std::size_t growthLimit = 8,
                                std::function<bool()> interrupt = {},
-                               obs::Metrics* stats = nullptr,
-                               util::ThreadPool* pool = nullptr);
+                               obs::Metrics* stats = nullptr);
 
 }  // namespace cbq::prep

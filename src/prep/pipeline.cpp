@@ -86,24 +86,24 @@ PreparedProblem Pipeline::run(const mc::Network& net,
   const PassSpec specs[] = {
       {"coi", opts_.coi,
        [&](const mc::Network& n) {
-         return coiReduction(n, &out.stats, opts_.pool);
+         return coiReduction(n, &out.stats);
        }},
       {"const", opts_.constLatch,
        [&](const mc::Network& n) {
-         return constLatchSweep(n, &out.stats, opts_.pool);
+         return constLatchSweep(n, &out.stats);
        }},
       {"sweep", opts_.structural,
        [&](const mc::Network& n) {
          return structuralSimplify(n, opts_.sweepSatBudget,
                                    opts_.structuralMaxAnds,
                                    opts_.structuralMinShrink, interrupt,
-                                   &out.stats, opts_.pool);
+                                   &out.stats);
        }},
       {"latchcorr", opts_.latchCorr,
        [&](const mc::Network& n) {
          return latchCorrespondence(n, opts_.latchCorrMaxAnds,
                                     opts_.latchCorrGrowth, interrupt,
-                                    &out.stats, opts_.pool);
+                                    &out.stats);
        }},
   };
   bool dirty[4] = {true, true, true, true};

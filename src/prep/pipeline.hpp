@@ -28,10 +28,6 @@
 #include "prep/passes.hpp"
 #include "prep/trace_lift.hpp"
 
-namespace cbq::util {
-class ThreadPool;
-}
-
 namespace cbq::prep {
 
 /// Pass on/off knobs and budgets. `enabled = false` short-circuits the
@@ -60,12 +56,6 @@ struct PrepOptions {
   /// prep/passes.hpp).
   std::size_t latchCorrMaxAnds = 100000;
   std::size_t latchCorrGrowth = 8;
-  /// Intra-pass parallelism (non-owning; null = serial). One pool is
-  /// shared by every pass and the sweeper's signature layer; results are
-  /// bit-identical at any thread count, and the pool's one-region-at-a-
-  /// time guard means concurrent pipelines (batch workers) degrade to
-  /// serial instead of oversubscribing.
-  util::ThreadPool* pool = nullptr;
 };
 
 /// Per-pass shrink record for reports.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/thread_pool.hpp"
-
 namespace cbq::sweep {
 
 namespace {
@@ -14,19 +12,12 @@ using aig::VarId;
 
 std::uint64_t negMask(bool b) { return b ? ~std::uint64_t{0} : 0; }
 
-// Grains for pool partitioning. A resimulate chunk touches `words_` (a
-// couple of cache lines) per node; a single-column chunk touches one word
-// per node — keep chunks big enough that claiming one costs nothing.
-constexpr std::size_t kResimGrain = 1024;
-constexpr std::size_t kColumnGrain = 8192;
-
 }  // namespace
 
 Signatures::Signatures(const aig::Aig& aig, std::span<const NodeId> order,
                        std::span<const VarId> support, util::Random& rng,
-                       int initialWords, int maxWords, util::ThreadPool* pool)
+                       int initialWords, int maxWords)
     : aig_(&aig),
-      pool_(pool),
       support_(support.begin(), support.end()),
       stride_(static_cast<std::size_t>(
           maxWords > initialWords ? maxWords : initialWords)),
@@ -57,24 +48,6 @@ void Signatures::relayout(std::span<const NodeId> order) {
   for (const NodeId n : order_)
     if (slotOf_[n] == kNoSlot) slotOf_[n] = next++;
 
-  // Level strata: a stable sort of the topological order by level keeps a
-  // valid order (every fanin has a strictly smaller level) while making
-  // each level a contiguous, internally independent range.
-  const aig::Aig& aig = *aig_;
-  levelOrder_ = order_;
-  std::stable_sort(levelOrder_.begin(), levelOrder_.end(),
-                   [&aig](NodeId a, NodeId b) {
-                     return aig.level(a) < aig.level(b);
-                   });
-  strata_.clear();
-  for (std::size_t i = 0; i < levelOrder_.size();) {
-    const unsigned lvl = aig.level(levelOrder_[i]);
-    std::size_t j = i + 1;
-    while (j < levelOrder_.size() && aig.level(levelOrder_[j]) == lvl) ++j;
-    strata_.emplace_back(i, j);
-    i = j;
-  }
-
   arena_.assign(static_cast<std::size_t>(next) * stride_, 0);
   // The forced-fanout scratch follows the slot count on its next use.
   forced_.clear();
@@ -88,27 +61,16 @@ void Signatures::loadPiColumn(std::size_t w) {
 }
 
 void Signatures::simulateColumn(std::size_t w) {
-  // Constant slot stays 0. PIs first, then stratum by stratum — within a
-  // stratum every node writes only its own slot, so splitting the range
-  // across lanes is race-free and bit-identical at any thread count.
+  // Constant slot stays 0; PIs first, then the cone in topological order.
   loadPiColumn(w);
-  for (const auto& [sb, se] : strata_) {
-    auto body = [&](std::size_t begin, std::size_t end, int) {
-      for (std::size_t i = begin; i < end; ++i) {
-        const NodeId n = levelOrder_[sb + i];
-        const Lit f0 = aig_->fanin0(n);
-        const Lit f1 = aig_->fanin1(n);
-        const std::uint64_t a =
-            arena_[slotOf_[f0.node()] * stride_ + w] ^ negMask(f0.negated());
-        const std::uint64_t b =
-            arena_[slotOf_[f1.node()] * stride_ + w] ^ negMask(f1.negated());
-        arena_[slotOf_[n] * stride_ + w] = a & b;
-      }
-    };
-    if (pool_ != nullptr)
-      pool_->parallelFor(se - sb, kColumnGrain, body);
-    else
-      body(0, se - sb, 0);
+  for (const NodeId n : order_) {
+    const Lit f0 = aig_->fanin0(n);
+    const Lit f1 = aig_->fanin1(n);
+    const std::uint64_t a =
+        arena_[slotOf_[f0.node()] * stride_ + w] ^ negMask(f0.negated());
+    const std::uint64_t b =
+        arena_[slotOf_[f1.node()] * stride_ + w] ^ negMask(f1.negated());
+    arena_[slotOf_[n] * stride_ + w] = a & b;
   }
 }
 
@@ -206,47 +168,25 @@ bool Signatures::forcingChanges(NodeId forced, bool value, NodeId root,
 
 void Signatures::resimulateAll() {
   // Node-major: one pass over the cone, and per node a contiguous word
-  // loop the compiler vectorizes (mask-XOR + AND over dense rows). The
-  // PI rows are copied first, then each stratum is a parallel-for.
+  // loop the compiler vectorizes (mask-XOR + AND over dense rows).
   for (std::size_t w = 0; w < words_; ++w) loadPiColumn(w);
   const std::size_t words = words_;
-  for (const auto& [sb, se] : strata_) {
-    auto body = [&](std::size_t begin, std::size_t end, int) {
-      for (std::size_t i = begin; i < end; ++i) {
-        const NodeId n = levelOrder_[sb + i];
-        const Lit f0 = aig_->fanin0(n);
-        const Lit f1 = aig_->fanin1(n);
-        const std::uint64_t ma = negMask(f0.negated());
-        const std::uint64_t mb = negMask(f1.negated());
-        const std::uint64_t* a = &arena_[slotOf_[f0.node()] * stride_];
-        const std::uint64_t* b = &arena_[slotOf_[f1.node()] * stride_];
-        std::uint64_t* o = &arena_[slotOf_[n] * stride_];
-        for (std::size_t w = 0; w < words; ++w)
-          o[w] = (a[w] ^ ma) & (b[w] ^ mb);
-      }
-    };
-    if (pool_ != nullptr)
-      pool_->parallelFor(se - sb, kResimGrain, body);
-    else
-      body(0, se - sb, 0);
+  for (const NodeId n : order_) {
+    const Lit f0 = aig_->fanin0(n);
+    const Lit f1 = aig_->fanin1(n);
+    const std::uint64_t ma = negMask(f0.negated());
+    const std::uint64_t mb = negMask(f1.negated());
+    const std::uint64_t* a = &arena_[slotOf_[f0.node()] * stride_];
+    const std::uint64_t* b = &arena_[slotOf_[f1.node()] * stride_];
+    std::uint64_t* o = &arena_[slotOf_[n] * stride_];
+    for (std::size_t w = 0; w < words; ++w) o[w] = (a[w] ^ ma) & (b[w] ^ mb);
   }
 }
 
 void Signatures::resimulateAllReference() {
-  // Column-major, strictly serial over the original topological order —
-  // the pre-parallel implementation, preserved as the bit-exact referee.
-  for (std::size_t w = 0; w < words_; ++w) {
-    loadPiColumn(w);
-    for (const NodeId n : order_) {
-      const Lit f0 = aig_->fanin0(n);
-      const Lit f1 = aig_->fanin1(n);
-      const std::uint64_t a =
-          arena_[slotOf_[f0.node()] * stride_ + w] ^ negMask(f0.negated());
-      const std::uint64_t b =
-          arena_[slotOf_[f1.node()] * stride_ + w] ^ negMask(f1.negated());
-      arena_[slotOf_[n] * stride_ + w] = a & b;
-    }
-  }
+  // Column-major: the per-column walk the incremental appends use, once
+  // per active column — the bit-exact referee for resimulateAll().
+  for (std::size_t w = 0; w < words_; ++w) simulateColumn(w);
 }
 
 bool Signatures::allZero(NodeId n) const {

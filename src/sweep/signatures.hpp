@@ -10,15 +10,9 @@
 // resimulating the whole history (the old appendWord was O(words) per
 // refinement round, O(words²) over a run).
 //
-// Simulation is organized by topological STRATA: the cone order is
-// stable-sorted by AIG level, so all nodes of one level form a contiguous
-// range whose fanins live strictly in earlier ranges (or in the PI row).
-// Within a stratum every node writes only its own slot, which makes each
-// stratum an embarrassingly parallel loop — resimulateAll() runs the
-// node-major inner word loop (a straight-line `(a^ma) & (b^mb)` over a
-// contiguous row, auto-vectorizable) across an optional ThreadPool, and
-// the result is bit-identical at any thread count because the partition
-// only splits disjoint slot writes.
+// resimulateAll() walks the topological cone order node-major: per node,
+// a straight-line `(a^ma) & (b^mb)` over contiguous rows that the
+// compiler auto-vectorizes.
 //
 // Class keys are 64-bit mixed hashes of the complement-normalized words
 // (splitmix-style finalization per word), with exact word comparison as
@@ -30,10 +24,6 @@
 
 #include "aig/aig.hpp"
 #include "util/random.hpp"
-
-namespace cbq::util {
-class ThreadPool;
-}
 
 namespace cbq::audit {
 struct Access;
@@ -59,13 +49,10 @@ class Signatures {
   /// `order` is the cone's AND nodes in topological order (fanins first),
   /// `support` the sorted external variables of its PIs. `initialWords`
   /// random columns are generated immediately; the arena reserves room for
-  /// `maxWords` columns so refinement appends never reallocate. `pool`
-  /// (optional, non-owning) parallelizes simulation across level strata;
-  /// null means serial, and any pool yields bit-identical words.
+  /// `maxWords` columns so refinement appends never reallocate.
   Signatures(const aig::Aig& aig, std::span<const aig::NodeId> order,
              std::span<const aig::VarId> support, util::Random& rng,
-             int initialWords, int maxWords,
-             util::ThreadPool* pool = nullptr);
+             int initialWords, int maxWords);
 
   [[nodiscard]] std::size_t words() const { return words_; }
   [[nodiscard]] std::size_t stride() const { return stride_; }
@@ -104,15 +91,15 @@ class Signatures {
                                     std::span<const std::uint64_t> mask);
 
   /// Recomputes every active column of every node from the stored PI
-  /// words, node-major (per node, one contiguous SIMD-friendly word loop)
-  /// and stratum-parallel when a pool is attached. The result must be
+  /// words, node-major (per node, one contiguous SIMD-friendly word
+  /// loop). The result must be
   /// bit-for-bit identical to the incrementally maintained state AND to
   /// resimulateAllReference(); tests use both as referees.
   void resimulateAll();
 
-  /// The pre-parallel column-major serial recomputation, kept verbatim as
-  /// the bit-exact referee for resimulateAll() (tests/test_parallel.cpp)
-  /// and as the micro-benchmark baseline (bench/micro_aig.cpp).
+  /// Column-major recomputation (one simulateColumn per active column):
+  /// the bit-exact referee for resimulateAll() (tests/test_sweep.cpp) and
+  /// the micro-benchmark baseline (bench/micro_aig.cpp, cbq bench-par).
   void resimulateAllReference();
 
   /// Active signature words of node `n` (must be in the cone).
@@ -147,16 +134,9 @@ class Signatures {
   void loadPiColumn(std::size_t w);
 
   const aig::Aig* aig_;
-  util::ThreadPool* pool_;  // non-owning; null = serial
   std::vector<aig::NodeId> order_;
   std::vector<aig::VarId> support_;
   std::vector<aig::NodeId> supportNode_;  // PI node per support entry
-
-  /// order_ stable-sorted by AIG level; strata_[k] = [begin, end) range of
-  /// levelOrder_ holding all cone nodes of the k-th occupied level. Fanins
-  /// of a stratum node are PIs or live in strictly earlier strata.
-  std::vector<aig::NodeId> levelOrder_;
-  std::vector<std::pair<std::size_t, std::size_t>> strata_;
 
   std::size_t stride_;  // reserved columns per slot
   std::size_t words_;   // active columns

@@ -10,7 +10,6 @@
 #include "sweep/sweep_context.hpp"
 #include "sweep/union_find.hpp"
 #include "util/random.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cbq::sweep {
 
@@ -68,8 +67,7 @@ SweepResult sweep(aig::Aig& aig, std::span<const Lit> roots,
   const int maxWords = opts.maxWords > 0
                            ? opts.maxWords
                            : initialWords + std::max(opts.maxRounds, 0);
-  Signatures sigs(aig, order, support, rng, initialWords, maxWords,
-                  opts.pool);
+  Signatures sigs(aig, order, support, rng, initialWords, maxWords);
 
   // Candidate pool: PIs first (they can only be representatives), then AND
   // nodes in topological order, so every merge points at a topologically
@@ -188,22 +186,18 @@ SweepResult sweep(aig::Aig& aig, std::span<const Lit> roots,
 
     // Build candidate classes from the current signatures: a dense
     // union-find over pool slots keyed by 64-bit mixed hashes, with exact
-    // signature comparison refereeing hash collisions. The refinement is
-    // sharded: equal normalized signatures have equal hashes, so a whole
-    // class lands in one hash-indexed shard, shards are refereed in
-    // parallel, and a serial shard-order merge reproduces EXACTLY the
-    // unite edges of the old single-threaded scan — partitions and class
-    // IDs are thread-count-independent by construction.
+    // signature comparison refereeing hash collisions. One pass in pool
+    // order: constant candidates become singleton classes in place, every
+    // other candidate joins the first earlier leader with an equal
+    // normalized signature or becomes a leader itself.
     std::vector<std::uint8_t> referenced;
     if (opts.backward) referenced = referencedNodes(aig, roots, mergeMap);
 
     UnionFind uf(pool.size());
     std::vector<EquivClass> classes;
     std::vector<std::uint8_t> active(pool.size(), 0);
-
-    // Phase 1 (serial, pool order): filter candidates.
-    std::vector<std::uint32_t> cand;
-    cand.reserve(pool.size());
+    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> leaders;
+    leaders.reserve(pool.size());
     for (std::uint32_t slot = 0; slot < pool.size(); ++slot) {
       const NodeId n = pool[slot];
       if (mergeMap.contains(n) || disqualified[n] != 0) continue;
@@ -211,98 +205,31 @@ SweepResult sweep(aig::Aig& aig, std::span<const Lit> roots,
         if (aig.isAnd(n)) ++out.stats.skippedUnreferenced;
         continue;
       }
-      cand.push_back(slot);
-    }
-
-    // Phase 2 (parallel over candidates, disjoint per-slot writes):
-    // constant detection and normalized class keys.
-    std::vector<std::uint64_t> hashOf(pool.size(), 0);
-    std::vector<std::uint8_t> constKind(pool.size(), 0);  // 1=zero, 2=one
-    {
-      auto body = [&](std::size_t begin, std::size_t end, int) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const std::uint32_t slot = cand[i];
-          const NodeId n = pool[slot];
-          if (aig.isAnd(n)) {
-            if (sigs.allZero(n)) {
-              constKind[slot] = 1;
-              continue;
-            }
-            if (sigs.allOne(n)) {
-              constKind[slot] = 2;
-              continue;
-            }
-          }
-          const Signatures::Key key = sigs.normalizedKey(n);
-          hashOf[slot] = key.hash;
-          phaseOf[slot] = key.phase ? 1 : 0;
-        }
-      };
-      if (opts.pool != nullptr)
-        opts.pool->parallelFor(cand.size(), 512, body);
-      else
-        body(0, cand.size(), 0);
-    }
-
-    // Phase 3 (serial, pool order): const classes keep their original
-    // position — interleaved ahead of the gathered classes — and the
-    // remaining candidates are bucketed by hash into a FIXED number of
-    // shards (independent of thread count), preserving pool order inside
-    // each shard.
-    constexpr std::size_t kNumShards = 64;
-    std::vector<std::vector<std::uint32_t>> shard(kNumShards);
-    for (const std::uint32_t slot : cand) {
-      const NodeId n = pool[slot];
-      if (constKind[slot] != 0) {
+      if (aig.isAnd(n) && (sigs.allZero(n) || sigs.allOne(n))) {
         EquivClass cls;
-        cls.rep = constKind[slot] == 2 ? aig::kTrue : aig::kFalse;
+        cls.constValue = sigs.allOne(n);
+        cls.rep = cls.constValue ? aig::kTrue : aig::kFalse;
         cls.members = {n};
         cls.maxLevel = aig.level(n);
         cls.constant = true;
-        cls.constValue = constKind[slot] == 2;
         classes.push_back(std::move(cls));
         continue;
       }
+      const Signatures::Key key = sigs.normalizedKey(n);
+      phaseOf[slot] = key.phase ? 1 : 0;
       active[slot] = 1;
-      shard[hashOf[slot] >> 58].push_back(slot);
-    }
-
-    // Phase 4 (parallel over shards): per-shard leader chains with exact
-    // comparison refereeing collisions; matches are recorded as unite
-    // edges. The leader of an equal-signature group is its pool-first
-    // member both globally and in-shard (the whole group shares one
-    // shard), so the edge set equals the serial scan's.
-    std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
-        unites(kNumShards);
-    {
-      auto body = [&](std::size_t begin, std::size_t end, int) {
-        std::unordered_map<std::uint64_t, std::vector<std::uint32_t>>
-            leaders;
-        for (std::size_t s = begin; s < end; ++s) {
-          leaders.clear();
-          leaders.reserve(shard[s].size());
-          for (const std::uint32_t slot : shard[s]) {
-            auto& chain = leaders[hashOf[slot]];
-            bool matched = false;
-            for (const std::uint32_t leader : chain) {
-              if (sigs.equalNormalized(pool[slot], phaseOf[slot] != 0,
-                                       pool[leader], phaseOf[leader] != 0)) {
-                unites[s].emplace_back(leader, slot);
-                matched = true;
-                break;
-              }
-            }
-            if (!matched) chain.push_back(slot);
-          }
+      auto& chain = leaders[key.hash];
+      bool matched = false;
+      for (const std::uint32_t leader : chain) {
+        if (sigs.equalNormalized(n, key.phase, pool[leader],
+                                 phaseOf[leader] != 0)) {
+          uf.unite(leader, slot);
+          matched = true;
+          break;
         }
-      };
-      if (opts.pool != nullptr)
-        opts.pool->parallelFor(kNumShards, 1, body);
-      else
-        body(0, kNumShards, 0);
+      }
+      if (!matched) chain.push_back(slot);
     }
-    for (const auto& edges : unites)
-      for (const auto& [leader, slot] : edges) uf.unite(leader, slot);
     CBQ_AUDIT_CHECK("sweep.unite", audit::auditUnionFind(uf));
 
     // Gather union-find trees into member lists (pool order ⇒ members are

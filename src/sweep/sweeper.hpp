@@ -35,10 +35,6 @@
 #include "aig/aig.hpp"
 #include "sweep/sweep_context.hpp"
 
-namespace cbq::util {
-class ThreadPool;
-}
-
 namespace cbq::sweep {
 
 struct SweepOptions {
@@ -52,12 +48,6 @@ struct SweepOptions {
   bool useSat = true;             ///< enable layer 3
   bool backward = false;          ///< outputs-first compare-point order
   std::uint64_t seed = 0x5eed;    ///< simulation seed
-
-  /// Intra-sweep parallelism (non-owning; null = serial): signature
-  /// simulation runs stratum-parallel and class refinement shards across
-  /// the pool's lanes. Results — classes, merges, rebuilt roots — are
-  /// bit-identical at any thread count (tests/test_parallel.cpp).
-  util::ThreadPool* pool = nullptr;
 };
 
 struct SweepStats {

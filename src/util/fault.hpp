@@ -67,7 +67,7 @@ struct FaultSiteStats {
 };
 
 /// The process-wide injector. Thread-safe: sites are hit concurrently by
-/// racing engines, pool lanes and batch workers. Arm/disarm are meant for
+/// racing engines, session workers and batch workers. Arm/disarm are meant for
 /// test setup and CLI start-up, not for mid-run reconfiguration.
 class FaultInjector {
  public:

@@ -41,6 +41,30 @@ expect 1 "$CBQ" check "$TMP/broken.aag"
 expect 1 "$CBQ" check "$TMP/safe.aag" --engine no-such-engine
 expect 1 "$CBQ" check "$TMP/safe.aag" --prep bogus-pass
 expect 1 "$CBQ" check "$TMP/safe.aag" --schedule bogus
+# Numeric flags must consume their whole value and be non-negative.
+expect 1 "$CBQ" check "$TMP/safe.aag" --timeout abc
+expect 1 "$CBQ" check "$TMP/safe.aag" --timeout 5s
+expect 1 "$CBQ" check "$TMP/safe.aag" --timeout nan
+expect 1 "$CBQ" check "$TMP/safe.aag" --timeout 1e300
+expect 1 "$CBQ" check "$TMP/safe.aag" --timeout -1
+expect 1 "$CBQ" check "$TMP/safe.aag" --node-limit -5
+expect 1 "$CBQ" check "$TMP/safe.aag" --mem-limit lots
+expect 1 "$CBQ" check "$TMP/safe.aag" --workers x
+expect 1 "$CBQ" check "$TMP/safe.aag" --jobs 99999999999999999999
+expect 1 "$CBQ" check "$TMP/safe.aag" --inject-seed -3
+expect 1 "$CBQ" gen counter --width 3x
+expect 1 "$CBQ" soak --seeds ten
+msg="$("$CBQ" check "$TMP/safe.aag" --timeout abc 2>&1)"
+case "$msg" in
+  *"bad value for --timeout"*) ;;
+  *)
+    echo "FAIL: malformed --timeout lacks a diagnostic: $msg"
+    fails=$((fails + 1))
+    ;;
+esac
+expect 0 "$CBQ" check "$TMP/safe.aag" --timeout 60.5 --node-limit 0 \
+  --mem-limit 4096 --workers 2 --schedule slice
+expect 1 "$CBQ" check "$TMP/safe.aag" --no-such-flag 2
 
 # The whole malformed-input corpus: every file is a clean exit-1 parse
 # error — never a crash (which would surface as exit >= 128).

@@ -1,6 +1,6 @@
 // Observability subsystem tests: metrics histograms and thread safety,
 // span tracer determinism and JSON validity, concurrent emission from
-// pool lanes (run under TSan in CI), the disabled-mode no-allocation
+// eight threads (run under TSan in CI), the disabled-mode no-allocation
 // guarantee, ring-wrap drop accounting, NDJSON progress lines, and the
 // steady-clock policy for every duration source.
 
@@ -20,7 +20,6 @@
 #include "obs/progress.hpp"
 #include "obs/tracer.hpp"
 #include "portfolio/budget.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -338,17 +337,21 @@ TEST_F(TracerTest, NestedSpansAreContainedAndOrdered) {
   EXPECT_LE(evs[0].ts + evs[0].dur, evs[1].ts + 1e-9);
 }
 
-TEST_F(TracerTest, ConcurrentEmissionFromPoolLanes) {
+TEST_F(TracerTest, ConcurrentEmissionFromThreads) {
   cbq::obs::enableTracing();
-  constexpr int kLanes = 8;
-  constexpr std::size_t kItems = 400;
+  constexpr int kThreads = 8;
+  constexpr std::size_t kItemsPerThread = 50;
   {
-    cbq::util::ThreadPool pool(kLanes);
-    pool.parallelFor(kItems, 1, [](std::size_t b, std::size_t e, int) {
-      for (std::size_t i = b; i < e; ++i) {
-        CBQ_OBS_SPAN("sweep", "work-item");
-      }
-    });
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([t] {
+        cbq::obs::setThreadLabel("lane " + std::to_string(t));
+        for (std::size_t i = 0; i < kItemsPerThread; ++i) {
+          CBQ_OBS_SPAN("sweep", "work-item");
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
   }
   cbq::obs::disableTracing();
 
@@ -360,10 +363,10 @@ TEST_F(TracerTest, ConcurrentEmissionFromPoolLanes) {
   std::size_t workSpans = 0;
   for (const auto& ev : extractEvents(json))
     if (ev.name == "work-item") ++workSpans;
-  // The pool's chunk spans ride along; every work item must be present.
-  EXPECT_EQ(workSpans, kItems);
-  // Pool lanes self-label; their names must appear as thread metadata.
-  EXPECT_NE(json.find("pool lane 1"), std::string::npos);
+  EXPECT_EQ(workSpans, kThreads * kItemsPerThread);
+  // Every thread's label must appear as thread metadata.
+  for (int t = 0; t < kThreads; ++t)
+    EXPECT_NE(json.find("lane " + std::to_string(t)), std::string::npos);
 }
 
 TEST_F(TracerTest, DisabledSpansDoNotAllocate) {

@@ -1,10 +1,15 @@
 // Merge-phase (sweeping) tests: semantics preservation on random cones,
 // detection of planted equivalences, the BDD and SAT layers individually,
-// and forward vs backward processing.
+// forward vs backward processing, and the signature arena's node-major
+// resimulation agreeing bit for bit with its column-major referee.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "helpers.hpp"
+#include "sweep/signatures.hpp"
 #include "sweep/sweeper.hpp"
 #include "util/random.hpp"
 
@@ -243,6 +248,33 @@ TEST(Sweep, StatsAreConsistent) {
   const auto r = sweep(g, roots, {}, ctx);
   EXPECT_GE(r.stats.satChecks, r.stats.satMerges + r.stats.satRefuted);
   EXPECT_GE(r.stats.rounds, 1u);
+}
+
+/// Incrementally appended words, resimulateAll() and the column-major
+/// resimulateAllReference() must agree bit for bit.
+TEST(Signatures, ResimulationMatchesIncrementalAndReference) {
+  util::Random build(42);
+  Aig g;
+  const Lit root = test::randomFormula(g, build, 8, 400);
+  const Lit roots[] = {root};
+  const auto order = g.coneAnds(roots);
+  const auto support = g.supportVars(roots);
+
+  util::Random rng(7);
+  sweep::Signatures sigs(g, order, support, rng, 4, 8);
+  const std::vector<std::uint64_t> cex(support.size(), 0xf0f0f0f0ull);
+  EXPECT_TRUE(sigs.appendWord(cex, static_cast<int>(support.size()), rng));
+  auto collect = [&] {
+    std::vector<std::uint64_t> words;
+    for (const auto n : order)
+      for (const auto w : sigs.of(n)) words.push_back(w);
+    return words;
+  };
+  const auto incremental = collect();
+  sigs.resimulateAll();
+  EXPECT_EQ(collect(), incremental);
+  sigs.resimulateAllReference();
+  EXPECT_EQ(collect(), incremental);
 }
 
 }  // namespace
