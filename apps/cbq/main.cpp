@@ -346,6 +346,7 @@ int usage() {
       "            [--prep on|off|coi,const,sweep,latchcorr]\n"
       "            [--trace FILE] [--progress]\n"
       "      run the portfolio on one circuit (.aag/.aig/.bench);\n"
+      "      --timeout S is the run's only wall clock (default 0: none);\n"
       "      --schedule race (default) gives every engine a worker thread,\n"
       "      --schedule slice shares --workers threads (default 1:\n"
       "      single-core portfolio) and pauses a session only while\n"

@@ -42,15 +42,12 @@ int main() {
                        "bdd[ms]", "cbq-iters", "bdd-iters"});
     for (const int w : s.widths) {
       auto inst = circuits::makeInstance(s.family, w, true);
-      mc::CircuitQuantReachOptions aigOpts;
-      aigOpts.limits.timeLimitSeconds = 20.0;
-      mc::CircuitQuantReach aigEngine(aigOpts);
+      mc::CircuitQuantReach aigEngine;
       mc::BddReachOptions bddOpts;
-      bddOpts.limits.timeLimitSeconds = 20.0;
       bddOpts.nodeLimit = 1'000'000;
       mc::BddBackwardReach bddEngine(bddOpts);
-      const auto a = aigEngine.check(inst.net);
-      const auto b = bddEngine.check(inst.net);
+      const auto a = aigEngine.check(inst.net, portfolio::Budget(20.0));
+      const auto b = bddEngine.check(inst.net, portfolio::Budget(20.0));
       table.addRow({std::to_string(w),
                     util::Table::num(a.stats.gauge("reach.max_reached_cone"),
                                      0),

@@ -34,7 +34,7 @@ int main() {
     std::vector<std::string> row{inst.net.name,
                                  mc::toString(inst.expected)};
     for (auto& engine : engines) {
-      const auto res = engine->check(inst.net);
+      const auto res = engine->check(inst.net, portfolio::Budget(60.0));
       std::string cell;
       if (res.verdict == mc::Verdict::Unknown) {
         cell = "?";

@@ -57,9 +57,8 @@ int main() {
       opts.quant.optPhase = false;
       opts.quant.sweepOpts.useBdd = cfg.bdd;
       opts.quant.sweepOpts.useSat = cfg.sat;
-      opts.limits.timeLimitSeconds = 20.0;
       mc::CircuitQuantReach engine(opts);
-      const auto res = engine.check(inst.net);
+      const auto res = engine.check(inst.net, portfolio::Budget(20.0));
       iters = res.steps;
       if (first == mc::Verdict::Unknown) first = res.verdict;
       stable = stable && (res.verdict == first);

@@ -55,9 +55,8 @@ int main() {
       opts.quant.mergePhase = true;
       opts.quant.optPhase = cfg.opt;
       opts.quant.dcOpts.useOdc = cfg.odc;
-      opts.limits.timeLimitSeconds = 20.0;
       mc::CircuitQuantReach engine(opts);
-      const auto res = engine.check(inst.net);
+      const auto res = engine.check(inst.net, portfolio::Budget(20.0));
       iters = res.steps;
       if (first == mc::Verdict::Unknown) first = res.verdict;
       stable = stable && (res.verdict == first);

@@ -32,8 +32,8 @@ int main() {
         auto inst = circuits::makeInstance(family, width, true);
         mc::AllSatPreimageReach pure;
         mc::HybridReach hybrid;
-        const auto a = pure.check(inst.net);
-        const auto h = hybrid.check(inst.net);
+        const auto a = pure.check(inst.net, portfolio::Budget(60.0));
+        const auto h = hybrid.check(inst.net, portfolio::Budget(60.0));
         table.addRow(
             {inst.net.name, mc::toString(a.verdict),
              std::to_string(a.stats.count("allsat.enumerations")),
@@ -55,8 +55,8 @@ int main() {
       mc::BmcOptions opts;
       opts.maxDepth = 40;
       mc::Bmc bmc(opts);
-      const auto before = bmc.check(inst.net);
-      const auto after = bmc.check(pre.net);
+      const auto before = bmc.check(inst.net, portfolio::Budget(60.0));
+      const auto after = bmc.check(pre.net, portfolio::Budget(60.0));
       table.addRow({inst.net.name, std::to_string(pre.inputsBefore),
                     std::to_string(pre.inputsAfter),
                     util::Table::num(before.seconds * 1e3, 1),

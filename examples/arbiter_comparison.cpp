@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
     std::printf("%-14s %-9s %-6s %-9s %s\n", "engine", "verdict", "steps",
                 "time[s]", "counterexample");
     for (auto& engine : cbq::mc::makeAllEngines()) {
-      const auto res = engine->check(net);
+      const auto res = engine->check(net, cbq::portfolio::Budget(60.0));
       const char* cex = "-";
       if (res.cex) {
         cex = cbq::mc::replayHitsBad(net, *res.cex) ? "replays ok"

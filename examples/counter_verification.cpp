@@ -52,10 +52,10 @@ int main(int argc, char** argv) {
   std::printf("== safe counter: wraps at 2^%d-2, all-ones unreachable ==\n",
               width);
   const auto safeNet = cbq::circuits::makeCounter(width, /*safe=*/true);
-  report(safeNet, engine.check(safeNet));
+  report(safeNet, engine.check(safeNet, cbq::portfolio::Budget(60.0)));
 
   std::printf("\n== buggy counter: plain wrap, all-ones reachable ==\n");
   const auto buggyNet = cbq::circuits::makeCounter(width, /*safe=*/false);
-  report(buggyNet, engine.check(buggyNet));
+  report(buggyNet, engine.check(buggyNet, cbq::portfolio::Budget(60.0)));
   return 0;
 }

@@ -84,9 +84,10 @@ Trace reconstructTrace(const Network& net, aig::Aig& archive,
 BackwardReachSession::BackwardReachSession(
     const Network& net, std::string engineName, const ReachLimits& limits,
     InputEliminator eliminate)
-    : net_(&net), limits_(limits), eliminate_(std::move(eliminate)) {
-  res_.engine = std::move(engineName);
-
+    : Session(std::move(engineName)),
+      net_(&net),
+      limits_(limits),
+      eliminate_(std::move(eliminate)) {
   // Working manager: next-state functions + bad cone.
   std::vector<Lit> roots(net.next.begin(), net.next.end());
   roots.push_back(net.bad);
@@ -104,12 +105,9 @@ BackwardReachSession::BackwardReachSession(
   // carries the fixpoint implications (one huge reached-set cone, one
   // query per iteration). Keeping them apart keeps the reached-set
   // learnt gates and activities out of the compare-point searches. Their
-  // interrupts poll whichever slice budget the current resume() is
-  // running under.
-  session_.setInterrupt(
-      [this] { return curBud_ != nullptr && curBud_->exhausted(); });
-  fixSession_.setInterrupt(
-      [this] { return curBud_ != nullptr && curBud_->exhausted(); });
+  // interrupts poll the budget of the resume in progress.
+  session_.setInterrupt(interrupt());
+  fixSession_.setInterrupt(interrupt());
 
   // Archive manager: frontier history for counterexample reconstruction.
   auto movedA = archive_.transferFrom(net.aig, roots);
@@ -119,23 +117,10 @@ BackwardReachSession::BackwardReachSession(
   initDense_ = net.initAssignmentDense();
 }
 
-Progress BackwardReachSession::snapshot(Verdict v, bool done) {
-  Progress p;
-  p.done = done;
-  p.result = res_;
-  p.result.verdict = v;
-  p.result.steps = iter_;
-  session_.exportStats(p.result.stats);
-  fixSession_.exportStats(p.result.stats);
-  p.bound = iter_;
-  p.advanced = committedThisSlice_ > 0;
-  p.effort =
-      static_cast<std::uint64_t>(p.result.stats.count("sat.conflicts") +
-                                 p.result.stats.count("sat.decisions") +
-                                 p.result.stats.count("sat.propagations"));
-  p.result.stats.high("mem.aig_peak_nodes",
-                      static_cast<double>(mgr_.numNodes()));
-  return p;
+void BackwardReachSession::exportLive(obs::Metrics& stats) const {
+  session_.exportStats(stats);
+  fixSession_.exportStats(stats);
+  stats.high("mem.aig_peak_nodes", static_cast<double>(mgr_.numNodes()));
 }
 
 void BackwardReachSession::commitFrontier(Lit pre) {
@@ -153,7 +138,7 @@ void BackwardReachSession::commitFrontier(Lit pre) {
   frontiersArch_.push_back(archive_.transferFrom(mgr_, fr).front());
   res_.stats.high("reach.max_frontier_cone",
                   static_cast<double>(mgr_.coneSize(fr)));
-  ++committedThisSlice_;
+  advanced_ = true;
 }
 
 void BackwardReachSession::compact() {
@@ -185,11 +170,7 @@ void BackwardReachSession::compact() {
 }
 
 Progress BackwardReachSession::doResume(const portfolio::Budget& budget) {
-  const auto bud = sliceBudget(budget, limits_.timeLimitSeconds);
-  if (!bud) return snapshot(Verdict::Unknown, true);  // own limit spent
-  curBud_ = &*bud;
-  Progress p = run(*bud);
-  curBud_ = nullptr;
+  Progress p = run(budget);
   // Session pause: everything the next resume rebuilds from — the
   // manager and both persistent SAT sessions — must be coherent now.
   CBQ_AUDIT_CHECK("reach.pause", audit::auditAig(mgr_));
@@ -201,9 +182,8 @@ Progress BackwardReachSession::doResume(const portfolio::Budget& budget) {
 }
 
 Progress BackwardReachSession::run(const portfolio::Budget& bud) {
-  committedThisSlice_ = 0;
   for (;;) {
-    if (bud.exhausted()) return snapshot(Verdict::Unknown, false);
+    if (bud.exhausted()) return report(Verdict::Unknown, false, iter_);
     switch (phase_) {
       case Phase::Init: {
         CBQ_OBS_SPAN("engine", "init");
@@ -213,8 +193,8 @@ Progress BackwardReachSession::run(const portfolio::Budget& bud) {
         const auto b0 = eliminate_(req);
         if (!b0) {
           if (bud.exhausted())  // interrupted: retry next resume
-            return snapshot(Verdict::Unknown, false);
-          return snapshot(Verdict::Unknown, true);
+            return report(Verdict::Unknown, false, iter_);
+          return report(Verdict::Unknown, true, iter_);
         }
         frontier_ = *b0;
         reached_ = frontier_;
@@ -228,12 +208,12 @@ Progress BackwardReachSession::run(const portfolio::Budget& bud) {
       }
       case Phase::Guard: {
         if (iter_ >= limits_.maxIterations)
-          return snapshot(Verdict::Unknown, true);
+          return report(Verdict::Unknown, true, iter_);
         const Lit rr[] = {reached_};
         const std::size_t sz = mgr_.coneSize(rr);
         res_.stats.high("reach.max_reached_cone", static_cast<double>(sz));
         if (sz > kHardConeLimit || bud.nodesExceeded(sz))
-          return snapshot(Verdict::Unknown, true);
+          return report(Verdict::Unknown, true, iter_);
         ++iter_;
         phase_ = Phase::Pre;
         break;
@@ -247,8 +227,9 @@ Progress BackwardReachSession::run(const portfolio::Budget& bud) {
                             &res_.stats, &bud, &session_};
         const auto q = eliminate_(req);
         if (!q) {
-          if (bud.exhausted()) return snapshot(Verdict::Unknown, false);
-          return snapshot(Verdict::Unknown, true);
+          if (bud.exhausted())
+            return report(Verdict::Unknown, false, iter_);
+          return report(Verdict::Unknown, true, iter_);
         }
         pre_ = *q;
         phase_ = Phase::Fix;
@@ -265,9 +246,10 @@ Progress BackwardReachSession::run(const portfolio::Budget& bud) {
         fixSession_.focusOn(fpRoots);
         res_.stats.add("reach.fixpoint_checks");
         const sat::Verdict fp = fixSession_.checkImplies(pre_, reached_);
-        if (fp == sat::Verdict::Holds) return snapshot(Verdict::Safe, true);
+        if (fp == sat::Verdict::Holds)
+          return report(Verdict::Safe, true, iter_);
         if (fp == sat::Verdict::Unknown)  // interrupted mid-solve: retry
-          return snapshot(Verdict::Unknown, false);
+          return report(Verdict::Unknown, false, iter_);
         commitFrontier(pre_);
         if (mgr_.evaluate(frontier_, initDense_)) {
           phase_ = Phase::Trace;
@@ -282,7 +264,7 @@ Progress BackwardReachSession::run(const portfolio::Budget& bud) {
         res_.cex = reconstructTrace(*net_, archive_, archNext_, archBad_,
                                     frontiersArch_, iter_, res_.stats);
         res_.stats.set("reach.iterations", iter_);
-        return snapshot(Verdict::Unsafe, true);
+        return report(Verdict::Unsafe, true, iter_);
       }
     }
   }

@@ -59,19 +59,16 @@ using InputEliminator =
     std::function<std::optional<aig::Lit>(const PreImageRequest&)>;
 
 /// Resumable backward reachability with AIG state sets. `eliminate` is
-/// invoked once on the initial bad cone and once per pre-image.
-/// `limits.timeLimitSeconds` is measured against the session's total
-/// accumulated time; the slice budget's node limit applies to the
-/// reached-set cone.
+/// invoked once on the initial bad cone and once per pre-image. The
+/// budget's node limit applies to the reached-set cone.
 class BackwardReachSession final : public Session {
  public:
   BackwardReachSession(const Network& net, std::string engineName,
                        const ReachLimits& limits, InputEliminator eliminate);
 
-  [[nodiscard]] std::string name() const override { return res_.engine; }
-
  protected:
   Progress doResume(const portfolio::Budget& budget) override;
+  void exportLive(obs::Metrics& stats) const override;
 
  private:
   // The resume state machine. Pausing leaves the phase unchanged, so the
@@ -87,7 +84,6 @@ class BackwardReachSession final : public Session {
   };
 
   Progress run(const portfolio::Budget& bud);
-  Progress snapshot(Verdict v, bool done);
   /// Records `pre` (which the fixpoint check just found not contained in
   /// the reached set) as the new frontier and grows the reached set.
   void commitFrontier(aig::Lit pre);
@@ -96,8 +92,6 @@ class BackwardReachSession final : public Session {
   const Network* net_;
   ReachLimits limits_;
   InputEliminator eliminate_;
-
-  CheckResult res_;  ///< cumulative engine/steps/stats/cex record
 
   aig::Aig mgr_;                     ///< working manager
   std::vector<aig::Lit> nextL_;
@@ -117,12 +111,7 @@ class BackwardReachSession final : public Session {
   aig::Lit pre_ = aig::kFalse;       ///< valid in Phase::Fix
   std::vector<bool> initDense_;      ///< dense initial-state assignment
   int iter_ = 0;
-  int committedThisSlice_ = 0;
   Phase phase_ = Phase::Init;
-
-  /// Budget of the resume() currently executing — what the sweep-session
-  /// interrupt callbacks poll. Null between resumes.
-  const portfolio::Budget* curBud_ = nullptr;
 };
 
 }  // namespace cbq::mc::detail

@@ -63,6 +63,39 @@ Trace reconstructBddTrace(const Network& net, bdd::BddManager& bm,
   return trace;
 }
 
+/// Forward counterexample reconstruction over the onion rings. A state
+/// first reached at depth t+1 has a predecessor in ring t, so the trace
+/// is rebuilt backwards with one anySat per step over
+/// ring_t ∧ TR|s'=s_{t+1}, starting from a bad state of the last ring.
+/// Variables anySat leaves free are don't-cares and read as false.
+Trace reconstructForwardTrace(const Network& net, bdd::BddManager& bm,
+                              BddRef tr, const std::vector<VarId>& nsVars,
+                              BddRef bad, const std::vector<BddRef>& rings) {
+  using Assignment = std::unordered_map<VarId, bool>;
+  const auto valueOf = [](const Assignment& pick, VarId v) {
+    const auto it = pick.find(v);
+    return it != pick.end() && it->second;
+  };
+  const auto inputsOf = [&](const Assignment& pick) {
+    Assignment inputs;
+    for (const VarId v : net.inputVars) inputs.emplace(v, valueOf(pick, v));
+    return inputs;
+  };
+
+  Assignment pick = bm.anySat(bm.bddAnd(rings.back(), bad));
+  std::vector<Assignment> inputsRev{inputsOf(pick)};
+  for (std::size_t t = rings.size() - 1; t-- > 0;) {
+    BddRef step = tr;
+    for (std::size_t j = 0; j < net.numLatches(); ++j)
+      step = bm.cofactor(step, nsVars[j], valueOf(pick, net.stateVars[j]));
+    pick = bm.anySat(bm.bddAnd(rings[t], step));
+    inputsRev.push_back(inputsOf(pick));
+  }
+  Trace trace;
+  trace.inputs.assign(inputsRev.rbegin(), inputsRev.rend());
+  return trace;
+}
+
 /// Shared session scaffolding for the two BDD engines: the manager and
 /// the incrementally-built model (next/bad/init BDDs) plus the
 /// interrupt/NodeLimit handling around each resume.
@@ -70,48 +103,32 @@ class BddSessionBase : public Session {
  public:
   BddSessionBase(const Network& net, const BddReachOptions& opts,
                  std::string engineName)
-      : net_(&net), opts_(opts) {
-    res_.engine = std::move(engineName);
+      : Session(std::move(engineName)), net_(&net), opts_(opts) {
     initDense_ = net.initAssignmentDense();
   }
 
-  [[nodiscard]] std::string name() const override { return res_.engine; }
-
  protected:
   Progress doResume(const portfolio::Budget& budget) override {
-    const auto bud = sliceBudget(budget, opts_.limits.timeLimitSeconds);
-    if (!bud) return snapshot(Verdict::Unknown, true);
-    curBud_ = &*bud;
-    Progress p = [&] {
-      try {
-        return run(*bud);
-      } catch (const bdd::NodeLimitExceeded&) {
-        res_.stats.add("bdd.node_limit_hits");
-        return snapshot(Verdict::Unknown, true);
-      } catch (const bdd::Interrupted&) {
-        // Budget fired mid-operation: pause; the retried operation
-        // fast-forwards through the unique table / operator caches.
-        res_.stats.add("bdd.interrupts");
-        return snapshot(Verdict::Unknown, false);
-      }
-    }();
-    curBud_ = nullptr;
-    return p;
+    try {
+      return run(budget);
+    } catch (const bdd::NodeLimitExceeded&) {
+      res_.stats.add("bdd.node_limit_hits");
+      return report(Verdict::Unknown, true, iter_);
+    } catch (const bdd::Interrupted&) {
+      // Budget fired mid-operation: pause; the retried operation
+      // fast-forwards through the unique table / operator caches.
+      res_.stats.add("bdd.interrupts");
+      return report(Verdict::Unknown, false, iter_);
+    }
   }
 
   /// Engine loop; throws bdd::Interrupted / NodeLimitExceeded.
   virtual Progress run(const portfolio::Budget& bud) = 0;
 
-  Progress snapshot(Verdict v, bool done) {
-    Progress p;
-    p.done = done;
-    p.result = res_;
-    p.result.verdict = v;
-    p.result.steps = iter_;
-    p.bound = iter_;
-    p.advanced = committedThisSlice_ > 0;
-    if (mgr_ != nullptr) p.effort = mgr_->numNodes();
-    return p;
+  /// BDD effort is the manager's live node count.
+  [[nodiscard]] std::uint64_t effort(
+      const obs::Metrics& /*stats*/) const override {
+    return mgr_ != nullptr ? mgr_->numNodes() : 0;
   }
 
   /// Builds manager + next/bad/init BDDs incrementally: an interrupt
@@ -124,8 +141,7 @@ class BddSessionBase : public Session {
     const Network& net = *net_;
     if (mgr_ == nullptr) {
       mgr_ = std::make_unique<bdd::BddManager>(opts_.nodeLimit);
-      mgr_->setInterrupt(
-          [this] { return curBud_ != nullptr && curBud_->exhausted(); });
+      mgr_->setInterrupt(interrupt());
       for (const VarId v : net.stateVars) mgr_->registerVar(v);
       for (const VarId v : net.inputVars) mgr_->registerVar(v);
       next_.reserve(net.next.size());
@@ -146,7 +162,6 @@ class BddSessionBase : public Session {
 
   const Network* net_;
   BddReachOptions opts_;
-  CheckResult res_;
   std::vector<bool> initDense_;
 
   std::unique_ptr<bdd::BddManager> mgr_;
@@ -157,8 +172,6 @@ class BddSessionBase : public Session {
   std::size_t initIdx_ = 0;
 
   int iter_ = 0;
-  int committedThisSlice_ = 0;
-  const portfolio::Budget* curBud_ = nullptr;
 };
 
 class BddBackwardSession final : public BddSessionBase {
@@ -169,9 +182,8 @@ class BddBackwardSession final : public BddSessionBase {
   enum class Phase : std::uint8_t { Build, Guard, Pre, Trace };
 
   Progress run(const portfolio::Budget& bud) override {
-    committedThisSlice_ = 0;
     for (;;) {
-      if (bud.exhausted()) return snapshot(Verdict::Unknown, false);
+      if (bud.exhausted()) return report(Verdict::Unknown, false, iter_);
       switch (phase_) {
         case Phase::Build: {
           buildModel();
@@ -188,7 +200,7 @@ class BddBackwardSession final : public BddSessionBase {
         case Phase::Guard: {
           if (iter_ >= opts_.limits.maxIterations ||
               bud.nodesExceeded(mgr_->numNodes()))
-            return snapshot(Verdict::Unknown, true);
+            return report(Verdict::Unknown, true, iter_);
           ++iter_;
           phase_ = Phase::Pre;
           break;
@@ -205,14 +217,14 @@ class BddBackwardSession final : public BddSessionBase {
           if (fresh == bdd::kFalseBdd) {
             res_.stats.set("bdd.reached_size",
                            static_cast<double>(bm.size(reached_)));
-            return snapshot(Verdict::Safe, true);
+            return report(Verdict::Safe, true, iter_);
           }
           frontier_ = pre;
           reached_ = bm.bddOr(reached_, pre);
           frontiers_.push_back(frontier_);
           res_.stats.high("bdd.max_frontier_size",
                           static_cast<double>(bm.size(frontier_)));
-          ++committedThisSlice_;
+          advanced_ = true;
           phase_ = bm.evaluate(frontier_, initDense_) ? Phase::Trace
                                                       : Phase::Guard;
           break;
@@ -224,7 +236,7 @@ class BddBackwardSession final : public BddSessionBase {
           // counterexample — both pause/abort paths re-enter here.
           res_.cex = reconstructBddTrace(*net_, *mgr_, next_, bad_,
                                          frontiers_, iter_);
-          return snapshot(Verdict::Unsafe, true);
+          return report(Verdict::Unsafe, true, iter_);
         }
       }
     }
@@ -242,12 +254,11 @@ class BddForwardSession final : public BddSessionBase {
   using BddSessionBase::BddSessionBase;
 
  private:
-  enum class Phase : std::uint8_t { Build, Check, Img };
+  enum class Phase : std::uint8_t { Build, Check, Img, Trace };
 
   Progress run(const portfolio::Budget& bud) override {
-    committedThisSlice_ = 0;
     for (;;) {
-      if (bud.exhausted()) return snapshot(Verdict::Unknown, false);
+      if (bud.exhausted()) return report(Verdict::Unknown, false, iter_);
       switch (phase_) {
         case Phase::Build: {
           buildModel();
@@ -284,20 +295,21 @@ class BddForwardSession final : public BddSessionBase {
           badStates_ = bm.exists(bad_, net.inputVars);
           reached_ = initCube_;
           frontier_ = initCube_;
+          rings_.assign(1, initCube_);  // onion rings R_0, R_1, ...
           phase_ = Phase::Check;
           break;
         }
         case Phase::Check: {
           bdd::BddManager& bm = *mgr_;
+          // Every earlier ring was checked clean, so a hit lies in the
+          // newest ring.
           if (bm.bddAnd(reached_, badStates_) != bdd::kFalseBdd) {
-            // Forward traversal: counterexample reconstruction would need
-            // a backward pass over the onion rings; the verdict (and
-            // depth) is what the baseline comparison uses.
-            return snapshot(Verdict::Unsafe, true);
+            phase_ = Phase::Trace;
+            break;
           }
           if (iter_ >= opts_.limits.maxIterations ||
               bud.nodesExceeded(bm.numNodes()))
-            return snapshot(Verdict::Unknown, true);
+            return report(Verdict::Unknown, true, iter_);
           ++iter_;
           phase_ = Phase::Img;
           break;
@@ -314,13 +326,23 @@ class BddForwardSession final : public BddSessionBase {
           if (fresh == bdd::kFalseBdd) {
             res_.stats.set("bdd.reached_size",
                            static_cast<double>(bm.size(reached_)));
-            return snapshot(Verdict::Safe, true);
+            return report(Verdict::Safe, true, iter_);
           }
           reached_ = bm.bddOr(reached_, fresh);
           frontier_ = fresh;
-          ++committedThisSlice_;
+          rings_.push_back(frontier_);
+          advanced_ = true;
           phase_ = Phase::Check;
           break;
+        }
+        case Phase::Trace: {
+          CBQ_OBS_SPAN("bdd", "trace");
+          // Reconstruction first, as in the backward session: a pause
+          // mid-trace re-enters here instead of reporting a traceless
+          // Unsafe.
+          res_.cex = reconstructForwardTrace(*net_, *mgr_, tr_, nsVars_,
+                                             bad_, rings_);
+          return report(Verdict::Unsafe, true, iter_);
         }
       }
     }
@@ -335,6 +357,7 @@ class BddForwardSession final : public BddSessionBase {
   BddRef badStates_ = bdd::kFalseBdd;
   BddRef reached_ = bdd::kFalseBdd;
   BddRef frontier_ = bdd::kFalseBdd;
+  std::vector<BddRef> rings_;  ///< fresh states per depth, for the trace
 };
 
 }  // namespace

@@ -25,36 +25,17 @@ Trace traceFromModel(const Unroller& unroller, int depth) {
 class BmcSession final : public Session {
  public:
   BmcSession(const Network& net, const BmcOptions& opts)
-      : net_(&net), opts_(opts), unroller_(net, solver_) {
-    res_.engine = "bmc";
-    solver_.setInterrupt(
-        [this] { return curBud_ != nullptr && curBud_->exhausted(); });
+      : Session("bmc"), opts_(opts), unroller_(net, solver_) {
+    solver_.setInterrupt(interrupt());
     unroller_.assertInit();
   }
 
-  [[nodiscard]] std::string name() const override { return res_.engine; }
-
  protected:
-  Progress doResume(const portfolio::Budget& budget) override {
-    const auto bud = sliceBudget(budget, opts_.timeLimitSeconds);
-    if (!bud) return snapshot(Verdict::Unknown, true, lastClean());
-    curBud_ = &*bud;
-    Progress p = run(*bud);
-    curBud_ = nullptr;
-    return p;
-  }
-
- private:
-  /// Deepest depth proven clean (reported as steps while paused).
-  [[nodiscard]] int lastClean() const { return k_; }
-
-  Progress run(const portfolio::Budget& bud) {
-    advanced_ = false;
+  Progress doResume(const portfolio::Budget& bud) override {
     for (;;) {
       if (k_ > opts_.maxDepth)  // bounded method: clean up to maxDepth
-        return snapshot(Verdict::Unknown, true, opts_.maxDepth);
-      if (bud.exhausted())
-        return snapshot(Verdict::Unknown, false, k_);
+        return report(Verdict::Unknown, true, k_, opts_.maxDepth);
+      if (bud.exhausted()) return report(Verdict::Unknown, false, k_);
       CBQ_OBS_SPAN("engine", "bmc-bound");
       unroller_.ensureFrame(k_);
       const sat::Lit assumptions[] = {unroller_.badLit(k_)};
@@ -62,69 +43,44 @@ class BmcSession final : public Session {
       const sat::Status st = solver_.solve(assumptions);
       if (st == sat::Status::Sat) {
         res_.cex = traceFromModel(unroller_, k_);
-        return snapshot(Verdict::Unsafe, true, k_);
+        return report(Verdict::Unsafe, true, k_);
       }
       if (st == sat::Status::Undef)  // interrupted mid-solve: retry k_
-        return snapshot(Verdict::Unknown, false, k_);
+        return report(Verdict::Unknown, false, k_);
       advanced_ = true;
       ++k_;
     }
   }
 
-  Progress snapshot(Verdict v, bool done, int steps) {
-    Progress p;
-    p.done = done;
-    p.result = res_;
-    p.result.verdict = v;
-    p.result.steps = steps;
-    p.result.stats.set("bmc.conflicts",
-                       static_cast<double>(solver_.conflicts()));
-    sat::exportEffort(p.result.stats, solver_);
-    p.bound = k_;
-    p.advanced = advanced_;
-    p.effort = solver_.conflicts() + solver_.decisions() +
-               solver_.propagations();
-    return p;
+  void exportLive(obs::Metrics& stats) const override {
+    stats.set("bmc.conflicts", static_cast<double>(solver_.conflicts()));
+    sat::exportEffort(stats, solver_);
   }
 
-  const Network* net_;
+ private:
   BmcOptions opts_;
-  CheckResult res_;
   sat::Solver solver_;
   Unroller unroller_;
-  int k_ = 0;
-  bool advanced_ = false;
-  const portfolio::Budget* curBud_ = nullptr;
+  int k_ = 0;  ///< next depth to check; every shallower one is clean
 };
 
 class KInductionSession final : public Session {
  public:
   KInductionSession(const Network& net, const InductionOptions& opts)
-      : net_(&net), opts_(opts), base_(net, baseSolver_) {
-    res_.engine = "k-induction";
-    baseSolver_.setInterrupt(
-        [this] { return curBud_ != nullptr && curBud_->exhausted(); });
+      : Session("k-induction"), net_(&net), opts_(opts),
+        base_(net, baseSolver_) {
+    baseSolver_.setInterrupt(interrupt());
     base_.assertInit();
   }
 
-  [[nodiscard]] std::string name() const override { return res_.engine; }
-
  protected:
-  Progress doResume(const portfolio::Budget& budget) override {
-    const auto bud = sliceBudget(budget, opts_.timeLimitSeconds);
-    if (!bud) return snapshot(Verdict::Unknown, true);
-    curBud_ = &*bud;
-    Progress p = run(*bud);
-    curBud_ = nullptr;
-    return p;
-  }
-
- private:
-  Progress run(const portfolio::Budget& bud) {
-    advanced_ = false;
+  Progress doResume(const portfolio::Budget& bud) override {
     for (;;) {
-      if (k_ > opts_.maxK) return snapshot(Verdict::Unknown, true);
-      if (bud.exhausted()) return snapshot(Verdict::Unknown, false);
+      // res_.steps is the last k whose check started.
+      if (k_ > opts_.maxK)
+        return report(Verdict::Unknown, true, k_, res_.steps);
+      if (bud.exhausted())
+        return report(Verdict::Unknown, false, k_, res_.steps);
       res_.steps = k_;
 
       if (!baseDone_) {
@@ -135,13 +91,13 @@ class KInductionSession final : public Session {
         res_.stats.add("ind.base_solves");
         const sat::Status baseSt = baseSolver_.solve(baseAssumptions);
         if (baseSt == sat::Status::Undef)  // interrupted: retry k_
-          return snapshot(Verdict::Unknown, false);
+          return report(Verdict::Unknown, false, k_);
         if (baseSt == sat::Status::Sat) {
           Trace t;
           for (int j = 0; j <= k_; ++j)
             t.inputs.push_back(base_.modelInputs(j));
           res_.cex = std::move(t);
-          return snapshot(Verdict::Unsafe, true);
+          return report(Verdict::Unsafe, true, k_);
         }
         baseDone_ = true;
       }
@@ -154,8 +110,7 @@ class KInductionSession final : public Session {
       // slice eventually completes.
       if (stepK_ != k_) {
         stepSolver_ = std::make_unique<sat::Solver>();
-        stepSolver_->setInterrupt(
-            [this] { return curBud_ != nullptr && curBud_->exhausted(); });
+        stepSolver_->setInterrupt(interrupt());
         step_ = std::make_unique<Unroller>(*net_, *stepSolver_);
         step_->ensureFrame(k_);
         for (int j = 0; j < k_; ++j)
@@ -169,34 +124,26 @@ class KInductionSession final : public Session {
       res_.stats.add("ind.step_solves");
       const sat::Status stepSt = stepSolver_->solve(stepAssumptions);
       if (stepSt == sat::Status::Undef)  // interrupted: resume the solve
-        return snapshot(Verdict::Unknown, false);
+        return report(Verdict::Unknown, false, k_);
       // The step check concluded: account its effort exactly once per k.
       sat::exportEffort(res_.stats, *stepSolver_);
-      stepEffort_ += stepSolver_->conflicts() + stepSolver_->decisions() +
-                     stepSolver_->propagations();
-      if (stepSt == sat::Status::Unsat) return snapshot(Verdict::Safe, true);
+      if (stepSt == sat::Status::Unsat)
+        return report(Verdict::Safe, true, k_);
       advanced_ = true;
       baseDone_ = false;
       ++k_;
     }
   }
 
-  Progress snapshot(Verdict v, bool done) {
-    Progress p;
-    p.done = done;
-    p.result = res_;
-    p.result.verdict = v;
-    sat::exportEffort(p.result.stats, baseSolver_);
-    p.bound = k_;
-    p.advanced = advanced_;
-    p.effort = stepEffort_ + baseSolver_.conflicts() +
-               baseSolver_.decisions() + baseSolver_.propagations();
-    return p;
+  /// The base solver's effort; concluded step solvers are already in
+  /// res_.stats.
+  void exportLive(obs::Metrics& stats) const override {
+    sat::exportEffort(stats, baseSolver_);
   }
 
+ private:
   const Network* net_;
   InductionOptions opts_;
-  CheckResult res_;
   sat::Solver baseSolver_;
   Unroller base_;
   std::unique_ptr<sat::Solver> stepSolver_;  ///< per-k, survives pauses
@@ -204,9 +151,6 @@ class KInductionSession final : public Session {
   int stepK_ = -1;  ///< k the step solver is built for
   int k_ = 0;
   bool baseDone_ = false;  ///< base check of k_ passed; step check next
-  bool advanced_ = false;
-  std::uint64_t stepEffort_ = 0;
-  const portfolio::Budget* curBud_ = nullptr;
 };
 
 }  // namespace

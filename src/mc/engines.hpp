@@ -24,6 +24,8 @@
 // original circuit; an engine run directly is simply a run with
 // preprocessing disabled.
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -43,19 +45,22 @@ namespace cbq::mc {
 ///
 /// Engine::start() builds the session skeleton (managers, solvers,
 /// transfers — no search); resume() runs until a definitive verdict, a
-/// permanent give-up (both report done = true), or the slice budget
-/// expires (done = false). A paused session keeps all working state —
-/// the unrolled incremental solver, the frontier and sweep-session pair
+/// permanent give-up (both report done = true), or the budget expires
+/// (done = false). A paused session keeps all working state — the
+/// unrolled incremental solver, the frontier and sweep-session pair
 /// cache, the BDD reached set — so resume() continues where the previous
 /// slice stopped, arbitrarily many times. A session resumed in N slices
 /// reaches the same verdict (and counterexample) as one uninterrupted
 /// run; only the wall-clock split differs.
 ///
-/// The budget passed to resume() carries the caller's cooperative
-/// cancellation (the scheduler's token), the slice deadline and node
-/// limit. Engines fold their own option time limits on top, measured
-/// against the session's total accumulated time, so a session whose own
-/// limit fired reports done rather than pausing forever.
+/// The budget passed to resume() is the session's only clock: it carries
+/// the caller's cooperative cancellation (the scheduler's token), the
+/// wall deadline (`--timeout` or a slice's share of it), the RSS ceiling
+/// and the node limit. Engines add only structural bounds (iterations,
+/// depth, cone and node caps). The base owns the plumbing every engine
+/// shares: the result record, the budget of the resume in progress with
+/// the one interrupt callback every owned solver polls, and the Progress
+/// report.
 ///
 /// The Network handed to start() must outlive the session, and a session
 /// must not run concurrently with other readers of that Network (const
@@ -66,7 +71,7 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  [[nodiscard]] virtual std::string name() const = 0;
+  [[nodiscard]] const std::string& name() const { return res_.engine; }
 
   /// Runs until verdict, permanent give-up, or budget expiry. After a
   /// done report, further calls return the same final Progress.
@@ -76,7 +81,10 @@ class Session {
     // through, regardless of which engine implements doResume().
     CBQ_FAULT_POINT("engine.resume");
     util::Timer timer;
+    advanced_ = false;
+    bud_ = &budget;
     Progress p = doResume(budget);
+    bud_ = nullptr;
     p.sliceSeconds = timer.seconds();
     totalSeconds_ += p.sliceSeconds;
     p.result.seconds = totalSeconds_;
@@ -87,27 +95,56 @@ class Session {
   }
 
  protected:
-  Session() = default;
-
-  virtual Progress doResume(const portfolio::Budget& budget) = 0;
-
-  /// Wall time accumulated across every finished resume() — what a
-  /// session measures its own option time limit against.
-  [[nodiscard]] double totalSeconds() const { return totalSeconds_; }
-
-  /// Folds an engine-option time limit into the slice budget: the
-  /// remaining own allowance is the limit minus time already consumed.
-  /// Returns nullopt when the own limit is spent (the caller should
-  /// report done). `limitSeconds` <= 0 means no own limit.
-  [[nodiscard]] std::optional<portfolio::Budget> sliceBudget(
-      const portfolio::Budget& budget, double limitSeconds) const {
-    if (limitSeconds <= 0.0) return budget;
-    const double remaining = limitSeconds - totalSeconds_;
-    if (remaining <= 0.0) return std::nullopt;
-    return budget.tightened(remaining);
+  explicit Session(std::string engineName) {
+    res_.engine = std::move(engineName);
   }
 
+  /// The engine's search step: runs under `budget` until a verdict, a
+  /// give-up or budget expiry and answers with report().
+  virtual Progress doResume(const portfolio::Budget& budget) = 0;
+
+  /// Adds the counters of live solvers (not yet folded into res_.stats)
+  /// to a report's stats.
+  virtual void exportLive(obs::Metrics& /*stats*/) const {}
+
+  /// Cumulative effort of a report: the sat.* counters of its stats
+  /// (conflicts + decisions + propagations). BDD engines report live
+  /// nodes instead.
+  [[nodiscard]] virtual std::uint64_t effort(const obs::Metrics& stats) const {
+    return static_cast<std::uint64_t>(stats.count("sat.conflicts") +
+                                      stats.count("sat.decisions") +
+                                      stats.count("sat.propagations"));
+  }
+
+  /// This resume's Progress: the result record with verdict `v`, live
+  /// counters and effort. `bound` is the committed fixpoint iteration /
+  /// BMC depth; `steps` (default: `bound`) is the reported depth.
+  [[nodiscard]] Progress report(Verdict v, bool done, int bound,
+                                std::optional<int> steps = std::nullopt) const {
+    Progress p;
+    p.done = done;
+    p.result = res_;
+    p.result.verdict = v;
+    p.result.steps = steps.value_or(bound);
+    exportLive(p.result.stats);
+    p.bound = bound;
+    p.advanced = advanced_;
+    p.effort = effort(p.result.stats);
+    return p;
+  }
+
+  /// Polls the budget of the resume in progress (false between resumes):
+  /// the interrupt every owned solver, sweep session and BDD manager
+  /// installs.
+  [[nodiscard]] std::function<bool()> interrupt() const {
+    return [this] { return bud_ != nullptr && bud_->exhausted(); };
+  }
+
+  CheckResult res_;         ///< cumulative engine/stats/cex record
+  bool advanced_ = false;   ///< committed >= 1 bound in this resume
+
  private:
+  const portfolio::Budget* bud_ = nullptr;  ///< the resume in progress
   std::optional<Progress> final_;
   double totalSeconds_ = 0.0;
   std::uint64_t lastEffort_ = 0;
@@ -139,12 +176,10 @@ class Engine {
   }
 };
 
-/// Shared resource bounds for the fixpoint engines. The time limit is
-/// measured against the session's total accumulated resume() time and
-/// folded into each slice budget, not enforced by an ad-hoc deadline.
+/// Shared structural bound for the fixpoint engines; wall time is the
+/// budget's alone.
 struct ReachLimits {
   int maxIterations = 10000;
-  double timeLimitSeconds = 60.0;
 };
 
 /// Reached-set cone size beyond which the AIG reachability engines give
@@ -234,7 +269,6 @@ class BddForwardReach final : public Engine {
 
 struct BmcOptions {
   int maxDepth = 128;
-  double timeLimitSeconds = 60.0;
 };
 
 class Bmc final : public Engine {
@@ -251,7 +285,6 @@ class Bmc final : public Engine {
 
 struct InductionOptions {
   int maxK = 64;
-  double timeLimitSeconds = 60.0;
 };
 
 class KInduction final : public Engine {

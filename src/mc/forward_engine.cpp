@@ -120,8 +120,7 @@ class ForwardReachSession final : public Session {
  public:
   ForwardReachSession(const Network& net,
                       const CircuitQuantForwardOptions& opts)
-      : net_(&net), opts_(opts) {
-    res_.engine = "cbq-fwd";
+      : Session("cbq-fwd"), net_(&net), opts_(opts) {
     buildModel(net, m_);
     rings_.assign(1, m_.initCube);  // onion rings R_0, R_1, ...
     reached_ = m_.initCube;
@@ -131,30 +130,14 @@ class ForwardReachSession final : public Session {
     // learnt gates over the ring/reached cones stay valid. Each query
     // focuses the solver on its own cone, keeping per-check cost bounded
     // by the live state sets rather than by the accumulated scratch.
-    session_.setInterrupt(
-        [this] { return curBud_ != nullptr && curBud_->exhausted(); });
+    session_.setInterrupt(interrupt());
     session_.bind(m_.mgr);
   }
 
-  [[nodiscard]] std::string name() const override { return res_.engine; }
-
  protected:
-  Progress doResume(const portfolio::Budget& budget) override {
-    const auto bud = sliceBudget(budget, opts_.limits.timeLimitSeconds);
-    if (!bud) return snapshot(Verdict::Unknown, true);
-    curBud_ = &*bud;
-    Progress p = run(*bud);
-    curBud_ = nullptr;
-    return p;
-  }
-
- private:
-  enum class Phase : std::uint8_t { Bad, Guard, Img, Fix };
-
-  Progress run(const portfolio::Budget& bud) {
-    committedThisSlice_ = 0;
+  Progress doResume(const portfolio::Budget& bud) override {
     for (;;) {
-      if (bud.exhausted()) return snapshot(Verdict::Unknown, false);
+      if (bud.exhausted()) return report(Verdict::Unknown, false, iter_);
       switch (phase_) {
         case Phase::Bad: {
           const Lit q = m_.mgr.mkAnd(frontier_, m_.bad);
@@ -162,23 +145,23 @@ class ForwardReachSession final : public Session {
           session_.focusOn(qRoots);
           const sat::Verdict sat = session_.checkSat(q);
           if (sat == sat::Verdict::Unknown)  // interrupted: retry
-            return snapshot(Verdict::Unknown, false);
+            return report(Verdict::Unknown, false, iter_);
           if (sat == sat::Verdict::Holds) {
             res_.cex = extractTrace(*net_, m_, rings_, iter_);
-            return snapshot(Verdict::Unsafe, true);
+            return report(Verdict::Unsafe, true, iter_);
           }
           phase_ = Phase::Guard;
           break;
         }
         case Phase::Guard: {
           if (iter_ >= opts_.limits.maxIterations)
-            return snapshot(Verdict::Unknown, true);
+            return report(Verdict::Unknown, true, iter_);
           const Lit rr[] = {reached_};
           const std::size_t sz = m_.mgr.coneSize(rr);
           res_.stats.high("reach.max_reached_cone",
                           static_cast<double>(sz));
           if (sz > kHardConeLimit || bud.nodesExceeded(sz))
-            return snapshot(Verdict::Unknown, true);
+            return report(Verdict::Unknown, true, iter_);
           ++iter_;
           phase_ = Phase::Img;
           break;
@@ -205,7 +188,7 @@ class ForwardReachSession final : public Session {
             imgActive_ = true;
           }
           sweep::SweepContext imgCtx;
-          imgCtx.setInterrupt([&bud] { return bud.exhausted(); });
+          imgCtx.setInterrupt(interrupt());
           quant::Quantifier q(m_.mgr, opts_.quant, imgCtx);
           auto r = q.quantifyAll(imgWork_, imgVars_);
           imgWork_ = r.f;
@@ -220,7 +203,7 @@ class ForwardReachSession final : public Session {
           res_.stats.merge(q.stats());
           imgCtx.exportStats(res_.stats);
           if (interrupted && !imgVars_.empty())  // pause mid-image
-            return snapshot(Verdict::Unknown, false);
+            return report(Verdict::Unknown, false, iter_);
           img_ = m_.mgr.compose(imgWork_, m_.renameBack);
           imgActive_ = false;
           phase_ = Phase::Fix;
@@ -232,9 +215,9 @@ class ForwardReachSession final : public Session {
           res_.stats.add("reach.fixpoint_checks");
           const sat::Verdict fp = session_.checkImplies(img_, reached_);
           if (fp == sat::Verdict::Holds)
-            return snapshot(Verdict::Safe, true);
+            return report(Verdict::Safe, true, iter_);
           if (fp == sat::Verdict::Unknown)  // interrupted: retry
-            return snapshot(Verdict::Unknown, false);
+            return report(Verdict::Unknown, false, iter_);
           frontier_ = img_;
           reached_ = m_.mgr.mkOr(reached_, img_);
           rings_.push_back(frontier_);
@@ -243,7 +226,7 @@ class ForwardReachSession final : public Session {
             res_.stats.high("reach.max_frontier_cone",
                             static_cast<double>(m_.mgr.coneSize(fr)));
           }
-          ++committedThisSlice_;
+          advanced_ = true;
           phase_ = Phase::Bad;
           break;
         }
@@ -251,25 +234,15 @@ class ForwardReachSession final : public Session {
     }
   }
 
-  Progress snapshot(Verdict v, bool done) {
-    Progress p;
-    p.done = done;
-    p.result = res_;
-    p.result.verdict = v;
-    p.result.steps = iter_;
-    session_.exportStats(p.result.stats);
-    p.bound = iter_;
-    p.advanced = committedThisSlice_ > 0;
-    p.effort =
-        static_cast<std::uint64_t>(p.result.stats.count("sat.conflicts") +
-                                   p.result.stats.count("sat.decisions") +
-                                   p.result.stats.count("sat.propagations"));
-    return p;
+  void exportLive(obs::Metrics& stats) const override {
+    session_.exportStats(stats);
   }
+
+ private:
+  enum class Phase : std::uint8_t { Bad, Guard, Img, Fix };
 
   const Network* net_;
   CircuitQuantForwardOptions opts_;
-  CheckResult res_;
   ForwardModel m_;
   sweep::SweepContext session_;
   std::vector<Lit> rings_;
@@ -280,9 +253,7 @@ class ForwardReachSession final : public Session {
   std::vector<VarId> imgVars_;  ///< variables still to eliminate from it
   bool imgActive_ = false;
   int iter_ = 0;
-  int committedThisSlice_ = 0;
   Phase phase_ = Phase::Bad;
-  const portfolio::Budget* curBud_ = nullptr;
 };
 
 }  // namespace

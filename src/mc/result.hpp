@@ -61,15 +61,14 @@ struct CheckResult {
 struct Progress {
   CheckResult result;  ///< cumulative; verdict stays Unknown while paused
   /// True when this session will never make further progress: a
-  /// definitive verdict, the engine's own resource limits (max
-  /// iterations / depth, cone or node caps, its option time limit), or a
-  /// permanent failure. resume() after done returns the same Progress.
+  /// definitive verdict, the engine's structural limits (max
+  /// iterations / depth, cone or node caps), or a permanent failure.
+  /// resume() after done returns the same Progress.
   bool done = false;
   int bound = 0;            ///< fixpoint iterations committed / BMC depth
   bool advanced = false;    ///< committed >= 1 bound in this resume
   /// Cumulative solver effort (conflicts + decisions + propagations; BDD
-  /// engines report live nodes). Set by the engine; the Session base
-  /// derives effortDelta.
+  /// engines report live nodes). The Session base derives effortDelta.
   std::uint64_t effort = 0;
   std::uint64_t effortDelta = 0;  ///< effort spent in this resume
   double sliceSeconds = 0.0;      ///< wall time of this resume

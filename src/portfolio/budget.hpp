@@ -7,10 +7,10 @@
 //   * a wall-clock deadline;
 //   * a node limit on the engine's dominant data structure (AIG cone size
 //     for the circuit engines, live nodes for the BDD engines).
-// Engines fold their own option limits on top (Budget::tightened) and poll
-// exhausted() in every fixpoint / unrolling / enumeration loop, handing an
-// interrupt callback to the SAT solvers they create so cancellation latency
-// is bounded by a few hundred conflicts rather than one engine iteration.
+// It is an engine session's only clock: engines poll exhausted() in every
+// fixpoint / unrolling / enumeration loop, handing an interrupt callback to
+// the SAT solvers they create so cancellation latency is bounded by a few
+// hundred conflicts rather than one engine iteration.
 
 #include <atomic>
 #include <chrono>
@@ -81,8 +81,8 @@ class Budget {
   }
 
   /// The tighter of this budget and a fresh allowance of `seconds` from
-  /// now — how an engine folds its own option time limit into the caller's
-  /// budget. Non-positive `seconds` adds no constraint.
+  /// now — how the scheduler cuts a slice from the problem's budget.
+  /// Non-positive `seconds` adds no constraint.
   [[nodiscard]] Budget tightened(double seconds) const {
     Budget b = *this;
     if (seconds > 0.0) {

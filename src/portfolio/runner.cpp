@@ -130,12 +130,12 @@ PortfolioResult runSessions(const mc::Network& net,
         p = slot.session->resume(sliced ? outer.tightened(slot.sliceSeconds)
                                         : outer);
         // The independent referee, outside the lock so a deep replay
-        // never stalls the other workers: a trace that does not replay
-        // on the session's own network is never reported.
-        if (opts.verifyCex && p.done &&
-            p.result.verdict == mc::Verdict::Unsafe &&
-            p.result.cex.has_value() &&
-            !mc::replayHitsBad(clones[i], *p.result.cex)) {
+        // never stalls the other workers: an Unsafe whose trace is
+        // missing or does not replay on the session's own network is
+        // never reported.
+        if (p.done && p.result.verdict == mc::Verdict::Unsafe &&
+            (!p.result.cex.has_value() ||
+             !mc::replayHitsBad(clones[i], *p.result.cex))) {
           p.result.verdict = mc::Verdict::Unknown;
           p.result.stats.add("portfolio.cex_replay_failures");
         }
@@ -328,10 +328,8 @@ PortfolioResult solve(const mc::Network& net,
   }
   out.best.stats.merge(prepared.stats);
   // The referee on the ORIGINAL network (the sessions already refereed
-  // on the reduced one). A decided Unsafe must come with a trace.
-  if (opts.verifyCex)
-    prep::demoteUnreplayableCex(net, out.best,
-                                /*requireTrace=*/prepared.decided.has_value());
+  // on the reduced one).
+  prep::demoteUnreplayableCex(net, out.best);
 
   out.prep.enabled = opts.prep.enabled;
   out.prep.decided = prepared.decided.has_value();

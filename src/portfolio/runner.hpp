@@ -45,10 +45,6 @@ struct PortfolioOptions {
   /// the cooperative budget path instead of riding into the OOM killer
   /// (Budget::withRssLimit has the precise semantics).
   std::size_t rssLimitBytes = 0;
-  /// Replay an Unsafe winner's counterexample before accepting it; a
-  /// failing replay demotes the verdict to Unknown (the engine keeps
-  /// racing rivals instead of poisoning the result).
-  bool verifyCex = true;
 
   /// Preprocessing pipeline (prep/pipeline.hpp), run ONCE per problem
   /// before any engine starts; every session clones the reduced network.

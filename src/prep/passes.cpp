@@ -16,6 +16,20 @@ using aig::Lit;
 using aig::VarId;
 using mc::Network;
 
+/// Conflicts per structural-sweep SAT query.
+constexpr std::int64_t kSweepSatBudget = 200;
+/// Structural simplification is skipped above this AND count:
+/// preprocessing must stay cheap relative to the engines.
+constexpr std::size_t kStructuralMaxAnds = 100000;
+/// A structural-simplify result is kept only when it shrinks the AND
+/// count by at least this fraction (see passes.hpp).
+constexpr double kStructuralMinShrink = 0.05;
+/// Latch correspondence is skipped when the next-state cones exceed this
+/// AND count, and abandoned when its compose rounds grow the working
+/// manager past kLatchCorrGrowth × the starting node count.
+constexpr std::size_t kLatchCorrMaxAnds = 100000;
+constexpr std::size_t kLatchCorrGrowth = 8;
+
 /// Assembles a reduced network: `kept[i]` selects the surviving latches,
 /// `next`/`bad` are the (possibly rewritten) cones in `src`'s manager. The
 /// cones are transferred into a fresh manager, which drops dead nodes and
@@ -168,18 +182,17 @@ PassResult constLatchSweep(const Network& net, obs::Metrics* stats) {
   return out;
 }
 
-PassResult structuralSimplify(const Network& net, std::int64_t satBudget,
-                              std::size_t maxAnds, double minShrink,
+PassResult structuralSimplify(const Network& net,
                               std::function<bool()> interrupt,
                               obs::Metrics* stats) {
-  if (maxAnds != 0 && net.aig.numAnds() > maxAnds) return {};
+  if (net.aig.numAnds() > kStructuralMaxAnds) return {};
 
   Network cur = mc::cloneNetwork(net);
   std::vector<Lit> roots(cur.next.begin(), cur.next.end());
   roots.push_back(cur.bad);
 
   sweep::SweepOptions so;
-  so.satBudget = satBudget;
+  so.satBudget = kSweepSatBudget;
   sweep::SweepContext ctx;
   ctx.setInterrupt(std::move(interrupt));
   const auto sw = sweep::sweep(cur.aig, roots, so, ctx);
@@ -191,7 +204,7 @@ PassResult structuralSimplify(const Network& net, std::int64_t satBudget,
   out.changed =
       out.net.aig.numAnds() < net.aig.numAnds() &&
       static_cast<double>(out.net.aig.numAnds()) <=
-      static_cast<double>(net.aig.numAnds()) * (1.0 - minShrink);
+      static_cast<double>(net.aig.numAnds()) * (1.0 - kStructuralMinShrink);
   if (!out.changed) return {};
 
   if (stats) {
@@ -207,8 +220,7 @@ PassResult structuralSimplify(const Network& net, std::int64_t satBudget,
   return out;
 }
 
-PassResult latchCorrespondence(const Network& net, std::size_t maxAnds,
-                               std::size_t growthLimit,
+PassResult latchCorrespondence(const Network& net,
                                std::function<bool()> interrupt,
                                obs::Metrics* stats) {
   const std::size_t numL = net.numLatches();
@@ -217,7 +229,7 @@ PassResult latchCorrespondence(const Network& net, std::size_t maxAnds,
   // cones — not the whole manager: a giant bad cone (the million-gate
   // bench family) must not disable the pass that collapses it.
   std::vector<Lit> nextRoots(net.next.begin(), net.next.end());
-  if (maxAnds != 0 && net.aig.coneSize(nextRoots) > maxAnds) return {};
+  if (net.aig.coneSize(nextRoots) > kLatchCorrMaxAnds) return {};
 
   // Greatest-fixpoint refinement: optimistic classes by reset value, then
   // split while members' next-state functions (with every latch replaced
@@ -304,15 +316,14 @@ PassResult latchCorrespondence(const Network& net, std::size_t maxAnds,
   }
 
   Network cur = mc::cloneNetwork(net);  // compose mutates the manager
-  const std::size_t nodeCap =
-      growthLimit == 0 ? 0 : cur.aig.numNodes() * growthLimit;
+  const std::size_t nodeCap = cur.aig.numNodes() * kLatchCorrGrowth;
 
   for (;;) {
     // The refinement is an optimization; abandoning it mid-way (budget
     // fired, or compose rounds bloated the working manager past the cap)
     // is sound — the pass just reports no change.
     if (interrupt && interrupt()) return {};
-    if (nodeCap != 0 && cur.aig.numNodes() > nodeCap) return {};
+    if (cur.aig.numNodes() > nodeCap) return {};
     // Representative = lowest latch index in the class.
     std::vector<std::size_t> repOf(numClasses, numL);
     for (std::size_t i = 0; i < numL; ++i)

@@ -45,21 +45,18 @@ PassResult constLatchSweep(const mc::Network& net,
 /// Structural simplification: runs the sweeper (BDD + SAT equivalence
 /// merging) over {next functions, bad} and compacts into a fresh manager,
 /// re-applying the construction rewrite rules across the live set. Every
-/// root function is preserved exactly. `satBudget` bounds each SAT
-/// equivalence query; `maxAnds` skips the pass on cones too large to sweep
-/// in a preprocessing step (0 = no bound). The result is kept only when
-/// the AND count shrinks by at least `minShrink` (fraction): a
-/// noise-level shrink still perturbs the cone structure the backward
-/// engines cofactor through, which measurably hurts more than two saved
-/// nodes help (counter10: 73 -> 71 ANDs, 1.9x slower fixpoint).
+/// root function is preserved exactly. Each SAT equivalence query is
+/// bounded to 200 conflicts, and the pass is skipped on cones above
+/// 100,000 ANDs, too large to sweep in a preprocessing step. The result
+/// is kept only when the AND count shrinks by at least 5%: a noise-level
+/// shrink still perturbs the cone structure the backward engines
+/// cofactor through, which measurably hurts more than two saved nodes
+/// help (counter10: 73 -> 71 ANDs, 1.9x slower fixpoint).
 /// `interrupt` (optional) is installed on the pass's sweep session, so
 /// the sweeper polls it per compare point and its solver inside each SAT
 /// check; when it fires the sweep stops with whatever merges are already
 /// proven.
 PassResult structuralSimplify(const mc::Network& net,
-                              std::int64_t satBudget = 200,
-                              std::size_t maxAnds = 100000,
-                              double minShrink = 0.05,
                               std::function<bool()> interrupt = {},
                               obs::Metrics* stats = nullptr);
 
@@ -74,10 +71,10 @@ PassResult structuralSimplify(const mc::Network& net,
 /// Refinement can take up to numLatches rounds and each round composes
 /// every next-state cone into the same growing manager (the van Eijk
 /// worst case is quadratic), so the pass is gated: skipped when the
-/// next-state cones (the part the compose rounds rewrite) exceed
-/// `maxAnds` ANDs (0 = no bound), abandoned — soundly, as a no-op — when the
-/// working manager outgrows `growthLimit` × the starting node count or
-/// when `interrupt` fires between rounds.
+/// next-state cones (the part the compose rounds rewrite) exceed 100,000
+/// ANDs, abandoned — soundly, as a no-op — when the working manager
+/// outgrows 8 × the starting node count or when `interrupt` fires
+/// between rounds.
 /// A word-parallel simulation prefilter runs before the compose loop:
 /// each latch variable is driven by its CURRENT class representative's
 /// random word, the next-state cones are simulated in topological order,
@@ -88,8 +85,6 @@ PassResult structuralSimplify(const mc::Network& net,
 /// partition is unchanged, but many refinement rounds collapse into
 /// cheap simulation rounds instead of manager-growing compose rounds.
 PassResult latchCorrespondence(const mc::Network& net,
-                               std::size_t maxAnds = 100000,
-                               std::size_t growthLimit = 8,
                                std::function<bool()> interrupt = {},
                                obs::Metrics* stats = nullptr);
 

@@ -11,6 +11,10 @@ namespace cbq::prep {
 
 namespace {
 
+/// Pipeline rounds: passes iterate while any of them changes the network
+/// (const propagation exposes COI reductions and vice versa).
+constexpr int kMaxRounds = 4;
+
 /// Checks whether simplification already settled the verdict. The Unsafe
 /// probe is opportunistic (one input vector — all false), but it is the
 /// common endgame of constant propagation: a bad cone rewritten to a
@@ -94,22 +98,17 @@ PreparedProblem Pipeline::run(const mc::Network& net,
        }},
       {"sweep", opts_.structural,
        [&](const mc::Network& n) {
-         return structuralSimplify(n, opts_.sweepSatBudget,
-                                   opts_.structuralMaxAnds,
-                                   opts_.structuralMinShrink, interrupt,
-                                   &out.stats);
+         return structuralSimplify(n, interrupt, &out.stats);
        }},
       {"latchcorr", opts_.latchCorr,
        [&](const mc::Network& n) {
-         return latchCorrespondence(n, opts_.latchCorrMaxAnds,
-                                    opts_.latchCorrGrowth, interrupt,
-                                    &out.stats);
+         return latchCorrespondence(n, interrupt, &out.stats);
        }},
   };
   bool dirty[4] = {true, true, true, true};
 
   out.decided = decideTrivial(view());
-  for (int round = 0; round < opts_.maxRounds && !out.decided; ++round) {
+  for (int round = 0; round < kMaxRounds && !out.decided; ++round) {
     bool changed = false;
     for (std::size_t i = 0; i < 4; ++i) {
       if (!specs[i].enabled || !dirty[i]) continue;
@@ -138,11 +137,9 @@ PreparedProblem Pipeline::run(const mc::Network& net,
   return out;
 }
 
-bool demoteUnreplayableCex(const mc::Network& original, mc::CheckResult& res,
-                           bool requireTrace) {
+bool demoteUnreplayableCex(const mc::Network& original, mc::CheckResult& res) {
   if (res.verdict != mc::Verdict::Unsafe) return false;
-  if (res.cex.has_value() ? mc::replayHitsBad(original, *res.cex)
-                          : !requireTrace)
+  if (res.cex.has_value() && mc::replayHitsBad(original, *res.cex))
     return false;
   res.verdict = mc::Verdict::Unknown;
   res.cex.reset();

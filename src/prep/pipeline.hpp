@@ -30,32 +30,15 @@
 
 namespace cbq::prep {
 
-/// Pass on/off knobs and budgets. `enabled = false` short-circuits the
-/// whole pipeline to the identity result: `reduced` stays empty and
-/// callers run on problem(original).
+/// Pass on/off knobs. `enabled = false` short-circuits the whole pipeline
+/// to the identity result: `reduced` stays empty and callers run on
+/// problem(original).
 struct PrepOptions {
   bool enabled = true;
   bool coi = true;         ///< cone-of-influence reduction
   bool constLatch = true;  ///< constant/stuck-at latch sweep
   bool structural = true;  ///< sweeper-based structural simplification
   bool latchCorr = true;   ///< equivalent-latch merging
-  /// Pipeline rounds: passes iterate while any of them changes the
-  /// network (const propagation exposes COI reductions and vice versa).
-  int maxRounds = 4;
-  std::int64_t sweepSatBudget = 200;  ///< conflicts per sweep SAT query
-  /// Skip structural simplification above this AND count (preprocessing
-  /// must stay cheap relative to the engines; 0 = no bound).
-  std::size_t structuralMaxAnds = 100000;
-  /// Keep a structural-simplify result only when it shrinks the AND
-  /// count by at least this fraction (see prep/passes.hpp on why a
-  /// noise-level shrink is a net loss).
-  double structuralMinShrink = 0.05;
-  /// Skip latch correspondence above this AND count, and abandon it when
-  /// its compose rounds grow the working manager past `latchCorrGrowth` ×
-  /// the starting node count (the refinement is worst-case quadratic; see
-  /// prep/passes.hpp).
-  std::size_t latchCorrMaxAnds = 100000;
-  std::size_t latchCorrGrowth = 8;
 };
 
 /// Per-pass shrink record for reports.
@@ -122,13 +105,12 @@ class Pipeline {
 };
 
 /// The final counterexample referee, shared by every entry path: when
-/// `res` claims Unsafe with a (lifted) trace that does not replay on the
-/// original network — or carries no trace at all and `requireTrace` is
-/// set — the verdict is demoted to Unknown, the trace is dropped and
-/// `prep.lift_replay_failures` is counted. An unconfirmed bug is never
-/// reported. Returns true when a demotion happened.
-bool demoteUnreplayableCex(const mc::Network& original, mc::CheckResult& res,
-                           bool requireTrace = false);
+/// `res` claims Unsafe with no trace, or with a (lifted) trace that does
+/// not replay on the original network, the verdict is demoted to
+/// Unknown, the trace is dropped and `prep.lift_replay_failures` is
+/// counted. An unconfirmed bug is never reported. Returns true when a
+/// demotion happened.
+bool demoteUnreplayableCex(const mc::Network& original, mc::CheckResult& res);
 
 /// Sequential single-engine entry path: the portfolio's sequence with one
 /// engine on one worker — preprocess, resume the engine's session on the

@@ -147,20 +147,6 @@ void SweepContext::recordRefuted(aig::Lit a, aig::Lit b) {
   pairFacts_[pairKey(a, b)] = false;
 }
 
-void SweepContext::noteOdcOutcome(std::size_t attempts,
-                                  std::size_t accepted) {
-  if (attempts == 0) return;
-  const double hit = accepted > 0 ? 1.0 : 0.0;
-  odcAcceptEwma_ =
-      odcSamples_ == 0 ? hit : 0.75 * odcAcceptEwma_ + 0.25 * hit;
-  ++odcSamples_;
-}
-
-bool SweepContext::shouldAttemptOdc() {
-  if (odcSamples_ < 4 || odcAcceptEwma_ >= 0.05) return true;
-  return (++odcProbeTick_ & 15u) == 0;  // periodic re-probe
-}
-
 std::uint64_t SweepContext::totalConflicts() const {
   return retiredConflicts_ + (solver_ ? solver_->conflicts() : 0);
 }

@@ -105,20 +105,6 @@ class SweepContext {
   void learnEquiv(aig::Lit a, aig::Lit b);
   void learnConstant(aig::Lit a, bool value);
 
-  // ----- ODC benefit feedback -------------------------------------------
-  // Run-level controller for dcSimplify's observability phase. The state
-  // deliberately survives rebinds/compactions — it describes the
-  // workload, not the manager.
-
-  /// Reports one ODC phase outcome. ODC validation checks are global
-  /// equivalence proofs over fRef ∨ fTgt — brutally expensive on
-  /// XOR-rich cones (multipliers) where they essentially never accept,
-  /// and load-bearing on counter/queue-style cones where they do.
-  void noteOdcOutcome(std::size_t attempts, std::size_t accepted);
-
-  /// Should the next dcSimplify run its ODC phase?
-  [[nodiscard]] bool shouldAttemptOdc();
-
   // ----- candidate-pair cache -------------------------------------------
 
   enum class PairFact : std::uint8_t { Unknown, Proven, Refuted };
@@ -168,10 +154,6 @@ class SweepContext {
   std::uint64_t retiredConflicts_ = 0;
   std::uint64_t retiredDecisions_ = 0;
   std::uint64_t retiredPropagations_ = 0;
-
-  double odcAcceptEwma_ = 1.0;
-  std::uint64_t odcSamples_ = 0;
-  std::uint32_t odcProbeTick_ = 0;
 };
 
 }  // namespace cbq::sweep

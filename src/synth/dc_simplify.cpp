@@ -330,8 +330,6 @@ void odcPhase(aig::Aig& aig, Lit fRef, CareSim& sim, sweep::SweepContext& ctx,
       if (interrupted) break;
     }
   }
-  ctx.noteOdcOutcome(static_cast<std::size_t>(attempts),
-                     out.stats.odcReplacements);
 }
 
 }  // namespace
@@ -368,10 +366,7 @@ DcResult dcSimplify(aig::Aig& aig, Lit fRef, Lit fTgt, const DcOptions& opts,
 
   const bool finished = inputDcPhase(aig, fRef, sim, ctx, rng, opts, out);
 
-  // Feedback-gated: each validation is a global equivalence proof over
-  // fRef ∨ fTgt, which on some workloads never accepts — the session's
-  // accept-rate tracker turns the phase off there (with re-probes).
-  if (opts.useOdc && finished && ctx.shouldAttemptOdc())
+  if (opts.useOdc && finished)
     odcPhase(aig, fRef, sim, ctx, rng, opts, out);
 
   {

@@ -71,8 +71,6 @@ struct DcResult {
 /// cache. `ctx.interrupted()` is polled before every input-DC query and
 /// every ODC attempt: when it fires, the phases stop and the current
 /// (sound) result is returned.
-/// The ODC phase runs while the context's accept-rate gate
-/// (SweepContext::shouldAttemptOdc) lets it.
 DcResult dcSimplify(aig::Aig& aig, aig::Lit fRef, aig::Lit fTgt,
                     const DcOptions& opts, sweep::SweepContext& ctx);
 

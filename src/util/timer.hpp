@@ -38,8 +38,8 @@ class Timer {
   Clock::time_point start_;
 };
 
-// (The former util::Deadline lived here; engine time limits now flow
-// through portfolio::Budget so cancellation and deadlines share one
-// cooperative polling path.)
+// (The former util::Deadline lived here; deadlines now flow through
+// portfolio::Budget, an engine session's only clock, so cancellation and
+// deadlines share one cooperative polling path.)
 
 }  // namespace cbq::util

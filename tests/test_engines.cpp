@@ -37,7 +37,8 @@ TEST_P(EngineSuite, VerdictMatchesGroundTruth) {
   auto& inst = suite[instIdx];
   auto& engine = *engines[static_cast<std::size_t>(engineIdx)];
 
-  const CheckResult res = engine.check(inst.net);
+  // BMC keeps deepening on some safe instances until the budget stops it.
+  const CheckResult res = engine.check(inst.net, portfolio::Budget(60.0));
 
   if (res.verdict == Verdict::Unknown) {
     // Only the bounded engine may come back empty-handed, and only on
@@ -50,7 +51,11 @@ TEST_P(EngineSuite, VerdictMatchesGroundTruth) {
   EXPECT_EQ(res.verdict, inst.expected)
       << engine.name() << " on " << inst.net.name;
 
-  if (res.verdict == Verdict::Unsafe && res.cex.has_value()) {
+  if (res.verdict == Verdict::Unsafe) {
+    // Every engine backs an Unsafe verdict with a replayable trace.
+    ASSERT_TRUE(res.cex.has_value())
+        << engine.name() << " reported Unsafe without a trace on "
+        << inst.net.name;
     EXPECT_TRUE(mc::replayHitsBad(inst.net, *res.cex))
         << engine.name() << " produced a bogus trace on " << inst.net.name;
     const int depth = expectedCexDepth(inst);

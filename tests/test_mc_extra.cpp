@@ -111,10 +111,8 @@ TEST(EngineOptions, QuantOptionsReachTheQuantifier) {
 
 TEST(EngineOptions, TimeLimitProducesUnknownNotWrongAnswer) {
   const auto inst = circuits::makeInstance("evencount", 5, true);
-  mc::CircuitQuantReachOptions opts;
-  opts.limits.timeLimitSeconds = 1e-9;
-  mc::CircuitQuantReach engine(opts);
-  const auto res = engine.check(inst.net);
+  mc::CircuitQuantReach engine;
+  const auto res = engine.check(inst.net, portfolio::Budget(1e-9));
   // Either it finished instantly (possible on a fast box for iteration 0)
   // or it reports Unknown; it must never report Unsafe.
   EXPECT_NE(res.verdict, Verdict::Unsafe);

@@ -113,7 +113,6 @@ TEST(Cancellation, StopsBmcInsideSolveCalls) {
   // must land inside a monolithic solve via the solver interrupt.
   mc::BmcOptions opts;
   opts.maxDepth = 1 << 20;
-  opts.timeLimitSeconds = 60.0;
   const Network net = circuits::makeInstance("evencount", 14, true).net;
   CancelToken token;
   const Budget budget(30.0, 0, &token);

@@ -54,9 +54,8 @@ Network randomNetwork(util::Random& rng, int latches, int inputs) {
 /// Resumes `session` until done, starting from a tiny slice budget and
 /// growing it geometrically: the early slices force mid-flight pauses,
 /// while the growth bounds the total pause overhead so the run finishes
-/// well inside the engines' own time limits even on very slow executions
-/// (ThreadSanitizer CI runs at ~15x). Returns the final Progress and the
-/// number of slices it took.
+/// promptly even on very slow executions (ThreadSanitizer CI runs at
+/// ~15x). Returns the final Progress and the number of slices it took.
 std::pair<mc::Progress, int> resumeToCompletion(mc::Session& session,
                                                 double sliceSeconds,
                                                 int maxSlices = 200000) {
@@ -80,6 +79,7 @@ TEST(Session, ZeroBudgetResumeReturnsUnknownWithoutAdvancing) {
     SCOPED_TRACE(name);
     const auto engine = mc::makeEngine(name);
     const auto session = engine->start(inst.net);
+    EXPECT_EQ(session->name(), name);
     // Budget(1e-9) is already expired when the session polls it.
     for (int k = 0; k < 3; ++k) {
       const mc::Progress p = session->resume(Budget(1e-9));
@@ -202,23 +202,6 @@ TEST(Session, DoneReportIsIdempotent) {
   EXPECT_EQ(again.result.seconds, fin.result.seconds);
   ASSERT_TRUE(again.result.cex.has_value());
   EXPECT_TRUE(mc::replayHitsBad(inst.net, *again.result.cex));
-}
-
-TEST(Session, OwnTimeLimitReportsDoneNotPauseForever) {
-  // An engine whose own option limit fired must report done so a
-  // scheduler stops granting it slices.
-  mc::CircuitQuantReachOptions opts;
-  opts.limits.timeLimitSeconds = 0.02;
-  const mc::CircuitQuantReach engine(opts);
-  const auto inst = circuits::makeInstance("mult", 8, true);  // too hard
-  const auto session = engine.start(inst.net);
-  mc::Progress p;
-  for (int k = 0; k < 1000; ++k) {
-    p = session->resume(Budget(0.01));
-    if (p.done) break;
-  }
-  EXPECT_TRUE(p.done);
-  EXPECT_EQ(p.result.verdict, Verdict::Unknown);
 }
 
 // ----- the time-sliced portfolio ---------------------------------------------
