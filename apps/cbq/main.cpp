@@ -430,6 +430,35 @@ void printEngineTable(const std::vector<cbq::portfolio::EngineRun>& runs) {
   }
 }
 
+/// A suite instance's name in file names and reports: family, width
+/// (when the family has one), then _safe or _unsafe.
+std::string instanceName(const cbq::circuits::Instance& inst) {
+  std::ostringstream name;
+  name << inst.family;
+  if (inst.width > 0) name << inst.width;
+  name << (inst.expected == Verdict::Safe ? "_safe" : "_unsafe");
+  return name.str();
+}
+
+/// The portfolio settings `check` and `batch` take from the command
+/// line. Returns false after a usage message on a bad --schedule or
+/// --prep value.
+bool portfolioOptionsFrom(const Args& args,
+                          cbq::portfolio::PortfolioOptions& opts) {
+  if (!args.engine.empty()) {
+    opts.engines = {args.engine};
+  } else if (!args.engines.empty()) {
+    opts.engines = args.engines;
+  }
+  opts.timeLimitSeconds = args.timeout;
+  opts.nodeLimit = args.nodeLimit;
+  opts.rssLimitBytes =
+      static_cast<std::size_t>(args.memLimitMb * 1024.0 * 1024.0);
+  opts.sliceWorkers = args.workers;
+  return parseSchedule(args.schedule, opts.schedule) &&
+         parsePrep(args.prepSpec, opts.prep);
+}
+
 int cmdEngines() {
   const auto defaults = cbq::portfolio::defaultPortfolio();
   for (const std::string& name : cbq::mc::engineNames()) {
@@ -477,18 +506,7 @@ int cmdCheck(const Args& args) {
   }
 
   cbq::portfolio::PortfolioOptions opts;
-  if (!args.engine.empty()) {
-    opts.engines = {args.engine};
-  } else if (!args.engines.empty()) {
-    opts.engines = args.engines;
-  }
-  opts.timeLimitSeconds = args.timeout;
-  opts.nodeLimit = args.nodeLimit;
-  opts.rssLimitBytes =
-      static_cast<std::size_t>(args.memLimitMb * 1024.0 * 1024.0);
-  if (!parseSchedule(args.schedule, opts.schedule)) return 1;
-  if (!parsePrep(args.prepSpec, opts.prep)) return 1;
-  opts.sliceWorkers = args.workers;
+  if (!portfolioOptionsFrom(args, opts)) return 1;
 
   // --progress streams NDJSON events on stderr; the streamer must outlive
   // the run because engine threads call into it at slice boundaries.
@@ -615,18 +633,7 @@ int cmdBatch(const Args& args) {
   opts.jobs = args.jobs;
   opts.retries = args.retries;
   opts.fallbackEngines = args.fallbackEngines;
-  if (!args.engine.empty()) {
-    opts.portfolio.engines = {args.engine};
-  } else if (!args.engines.empty()) {
-    opts.portfolio.engines = args.engines;
-  }
-  opts.portfolio.timeLimitSeconds = args.timeout;
-  opts.portfolio.nodeLimit = args.nodeLimit;
-  opts.portfolio.rssLimitBytes =
-      static_cast<std::size_t>(args.memLimitMb * 1024.0 * 1024.0);
-  if (!parseSchedule(args.schedule, opts.portfolio.schedule)) return 1;
-  if (!parsePrep(args.prepSpec, opts.portfolio.prep)) return 1;
-  opts.portfolio.sliceWorkers = args.workers;
+  if (!portfolioOptionsFrom(args, opts.portfolio)) return 1;
 
   std::unique_ptr<cbq::obs::ProgressStreamer> streamer;
   if (args.progress) {
@@ -751,14 +758,10 @@ int cmdGenSuite(const Args& args) {
   }
   int count = 0;
   for (const auto& inst : cbq::circuits::standardSuite()) {
-    std::ostringstream name;
-    name << inst.family;
-    if (inst.width > 0) name << inst.width;
-    name << (inst.expected == Verdict::Safe ? "_safe" : "_unsafe")
-         << ".aag";
-    std::ofstream out(dir / name.str());
+    const std::string name = instanceName(inst) + ".aag";
+    std::ofstream out(dir / name);
     if (!out) {
-      std::fprintf(stderr, "cbq: cannot write %s\n", name.str().c_str());
+      std::fprintf(stderr, "cbq: cannot write %s\n", name.c_str());
       return 1;
     }
     cbq::circuits::writeAag(inst.net, out);
@@ -863,11 +866,7 @@ int cmdBench(const Args& args) {
     }
 
     Row row;
-    std::ostringstream name;
-    name << inst.family;
-    if (inst.width > 0) name << inst.width;
-    name << (inst.expected == Verdict::Safe ? "_safe" : "_unsafe");
-    row.name = name.str();
+    row.name = instanceName(inst);
     row.winner = r.engine;
     row.expected = cbq::mc::toString(inst.expected);
     row.verdict = cbq::mc::toString(r.verdict);
@@ -1193,11 +1192,7 @@ int cmdSoak(const Args& args) {
       } else {
         ++definitive;
         if (got != inst.expected) {
-          std::ostringstream name;
-          name << inst.family;
-          if (inst.width > 0) name << inst.width;
-          name << (inst.expected == Verdict::Safe ? "_safe" : "_unsafe");
-          flips.push_back({seed, name.str(),
+          flips.push_back({seed, instanceName(inst),
                            cbq::mc::toString(inst.expected),
                            cbq::mc::toString(got), scheduleDesc});
         }

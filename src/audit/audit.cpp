@@ -400,57 +400,27 @@ Report auditSignatures(const sweep::Signatures& sigs) {
   return r;
 }
 
-// ----- Union-find -----------------------------------------------------
+// ----- Merge map --------------------------------------------------------
 
-Report auditUnionFind(const sweep::UnionFind& uf) {
+Report auditMergeOrder(const aig::Aig& aig, std::span<const aig::NodeId> order,
+                       const aig::NodeMap& merges) {
   Report r;
-  const std::size_t n = uf.size();
-
-  for (std::uint32_t x = 0; x < n; ++x)
-    if (uf.parentOf(x) >= n) {
-      r.add("uf.parent.out-of-range",
-            (Diag() << "parent[" << x << "] = " << uf.parentOf(x)
-                    << " exceeds the element count " << n)
-                .str());
-      return r;  // traversal below would walk out of bounds
-    }
-
-  // Roots via read-only traversal (no path halving), with a step bound as
-  // the cycle detector.
-  std::vector<std::uint32_t> root(n);
-  for (std::uint32_t x = 0; x < n; ++x) {
-    std::uint32_t cur = x;
-    std::size_t steps = 0;
-    while (uf.parentOf(cur) != cur) {
-      cur = uf.parentOf(cur);
-      if (++steps > n) {
-        r.add("uf.cycle",
-              (Diag() << "parent chain of element " << x
-                      << " does not terminate")
-                  .str());
-        return r;
-      }
-    }
-    root[x] = cur;
+  constexpr std::size_t kAbsent = ~std::size_t{0};
+  std::vector<std::size_t> position(aig.numNodes(), kAbsent);
+  for (std::size_t i = 0; i < order.size(); ++i) position[order[i]] = i;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const aig::NodeId n = order[i];
+    if (!merges.contains(n)) continue;
+    const aig::NodeId t = merges.at(n).node();
+    if (aig.isConst(t) || aig.isPi(t)) continue;
+    if (t < position.size() && position[t] < i) continue;
+    r.add("sweep.merge.order",
+          (Diag() << "node " << n << " (position " << i
+                  << ") is merged onto node " << t
+                  << ", which is not earlier in the candidate order")
+              .str());
+    break;  // one witness suffices: the rebuild may already cycle
   }
-
-  // Canonicality: the representative of each class is its earliest
-  // (minimum-index) member — the property that keeps the sweeper's merge
-  // map acyclic (later nodes always merge onto earlier ones).
-  std::unordered_map<std::uint32_t, std::uint32_t> minOf;
-  for (std::uint32_t x = 0; x < n; ++x) {
-    const auto [it, fresh] = minOf.emplace(root[x], x);
-    if (!fresh) it->second = std::min(it->second, x);
-  }
-  for (const auto& [rep, lo] : minOf)
-    if (rep != lo) {
-      r.add("uf.non-canonical-root",
-            (Diag() << "class of element " << lo << " is rooted at " << rep
-                    << " instead of its earliest member")
-                .str());
-      break;  // one witness; every member of the class would repeat it
-    }
-
   return r;
 }
 

@@ -3,14 +3,14 @@
 //
 // Every data structure the engines' soundness rests on carries implicit
 // invariants: the strash table mirrors the node array, levels and fanin
-// order are monotone, epoch stamps never run ahead of their epoch, the
-// sweep union-find keeps classes rooted at their earliest member, CNF
+// order are monotone, epoch stamps never run ahead of their epoch, every
+// merge of the sweep/DC refinement loop points at an earlier node, CNF
 // literal maps point at live solver variables, and a Network's latches
 // are fully bound. This module turns those contracts from prose into
 // checks:
 //
 //   auditAig / auditNetwork / auditCnf / auditSignatures /
-//   auditUnionFind / auditSweepContext
+//   auditMergeOrder / auditSweepContext
 //
 // return a Report naming each violated invariant (e.g.
 // "aig.strash.stale-entry") with a precise diagnostic. The functions are
@@ -33,6 +33,7 @@
 // audited internals. Nothing else may use it.
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -45,7 +46,6 @@
 #include "mc/network.hpp"
 #include "sat/circuit_solver.hpp"
 #include "sweep/signatures.hpp"
-#include "sweep/union_find.hpp"
 
 namespace cbq::sweep {
 class SweepContext;
@@ -128,9 +128,12 @@ void require(Report report, std::string where);
 /// active words within the reserved stride, orders consistent.
 [[nodiscard]] Report auditSignatures(const sweep::Signatures& sigs);
 
-/// Union-find canonicality: parents in range, no cycles, and every
-/// class rooted at its earliest (minimum-index) member.
-[[nodiscard]] Report auditUnionFind(const sweep::UnionFind& uf);
+/// Merge-map acyclicity: every node of `order` (topological) that
+/// `merges` maps points at a constant, a PI or an earlier node of
+/// `order` — so rebuilding through the map terminates.
+[[nodiscard]] Report auditMergeOrder(const aig::Aig& aig,
+                                     std::span<const aig::NodeId> order,
+                                     const aig::NodeMap& merges);
 
 /// Circuit-solver arena well-formedness: stored constraint gates have
 /// sane sizes and lie inside the arena, their literals reference synced
@@ -161,7 +164,7 @@ void require(Report report, std::string where);
 // ----- the friend key -------------------------------------------------
 
 /// Befriended by Aig, StrashTable, ScratchMemo, AigCnf, Signatures and
-/// UnionFind. Used by the audit passes (read) and the corruption-
+/// CircuitSolver. Used by the audit passes (read) and the corruption-
 /// injection tests (write); production code must never touch it.
 struct Access {
   // Aig
@@ -235,11 +238,6 @@ struct Access {
   }
   static const std::vector<aig::NodeId>& order(const sweep::Signatures& s) {
     return s.order_;
-  }
-
-  // UnionFind
-  static std::vector<std::uint32_t>& parents(sweep::UnionFind& u) {
-    return u.parent_;
   }
 
   // CircuitSolver

@@ -69,7 +69,9 @@ struct EngineRun {
   double seconds = 0.0;   ///< the engine's own wall time
   bool winner = false;
   bool cancelled = false;  ///< stopped unfinished because a rival won
-  int slices = 0;          ///< resume() calls granted (1 when never paused)
+  /// resume() calls granted: 1 when never paused, 0 when a rival won
+  /// before this session's worker first ran (it is then `cancelled`).
+  int slices = 0;
   /// The engine threw (any exception type) and was quarantined: removed
   /// from the rotation while the survivors kept running. Its verdict
   /// stays Unknown and `error` records what escaped.

@@ -1,6 +1,7 @@
 #include "sweep/signatures.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace cbq::sweep {
 
@@ -11,6 +12,14 @@ using aig::NodeId;
 using aig::VarId;
 
 std::uint64_t negMask(bool b) { return b ? ~std::uint64_t{0} : 0; }
+
+/// splitmix64 finalizer — the word mixer behind every signature key.
+std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
 
 }  // namespace
 
@@ -105,9 +114,9 @@ void Signatures::refreshWord(std::size_t w,
 }
 
 bool Signatures::forcingChanges(NodeId forced, bool value, NodeId root,
-                                std::span<const std::uint64_t> mask) {
+                                Lit care) {
   // A node already taking `value` on every pattern changes nothing.
-  if (value ? allOne(forced) : allZero(forced)) return false;
+  if (constantUnder(forced, value, aig::kTrue)) return false;
 
   const std::size_t slots = arena_.size() / stride_;
   if (touched_.size() != slots) {
@@ -162,7 +171,7 @@ bool Signatures::forcingChanges(NodeId forced, bool value, NodeId root,
   const std::uint64_t* f = &forced_[rs * stride_];
   const std::uint64_t* base = &arena_[rs * stride_];
   for (std::size_t w = 0; w < words; ++w)
-    if (((f[w] ^ base[w]) & mask[w]) != 0) return true;
+    if (((f[w] ^ base[w]) & careWord(care, w)) != 0) return true;
   return false;
 }
 
@@ -189,37 +198,43 @@ void Signatures::resimulateAllReference() {
   for (std::size_t w = 0; w < words_; ++w) simulateColumn(w);
 }
 
-bool Signatures::allZero(NodeId n) const {
+std::uint64_t Signatures::careWord(Lit care, std::size_t w) const {
+  return arena_[slotOf_[care.node()] * stride_ + w] ^ negMask(care.negated());
+}
+
+bool Signatures::constantUnder(NodeId n, bool value, Lit care) const {
   const std::uint64_t* s = &arena_[slotOf_[n] * stride_];
+  const std::uint64_t flip = negMask(value);
   for (std::size_t w = 0; w < words_; ++w)
-    if (s[w] != 0) return false;
+    if (((s[w] ^ flip) & careWord(care, w)) != 0) return false;
   return true;
 }
 
-bool Signatures::allOne(NodeId n) const {
+Signatures::Key Signatures::normalizedKey(NodeId n, Lit care) const {
   const std::uint64_t* s = &arena_[slotOf_[n] * stride_];
-  for (std::size_t w = 0; w < words_; ++w)
-    if (s[w] != ~std::uint64_t{0}) return false;
-  return true;
-}
-
-Signatures::Key Signatures::normalizedKey(NodeId n) const {
-  const std::uint64_t* s = &arena_[slotOf_[n] * stride_];
-  const bool phase = (s[0] & 1) != 0;
+  // The phase is the value on the first care pattern (bit 0 of word 0
+  // when care is everywhere); no care pattern at all leaves it 0.
+  bool phase = false;
+  for (std::size_t w = 0; w < words_; ++w) {
+    if (const std::uint64_t c = careWord(care, w); c != 0) {
+      phase = ((s[w] >> std::countr_zero(c)) & 1) != 0;
+      break;
+    }
+  }
   const std::uint64_t flip = negMask(phase);
   std::uint64_t h = 0x2545f4914f6cdd1dull;
   for (std::size_t w = 0; w < words_; ++w)
-    h = mix64(h ^ mix64((s[w] ^ flip) + w));
+    h = mix64(h ^ mix64(((s[w] ^ flip) & careWord(care, w)) + w));
   return {h, phase};
 }
 
-bool Signatures::equalNormalized(NodeId a, bool phaseA, NodeId b,
-                                 bool phaseB) const {
+bool Signatures::equalNormalized(NodeId a, bool phaseA, NodeId b, bool phaseB,
+                                 Lit care) const {
   const std::uint64_t* sa = &arena_[slotOf_[a] * stride_];
   const std::uint64_t* sb = &arena_[slotOf_[b] * stride_];
   const std::uint64_t flip = negMask(phaseA != phaseB);
   for (std::size_t w = 0; w < words_; ++w)
-    if (sa[w] != (sb[w] ^ flip)) return false;
+    if (((sa[w] ^ sb[w] ^ flip) & careWord(care, w)) != 0) return false;
   return true;
 }
 

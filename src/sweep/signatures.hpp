@@ -16,7 +16,9 @@
 //
 // Class keys are 64-bit mixed hashes of the complement-normalized words
 // (splitmix-style finalization per word), with exact word comparison as
-// the collision referee, replacing the former per-node std::string keys.
+// the collision referee. Keys, equality and constant tests take a care
+// literal: the §2.2 input don't-care phase compares signatures only where
+// ¬fRef holds, the §2.1 sweeper everywhere (care = kTrue).
 
 #include <cstdint>
 #include <span>
@@ -30,15 +32,6 @@ struct Access;
 }
 
 namespace cbq::sweep {
-
-/// splitmix64 finalizer — the word mixer behind every signature-class
-/// key (sweeper classes and the DC engine's care-masked classes).
-inline std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 class Signatures {
  public:
@@ -81,14 +74,13 @@ class Signatures {
   void relayout(std::span<const aig::NodeId> order);
 
   /// True when forcing AND node `forced` of the cone to the constant
-  /// `value` changes node `root`'s words on some pattern selected by
-  /// `mask` (one word per active column) — a concrete input pattern on
-  /// which the rewrite forced := value is observable at `root`. Only the
-  /// transitive fanout of `forced` is resimulated, into a scratch arena,
-  /// and propagation stops at nodes whose words come out unchanged.
+  /// `value` changes node `root`'s words on some pattern where `care` is
+  /// 1 — a concrete input pattern on which the rewrite forced := value
+  /// is observable at `root`. Only the transitive fanout of `forced` is
+  /// resimulated, into a scratch arena, and propagation stops at nodes
+  /// whose words come out unchanged.
   [[nodiscard]] bool forcingChanges(aig::NodeId forced, bool value,
-                                    aig::NodeId root,
-                                    std::span<const std::uint64_t> mask);
+                                    aig::NodeId root, aig::Lit care);
 
   /// Recomputes every active column of every node from the stored PI
   /// words, node-major (per node, one contiguous SIMD-friendly word
@@ -111,26 +103,37 @@ class Signatures {
     return n < slotOf_.size() && slotOf_[n] != kNoSlot;
   }
 
-  [[nodiscard]] bool allZero(aig::NodeId n) const;
-  [[nodiscard]] bool allOne(aig::NodeId n) const;
+  // ----- care-masked comparisons ------------------------------------------
+  // `care` is a literal of the arena (kTrue, or a cone node): only the
+  // patterns on which it is 1 count. With care == kTrue every pattern
+  // counts and the normalization is the plain one: complemented so that
+  // bit 0 of word 0 is 0.
 
-  /// Complement-normalized 64-bit mixed hash plus the normalization phase
-  /// (true = the signature was complemented so that bit 0 of word 0 is 0).
+  /// True when node `n` takes `value` on every care pattern.
+  [[nodiscard]] bool constantUnder(aig::NodeId n, bool value,
+                                   aig::Lit care) const;
+
+  /// Complement-normalized 64-bit mixed hash of the care-masked words
+  /// plus the normalization phase (true = the signature was complemented
+  /// so that its value on the first care pattern is 0).
   struct Key {
     std::uint64_t hash;
     bool phase;
   };
-  [[nodiscard]] Key normalizedKey(aig::NodeId n) const;
+  [[nodiscard]] Key normalizedKey(aig::NodeId n, aig::Lit care) const;
 
-  /// Exact equality of the complement-normalized signatures (the collision
-  /// referee behind hash-equal candidates).
+  /// Exact equality of the care-masked, complement-normalized signatures
+  /// (the collision referee behind hash-equal candidates).
   [[nodiscard]] bool equalNormalized(aig::NodeId a, bool phaseA,
-                                     aig::NodeId b, bool phaseB) const;
+                                     aig::NodeId b, bool phaseB,
+                                     aig::Lit care) const;
 
  private:
   friend struct ::cbq::audit::Access;
 
   void simulateColumn(std::size_t w);
+  /// Word `w` of the care mask: the care literal's value per pattern.
+  [[nodiscard]] std::uint64_t careWord(aig::Lit care, std::size_t w) const;
   void loadPiColumn(std::size_t w);
 
   const aig::Aig* aig_;

@@ -3,8 +3,8 @@
 //
 // Given the cones of a set of roots (in practice: the two cofactors of the
 // quantified variable), find functionally equivalent internal nodes and
-// rebuild the cones with every equivalence class collapsed onto one
-// representative. Three detection layers, exactly as in the paper:
+// rebuild the cones with every proven equivalence collapsed onto the
+// earlier node. Three detection layers, exactly as in the paper:
 //
 //  1. AIG semi-canonicity: structural hashing already identifies
 //     syntactically equal nodes — it happens implicitly in the manager.
@@ -12,28 +12,27 @@
 //     manager; nodes whose BDDs coincide (modulo complement) are merged
 //     without touching the SAT solver. Cones whose BDDs blow past the
 //     node limit simply drop out of this layer.
-//  3. SAT-based checks on the remaining compare points: candidate classes
-//     come from complement-normalized simulation signatures; each check is
-//     a pair of assumption-only queries against ONE shared clause
-//     database ("load once, factorize many checks in a single run").
+//  3. SAT-based checks on the remaining compare points: refine() below,
+//     called with the care set kTrue. Each check is an assumption-only
+//     query on the session's circuit solver, which reasons on the AIG
+//     itself ("load once, factorize many checks in a single run").
 //     Disproofs return counterexamples that are packed — 64 at a time —
-//     into new simulation words, splitting every class they distinguish;
-//     proofs are learned into the solver as biconditional clauses so later
-//     checks get cheaper ("as long as we find equivalent points, we can
-//     learn them").
+//     into new simulation words, so the next round proposes only
+//     candidates that survive them; proofs are learned by the solver
+//     ("as long as we find equivalent points, we can learn them").
 //
-// Forward mode processes compare points inputs→outputs; backward mode
-// outputs→inputs, re-checking reachability from the roots after each merge
-// round so that checks inside already-merged regions are skipped — the
-// paper's observation that backward pays off when the cofactors are very
-// similar (one root-level proof subsumes everything below).
+// refine() is also the §2.2 input don't-care phase (synth::dcSimplify):
+// there the signatures are compared only on the care set ¬fRef and every
+// check holds only under it.
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "aig/aig.hpp"
+#include "sweep/signatures.hpp"
 #include "sweep/sweep_context.hpp"
+#include "util/random.hpp"
 
 namespace cbq::sweep {
 
@@ -46,7 +45,6 @@ struct SweepOptions {
   std::int64_t satBudget = 2000;  ///< conflicts per SAT equivalence query
   bool useBdd = true;             ///< enable layer 2
   bool useSat = true;             ///< enable layer 3
-  bool backward = false;          ///< outputs-first compare-point order
   std::uint64_t seed = 0x5eed;    ///< simulation seed
 };
 
@@ -60,7 +58,6 @@ struct SweepStats {
   std::size_t rounds = 0;      ///< refinement rounds executed
   std::size_t nodesBefore = 0; ///< cone size before
   std::size_t nodesAfter = 0;  ///< cone size after rebuild
-  std::size_t skippedUnreferenced = 0;  ///< backward-mode pruned checks
   std::size_t cacheHitsProven = 0;   ///< merges taken from the pair cache
   std::size_t cacheHitsRefuted = 0;  ///< SAT checks skipped as known-refuted
   std::size_t arenaFull = 0;  ///< cex appends refused: arena at maxWords
@@ -82,5 +79,31 @@ struct SweepResult {
 /// merges already proven (sound).
 SweepResult sweep(aig::Aig& aig, std::span<const aig::Lit> roots,
                   const SweepOptions& opts, SweepContext& ctx);
+
+/// The candidate/refinement loop shared by sweeping (§2.1) and the input
+/// don't-care phase (§2.2). Candidates are the AND nodes of `order`
+/// (topological); representatives are the PIs of `support`, then earlier
+/// candidates. Each round makes one pass in that order and proposes, for
+/// every unmerged node, the constant or the earliest earlier node whose
+/// signature — restricted to the patterns where `care` is 1 and
+/// complement-normalized — is equal, then checks it with SAT on `ctx`
+/// (bound to `aig` and focused on a cone covering `order` and `care`):
+///   * care == kTrue: checkEquiv/checkConstant behind the pair cache;
+///     proofs are recorded in the cache and learned by the solver;
+///   * otherwise: checkEquivUnderCare, a fact that holds only where care
+///     is 1 and is neither cached nor learned.
+/// A refutation banks its model into the next signature word (64 per
+/// round); an Unknown answer disqualifies the node. Stops after `rounds`
+/// rounds, a round with no refutation, or when ctx.interrupted() fires;
+/// returns false in the last case (the merges proven so far are kept).
+///
+/// `merges` is extended in place (nodes already in it are skipped): it
+/// maps every merged node to a constant, a PI or an earlier node of
+/// `order`, so rebuilding through it is acyclic.
+bool refine(const aig::Aig& aig, std::span<const aig::NodeId> order,
+            std::span<const aig::VarId> support, Signatures& sigs,
+            aig::Lit care, SweepContext& ctx, int rounds,
+            std::int64_t satBudget, util::Random& rng, SweepStats& stats,
+            aig::NodeMap& merges);
 
 }  // namespace cbq::sweep

@@ -1,14 +1,13 @@
 #include "synth/dc_simplify.hpp"
 
 #include <algorithm>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "audit/audit.hpp"
 #include "obs/tracer.hpp"
 #include "sweep/signatures.hpp"
 #include "sweep/sweep_context.hpp"
+#include "sweep/sweeper.hpp"
 #include "util/random.hpp"
 
 namespace cbq::synth {
@@ -19,84 +18,27 @@ using aig::Lit;
 using aig::NodeId;
 using aig::VarId;
 
-std::uint64_t negMask(bool b) { return b ? ~std::uint64_t{0} : 0; }
-
-using sweep::mix64;
-
 /// Columns the phase-B pattern bank may add on top of the phase-A words:
 /// 64 SAT counterexamples each. One dcSimplify call banks at most one
 /// pattern per ODC attempt, so the default attempt cap fills one column.
 constexpr int kOdcBankWords = 4;
 
-/// Simulation of the joint cone of fRef and fTgt with per-word care masks
-/// (care = ¬fRef: inputs where the reference cofactor is 0). Built on the
-/// flat signature arena: appends simulate only the new column, and
-/// care-masked class keys are 64-bit hashes with exact masked comparison
-/// as the collision referee (no per-node string keys).
-///
-/// The stored PI columns double as phase B's pattern bank: random words,
+/// The care-column bookkeeping of phase B over the signature arena that
+/// phase A refined (care = ¬fRef: inputs where the reference cofactor is
+/// 0). The stored PI columns are phase B's pattern bank: random words,
 /// phase A's counterexamples, and every input pattern on which an ODC
 /// validation failed. retarget() follows the target as phase B rewrites
 /// it, keeping the bank.
 class CareSim {
  public:
-  CareSim(const aig::Aig& aig, Lit fRef, Lit fTgt, util::Random& rng,
-          int words, int maxWords)
-      : aig_(&aig), fRef_(fRef), fTgt_(fTgt) {
-    const Lit both[] = {fRef, fTgt};
-    support_ = aig.supportVars(both);
-    sigs_.emplace(aig, aig.coneAnds(both), support_, rng, words, maxWords);
-    bankCex_.assign(support_.size(), 0);
-    recomputeCare(0);
-  }
-
-  /// `cexBits` is parallel to support(): bit j of entry i is the j-th
-  /// stored counterexample value of support()[i]. Only the new column is
-  /// simulated.
-  void appendWord(std::span<const std::uint64_t> cexBits, int cexCount,
-                  util::Random& rng) {
-    if (sigs_->appendWord(cexBits, cexCount, rng))
-      recomputeCare(sigs_->words() - 1);
-  }
-
-  /// 64-bit mixed hash of the literal's care-masked value.
-  [[nodiscard]] std::uint64_t careHash(Lit l) const {
-    const auto s = sigs_->of(l.node());
-    const std::uint64_t flip = negMask(l.negated());
-    std::uint64_t h = 0x9d39247e33776d41ull;
-    for (std::size_t w = 0; w < s.size(); ++w)
-      h = mix64(h ^ mix64(((s[w] ^ flip) & care_[w]) + w));
-    return h;
-  }
-
-  /// Exact care-masked equality of two literal values.
-  [[nodiscard]] bool careEqual(Lit a, Lit b) const {
-    const auto sa = sigs_->of(a.node());
-    const auto sb = sigs_->of(b.node());
-    const std::uint64_t flip = negMask(a.negated() != b.negated());
-    for (std::size_t w = 0; w < sa.size(); ++w)
-      if (((sa[w] ^ (sb[w] ^ flip)) & care_[w]) != 0) return false;
-    return true;
-  }
-
-  /// True when the literal is constant `value` on every care-set pattern.
-  [[nodiscard]] bool careConstant(Lit l, bool value) const {
-    // litValue ^ valueMask == s ^ negMask(negated != value); any set care
-    // bit there is a pattern where the literal differs from `value`.
-    const auto s = sigs_->of(l.node());
-    const std::uint64_t flip = negMask(l.negated() != value);
-    for (std::size_t w = 0; w < s.size(); ++w)
-      if (((s[w] ^ flip) & care_[w]) != 0) return false;
-    return true;
-  }
-
-  [[nodiscard]] const std::vector<VarId>& support() const { return support_; }
-
-  /// AND nodes of fTgt's cone only, topological.
-  [[nodiscard]] std::vector<NodeId> targetOrder() const {
-    const Lit roots[] = {fTgt_};
-    return aig_->coneAnds(roots);
-  }
+  CareSim(const aig::Aig& aig, Lit fRef, Lit fTgt, sweep::Signatures& sigs,
+          std::span<const VarId> support)
+      : aig_(&aig),
+        fRef_(fRef),
+        fTgt_(fTgt),
+        sigs_(&sigs),
+        support_(support),
+        bankCex_(support.size(), 0) {}
 
   /// Re-lays the simulation over the joint cone of fRef and `target`,
   /// keeping every stored pattern. Must run whenever the target changes:
@@ -110,7 +52,6 @@ class CareSim {
     const Lit both[] = {fRef_, target};
     sigs_->relayout(aig_->coneAnds(both));
     CBQ_AUDIT_CHECK("dc.relayout", audit::auditSignatures(*sigs_));
-    recomputeCare(0);
   }
 
   /// Banks the input pattern of the solver's last Sat answer, growing a
@@ -126,142 +67,46 @@ class CareSim {
       bankCex_[i] |= std::uint64_t{ctx.modelOf(support_[i]) ? 1u : 0u}
                      << bankBits_;
     ++bankBits_;
-    const std::size_t w = sigs_->words() - 1;
-    sigs_->refreshWord(w, bankCex_, bankBits_);
-    recomputeCare(w);
+    sigs_->refreshWord(sigs_->words() - 1, bankCex_, bankBits_);
   }
 
   /// True when a stored care-set pattern sees the target change under
   /// n := value: fRef ∨ target is then provably not preserved, with no
   /// rebuild and no SAT call.
   [[nodiscard]] bool refutesOdc(NodeId n, bool value) {
-    return sigs_->forcingChanges(n, value, fTgt_.node(), care_);
+    return sigs_->forcingChanges(n, value, fTgt_.node(), !fRef_);
   }
 
  private:
-  void recomputeCare(std::size_t from) {
-    // care = ¬fRef, per column; only an appended or refreshed column
-    // (always the last ones) changes after simulation, so only those need
-    // computing.
-    care_.resize(sigs_->words());
-    const auto rs = sigs_->of(fRef_.node());
-    for (std::size_t w = from; w < care_.size(); ++w)
-      care_[w] = ~(rs[w] ^ negMask(fRef_.negated()));
-  }
-
   const aig::Aig* aig_;
   Lit fRef_, fTgt_;
-  std::vector<VarId> support_;
-  std::optional<sweep::Signatures> sigs_;
-  std::vector<std::uint64_t> care_;
+  sweep::Signatures* sigs_;
+  std::span<const VarId> support_;  // the arena's PIs
   std::vector<std::uint64_t> bankCex_;  // open bank column, per support var
   int bankBits_ = 0;                    // patterns in the open column
 };
 
-/// Phase A: input-DC replacements in cex-refined rounds. Rebuilds
-/// out.target from it and returns false when the interrupt fired (the
-/// replacements proven so far are kept).
-bool inputDcPhase(aig::Aig& aig, Lit fRef, CareSim& sim,
-                  sweep::SweepContext& ctx, util::Random& rng,
-                  const DcOptions& opts, DcResult& out) {
+/// Phase A: input-DC replacements — the shared refinement loop on the
+/// target's cone with care set ¬fRef. Rebuilds out.target and returns
+/// false when the interrupt fired (the replacements proven so far are
+/// kept).
+bool inputDcPhase(aig::Aig& aig, Lit fRef, sweep::Signatures& sigs,
+                  std::span<const VarId> support, sweep::SweepContext& ctx,
+                  util::Random& rng, const DcOptions& opts, DcResult& out) {
   CBQ_OBS_SPAN("synth", "input-dc");
-  const Lit fTgt = out.target;
-  const Lit notRef = !fRef;
-  // Phase A only queries the solver (the manager does not grow), so
-  // node-indexed scratch vectors sized now stay valid for every round.
+  const Lit roots[] = {out.target};
+  sweep::SweepStats s;
   aig::NodeMap careMap;
-  std::vector<std::uint8_t> disqualified(aig.numNodes(), 0);
-
-  bool interrupted = false;
-  for (int round = 0; !interrupted && round < opts.maxRounds; ++round) {
-    const auto targetOrder = sim.targetOrder();
-    // Care-masked representative chains: hash -> positive literals whose
-    // masked values share that hash (exact masked compare disambiguates).
-    std::unordered_map<std::uint64_t, std::vector<Lit>> repByHash;
-    auto addRep = [&](Lit l) { repByHash[sim.careHash(l)].push_back(l); };
-    auto findRep = [&](Lit l) -> std::optional<Lit> {
-      if (auto it = repByHash.find(sim.careHash(l)); it != repByHash.end())
-        for (const Lit c : it->second)
-          if (sim.careEqual(l, c)) return c;
-      return std::nullopt;
-    };
-    // PIs of the joint support act as merge representatives too.
-    for (const VarId v : sim.support())
-      addRep(Lit(aig.piNodeOf(v), false));
-
-    std::vector<std::uint64_t> cexBits(sim.support().size(), 0);
-    int cexCount = 0;
-
-    for (const NodeId n : targetOrder) {
-      if (ctx.interrupted()) {
-        interrupted = true;  // keep the replacements proven so far
-        break;
-      }
-      if (cexCount >= 64) break;
-      if (careMap.contains(n) || disqualified[n] != 0) continue;
-      const Lit ln(n, false);
-
-      // Proposed candidate: constant, or an earlier node with identical
-      // care-masked signature (checking both phases).
-      Lit candidate = ln;
-      bool haveCandidate = false;
-      if (sim.careConstant(ln, false)) {
-        candidate = aig::kFalse;
-        haveCandidate = true;
-      } else if (sim.careConstant(ln, true)) {
-        candidate = aig::kTrue;
-        haveCandidate = true;
-      } else if (auto rep = findRep(ln)) {
-        candidate = *rep;
-        haveCandidate = true;
-      } else if (auto repN = findRep(!ln)) {
-        candidate = !*repN;
-        haveCandidate = true;
-      }
-      if (!haveCandidate) {
-        addRep(ln);
-        continue;
-      }
-
-      ++out.stats.satChecks;
-      const sat::Verdict verdict =
-          ctx.checkEquivUnderCare(notRef, ln, candidate, opts.satBudget);
-      switch (verdict) {
-        case sat::Verdict::Holds: {
-          careMap.set(n, candidate);
-          if (candidate.isConstant())
-            ++out.stats.constReplacements;
-          else
-            ++out.stats.mergeReplacements;
-          break;
-        }
-        case sat::Verdict::Fails: {
-          ++out.stats.satRefuted;
-          for (std::size_t i = 0; i < sim.support().size(); ++i) {
-            const std::uint64_t bit =
-                ctx.modelOf(sim.support()[i]) ? 1 : 0;
-            cexBits[i] |= bit << cexCount;
-          }
-          ++cexCount;
-          // Keep the node available as a representative for later nodes.
-          addRep(ln);
-          break;
-        }
-        case sat::Verdict::Unknown: {
-          ++out.stats.satUnknown;
-          disqualified[n] = 1;
-          break;
-        }
-      }
-    }
-
-    if (cexCount == 0) break;
-    sim.appendWord(cexBits, cexCount, rng);
-  }
-
-  const Lit roots[] = {fTgt};
+  const bool finished =
+      sweep::refine(aig, aig.coneAnds(roots), support, sigs, !fRef, ctx,
+                    opts.maxRounds, opts.satBudget, rng, s, careMap);
+  out.stats.constReplacements = s.constMerges;
+  out.stats.mergeReplacements = s.satMerges;
+  out.stats.satChecks = s.satChecks;
+  out.stats.satRefuted = s.satRefuted;
+  out.stats.satUnknown = s.satUnknown;
   out.target = aig.rebuildWithNodeMap(roots, careMap).front();
-  return !interrupted;
+  return finished;
 }
 
 /// Phase B: ODC attempts n := 0/1 on out.target, each committed only when
@@ -351,23 +196,24 @@ DcResult dcSimplify(aig::Aig& aig, Lit fRef, Lit fTgt, const DcOptions& opts,
   }
 
   util::Random rng(opts.seed);
-  CareSim sim(aig, fRef, fTgt, rng, std::max(opts.numWords, 1),
-              std::max(opts.numWords, 1) + std::max(opts.maxRounds, 0) +
-                  kOdcBankWords);
+  const Lit both[] = {fRef, fTgt};
+  const auto support = aig.supportVars(both);
+  const int words = std::max(opts.numWords, 1);
+  sweep::Signatures sigs(aig, aig.coneAnds(both), support, rng, words,
+                         words + std::max(opts.maxRounds, 0) + kOdcBankWords);
 
   ctx.bind(aig);
-  {
-    // Phase A never grows the manager, so the joint cone covers every
-    // input-DC query; phase B re-focuses per attempt (its miters may
-    // strash onto nodes outside this cone).
-    const Lit focusRoots[] = {fRef, fTgt};
-    ctx.focusOn(focusRoots);
-  }
+  // Phase A never grows the manager, so the joint cone covers every
+  // input-DC query; phase B re-focuses per attempt (its miters may strash
+  // onto nodes outside this cone).
+  ctx.focusOn(both);
+  const bool finished =
+      inputDcPhase(aig, fRef, sigs, support, ctx, rng, opts, out);
 
-  const bool finished = inputDcPhase(aig, fRef, sim, ctx, rng, opts, out);
-
-  if (opts.useOdc && finished)
+  if (opts.useOdc && finished) {
+    CareSim sim(aig, fRef, fTgt, sigs, support);
     odcPhase(aig, fRef, sim, ctx, rng, opts, out);
+  }
 
   {
     const Lit roots[] = {out.target};

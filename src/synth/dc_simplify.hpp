@@ -9,8 +9,9 @@
 //    replaced by a candidate g — a constant, or another node modulo
 //    complementation — whenever SAT(¬fRef ∧ (n ⊕ g)) is UNSAT, i.e. the
 //    transformed node matches the original outside the don't-care set.
-//    Candidates are proposed by care-set-masked simulation signatures and
-//    refined with SAT counterexamples, exactly like the sweeping engine.
+//    This is the sweeper's own loop (sweep::refine) with care set ¬fRef:
+//    candidates come from simulation signatures compared only where fRef
+//    is 0, and SAT counterexamples refine them.
 //    Accepted replacements compose soundly: every proof holds pointwise on
 //    the care set, so the rebuilt fTgt agrees with fTgt wherever fRef=0,
 //    which is all that fRef ∨ fTgt needs.

@@ -15,7 +15,6 @@
 #include "mc/network.hpp"
 #include "sat/solver.hpp"
 #include "sweep/signatures.hpp"
-#include "sweep/union_find.hpp"
 #include "util/random.hpp"
 
 namespace cbq {
@@ -129,32 +128,29 @@ TEST(Audit, NodeLevelAndFaninOrderCaught) {
   EXPECT_TRUE(audit::auditAig(g).has("aig.node.fanin-order"));
 }
 
-// ----- violation class: non-canonical union-find root -----------------
+// ----- violation class: merge onto a later node -----------------------
 
-TEST(Audit, UnionFindViolationsCaught) {
-  {
-    sweep::UnionFind uf(4);
-    uf.unite(0, 2);
-    uf.unite(1, 3);
-    EXPECT_TRUE(audit::auditUnionFind(uf).ok());
-    // Re-root {0, 2} at 2: a later member became the representative.
-    Access::parents(uf)[0] = 2;
-    Access::parents(uf)[2] = 2;
-    const audit::Report r = audit::auditUnionFind(uf);
-    ASSERT_FALSE(r.ok());
-    EXPECT_TRUE(r.has("uf.non-canonical-root")) << r.summary();
-  }
-  {
-    sweep::UnionFind uf(4);
-    Access::parents(uf)[1] = 3;
-    Access::parents(uf)[3] = 1;  // 1 -> 3 -> 1: never terminates
-    EXPECT_TRUE(audit::auditUnionFind(uf).has("uf.cycle"));
-  }
-  {
-    sweep::UnionFind uf(4);
-    Access::parents(uf)[0] = 9;  // out of the element range
-    EXPECT_TRUE(audit::auditUnionFind(uf).has("uf.parent.out-of-range"));
-  }
+TEST(Audit, ForwardMergeTargetCaught) {
+  Aig g = smallAig();
+  const Lit a = g.pi(0), b = g.pi(1), c = g.pi(2);
+  const Lit root = g.mkAnd(g.mkAnd(a, b), g.mkAnd(b, c));
+  const Lit roots[] = {root};
+  const auto order = g.coneAnds(roots);
+  ASSERT_EQ(order.size(), 3u);
+
+  // Constants, PIs and earlier nodes are legal targets.
+  aig::NodeMap merges;
+  merges.set(order[0], aig::kFalse);
+  merges.set(order[1], a);
+  merges.set(order[2], !Lit(order[0], false));
+  EXPECT_TRUE(audit::auditMergeOrder(g, order, merges).ok())
+      << audit::auditMergeOrder(g, order, merges).summary();
+
+  // order[0] merged onto a later node: the rebuild map now has a cycle.
+  merges.set(order[0], Lit(order[1], false));
+  const audit::Report r = audit::auditMergeOrder(g, order, merges);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.has("sweep.merge.order")) << r.summary();
 }
 
 // ----- violation class: dangling CNF literal --------------------------

@@ -307,7 +307,9 @@ TEST(TimeSlice, LoneSessionIsNeverPaused) {
 
 TEST(TimeSlice, RaceNeverPausesASession) {
   // Race is one worker per engine: no session ever waits for a worker,
-  // so each one is resumed exactly once, winner and cancelled rivals alike.
+  // so none is paused. The winner runs exactly one slice; a rival runs
+  // at most one, and none at all when the winner finished before the
+  // rival's worker first ran — it is then reported cancelled.
   const auto inst = circuits::makeInstance("counter", 5, false);
   portfolio::PortfolioOptions opts = sliceOptions();
   opts.schedule = portfolio::ScheduleMode::Race;
@@ -315,7 +317,14 @@ TEST(TimeSlice, RaceNeverPausesASession) {
   opts.timeLimitSeconds = 120.0;
   const auto res = portfolio::PortfolioRunner(opts).run(inst.net);
   EXPECT_EQ(res.best.verdict, Verdict::Unsafe);
-  for (const auto& run : res.runs) EXPECT_EQ(run.slices, 1) << run.engine;
+  ASSERT_NE(res.winner(), nullptr);
+  EXPECT_EQ(res.winner()->slices, 1) << res.winner()->engine;
+  for (const auto& run : res.runs) {
+    EXPECT_LE(run.slices, 1) << run.engine;
+    if (run.slices == 0) {
+      EXPECT_TRUE(run.cancelled) << run.engine;
+    }
+  }
 }
 
 TEST(TimeSlice, ExpiredBudgetReportsUnknown) {

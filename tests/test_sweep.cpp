@@ -1,11 +1,13 @@
 // Merge-phase (sweeping) tests: semantics preservation on random cones,
 // detection of planted equivalences, the BDD and SAT layers individually,
-// forward vs backward processing, and the signature arena's node-major
-// resimulation agreeing bit for bit with its column-major referee.
+// the signature arena's node-major resimulation agreeing bit for bit with
+// its column-major referee, and its care-masked keys, equality and
+// constant tests agreeing with a per-pattern referee.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "helpers.hpp"
@@ -38,19 +40,6 @@ TEST_P(SweepRandomized, PreservesSemantics) {
   EXPECT_EQ(test::truthTable(g, result.roots[0], 5), ttA);
   EXPECT_EQ(test::truthTable(g, result.roots[1], 5), ttB);
   EXPECT_LE(result.stats.nodesAfter, result.stats.nodesBefore);
-}
-
-TEST_P(SweepRandomized, BackwardModePreservesSemantics) {
-  util::Random rng(static_cast<std::uint64_t>(GetParam()) * 59 + 2);
-  Aig g;
-  const Lit a = test::randomFormula(g, rng, 5, 60);
-  const auto tt = test::truthTable(g, a, 5);
-  SweepOptions opts;
-  opts.backward = true;
-  const Lit roots[] = {a};
-  SweepContext ctx;
-  const auto result = sweep(g, roots, opts, ctx);
-  EXPECT_EQ(test::truthTable(g, result.roots[0], 5), tt);
 }
 
 TEST_P(SweepRandomized, SatOnlyAndBddOnlyLayersAreSound) {
@@ -220,7 +209,7 @@ TEST(Sweep, ConstantAndPiRootsSurvive) {
 
 TEST(Sweep, CofactorPairScenarioSharesAggressively) {
   // The quantification workload: two cofactors of the same function are
-  // usually near-identical. Backward processing should merge the roots.
+  // usually near-identical; sweeping them must keep both functions.
   Aig g;
   util::Random rng(404);
   const Lit f = test::randomFormula(g, rng, 6, 80);
@@ -229,7 +218,6 @@ TEST(Sweep, CofactorPairScenarioSharesAggressively) {
   const Lit f1 = g.cofactor(f, 5, true);
   if (f0 == f1) GTEST_SKIP() << "strash already merged the cofactors";
   SweepOptions opts;
-  opts.backward = true;
   const Lit roots[] = {f0, f1};
   SweepContext ctx;
   const auto r = sweep(g, roots, opts, ctx);
@@ -275,6 +263,87 @@ TEST(Signatures, ResimulationMatchesIncrementalAndReference) {
   EXPECT_EQ(collect(), incremental);
   sigs.resimulateAllReference();
   EXPECT_EQ(collect(), incremental);
+}
+
+/// Per-pattern referee for the care-masked comparisons: every stored
+/// pattern is evaluated on the manager, and the masked key, equality and
+/// constant tests must agree with the patterns where `care` is 1.
+TEST(Signatures, CareMaskedTestsAgreeWithPatternReferee) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    util::Random rng(seed * 43 + 11);
+    Aig g;
+    const Lit f = test::randomFormula(g, rng, 5, 40);
+    const Lit h = test::randomFormula(g, rng, 5, 40);
+    const Lit c = test::randomFormula(g, rng, 5, 15);
+    const Lit roots[] = {f, h, c};
+    const auto order = g.coneAnds(roots);
+    const auto support = g.supportVars(roots);
+    if (order.empty()) continue;
+    sweep::Signatures sigs(g, order, support, rng, 2, 3);
+    // A column of 64 copies of one input pattern: one phase of `c` has
+    // an empty care set on that word.
+    std::vector<std::uint64_t> same(support.size());
+    for (auto& w : same) w = (rng.next64() & 1) != 0 ? ~std::uint64_t{0} : 0;
+    ASSERT_TRUE(sigs.appendWord(same, 64, rng));
+
+    // value[k][p]: node order[k] on pattern p; carePat[p]: care on p.
+    const std::size_t patterns = sigs.words() * 64;
+    std::vector<std::unordered_map<aig::VarId, bool>> assignment(patterns);
+    for (std::size_t p = 0; p < patterns; ++p)
+      for (const aig::VarId v : support)
+        assignment[p].emplace(
+            v, ((sigs.of(g.piNodeOf(v))[p / 64] >> (p % 64)) & 1) != 0);
+    std::vector<std::vector<bool>> value(order.size());
+    for (std::size_t k = 0; k < order.size(); ++k)
+      for (std::size_t p = 0; p < patterns; ++p)
+        value[k].push_back(g.evaluate(Lit(order[k], false), assignment[p]));
+
+    bool sawEmptyWord = false;
+    for (const Lit care : {aig::kTrue, c, !c}) {
+      std::vector<std::size_t> carePats;
+      for (std::size_t p = 0; p < patterns; ++p)
+        if (g.evaluate(care, assignment[p])) carePats.push_back(p);
+      if (care == aig::kTrue) {
+        ASSERT_EQ(carePats.size(), patterns);
+      }
+      sawEmptyWord = sawEmptyWord ||
+                     carePats.empty() || carePats.back() < patterns - 64;
+
+      std::vector<sweep::Signatures::Key> keys;
+      for (std::size_t k = 0; k < order.size(); ++k) {
+        const aig::NodeId n = order[k];
+        for (const bool v : {false, true}) {
+          bool constant = true;
+          for (const std::size_t p : carePats)
+            constant = constant && value[k][p] == v;
+          EXPECT_EQ(sigs.constantUnder(n, v, care), constant)
+              << "seed " << seed << " node " << n << " value " << v;
+        }
+        // The phase is the value on the first care pattern — bit 0 of
+        // word 0 when care is everywhere.
+        keys.push_back(sigs.normalizedKey(n, care));
+        const bool phase = !carePats.empty() && value[k][carePats.front()];
+        EXPECT_EQ(keys[k].phase, phase) << "seed " << seed << " node " << n;
+      }
+      for (std::size_t a = 0; a < order.size(); ++a) {
+        for (std::size_t b = 0; b < order.size(); ++b) {
+          bool equal = true;
+          for (const std::size_t p : carePats)
+            equal = equal && (value[a][p] != keys[a].phase) ==
+                                 (value[b][p] != keys[b].phase);
+          EXPECT_EQ(sigs.equalNormalized(order[a], keys[a].phase, order[b],
+                                         keys[b].phase, care),
+                    equal)
+              << "seed " << seed << " nodes " << order[a] << ", "
+              << order[b];
+          if (equal) {
+            EXPECT_EQ(keys[a].hash, keys[b].hash);
+          }
+        }
+      }
+    }
+    EXPECT_TRUE(sawEmptyWord) << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -404,36 +404,39 @@ bool patternBit(const sweep::Signatures& sigs, const Aig& g, aig::VarId v,
 
 TEST(Signatures, ForcingChangesAgreesWithForcedRebuild) {
   // Referee: rebuild the root with the node replaced by the constant and
-  // evaluate both roots on every stored pattern the mask selects.
+  // evaluate both roots on every stored pattern where the care literal
+  // (a random formula, both phases) is 1.
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     util::Random rng(seed * 31 + 9);
     Aig g;
     const Lit f = test::randomFormula(g, rng, 6, 50);
+    const Lit c = test::randomFormula(g, rng, 6, 20);
     const Lit roots[] = {f};
+    const Lit both[] = {f, c};
     const auto order = g.coneAnds(roots);
-    const auto support = g.supportVars(roots);
+    const auto support = g.supportVars(both);
     if (order.empty()) continue;
-    sweep::Signatures sigs(g, order, support, rng, 2, 2);
-    std::vector<std::uint64_t> mask(sigs.words());
-    for (auto& m : mask) m = rng.next64();
+    sweep::Signatures sigs(g, g.coneAnds(both), support, rng, 2, 2);
 
-    for (const aig::NodeId n : order) {
-      for (const bool value : {false, true}) {
-        aig::NodeMap forced;
-        forced.set(n, value ? aig::kTrue : aig::kFalse);
-        const Lit rebuilt = g.rebuildWithNodeMap(roots, forced).front();
-        bool expected = false;
-        for (std::size_t w = 0; w < sigs.words() && !expected; ++w) {
-          for (unsigned bit = 0; bit < 64 && !expected; ++bit) {
-            if (((mask[w] >> bit) & 1) == 0) continue;
-            std::unordered_map<aig::VarId, bool> a;
-            for (const aig::VarId v : support)
-              a.emplace(v, patternBit(sigs, g, v, w, bit));
-            expected = g.evaluate(f, a) != g.evaluate(rebuilt, a);
+    for (const Lit care : {c, !c}) {
+      for (const aig::NodeId n : order) {
+        for (const bool value : {false, true}) {
+          aig::NodeMap forced;
+          forced.set(n, value ? aig::kTrue : aig::kFalse);
+          const Lit rebuilt = g.rebuildWithNodeMap(roots, forced).front();
+          bool expected = false;
+          for (std::size_t w = 0; w < sigs.words() && !expected; ++w) {
+            for (unsigned bit = 0; bit < 64 && !expected; ++bit) {
+              std::unordered_map<aig::VarId, bool> a;
+              for (const aig::VarId v : support)
+                a.emplace(v, patternBit(sigs, g, v, w, bit));
+              expected = g.evaluate(care, a) &&
+                         g.evaluate(f, a) != g.evaluate(rebuilt, a);
+            }
           }
+          EXPECT_EQ(sigs.forcingChanges(n, value, f.node(), care), expected)
+              << "seed " << seed << " node " << n << " value " << value;
         }
-        EXPECT_EQ(sigs.forcingChanges(n, value, f.node(), mask), expected)
-            << "seed " << seed << " node " << n << " value " << value;
       }
     }
   }

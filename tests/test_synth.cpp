@@ -121,6 +121,26 @@ TEST_P(DcRandomized, OdcOnLargerConesPreservesDisjunction) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DcRandomized, ::testing::Range(0, 12));
 
+TEST(DcSimplify, EmptyReferenceAllowsOnlyUnconditionalReplacements) {
+  // fRef = 0 puts every input in the care set: phase A runs the shared
+  // loop with care kTrue, so each replacement it makes must hold
+  // everywhere and the target keeps its exact function.
+  std::size_t replacements = 0;
+  for (int seed = 0; seed < 10; ++seed) {
+    util::Random rng(static_cast<std::uint64_t>(seed) * 109 + 5);
+    Aig g;
+    const Lit fTgt = test::randomFormula(g, rng, 5, 60);
+    DcOptions opts;
+    opts.useOdc = false;
+    sweep::SweepContext ctx;
+    const auto r = dcSimplify(g, aig::kFalse, fTgt, opts, ctx);
+    EXPECT_EQ(test::truthTable(g, r.target, 5), test::truthTable(g, fTgt, 5))
+        << "seed " << seed;
+    replacements += r.stats.constReplacements + r.stats.mergeReplacements;
+  }
+  EXPECT_GT(replacements, 0u);
+}
+
 TEST(DcSimplify, TautologicalReferenceCollapsesTarget) {
   Aig g;
   const Lit fTgt = g.mkAnd(g.pi(0), g.pi(1));
