@@ -830,7 +830,7 @@ int cmdBench(const Args& args) {
     const char* verdict;
     int steps = 0;
     double seconds = 0.0;
-    std::int64_t sweepChecks = 0, dcChecks = 0;
+    std::int64_t sweepChecks = 0, dcChecks = 0, simProofs = 0;
     std::int64_t lookups = 0, hits = 0;
     std::int64_t conflicts = 0, propagations = 0;
     std::int64_t remaps = 0, compactions = 0;
@@ -874,6 +874,8 @@ int cmdBench(const Args& args) {
     row.seconds = r.seconds;
     row.sweepChecks = r.stats.count("merge.sat_checks");
     row.dcChecks = r.stats.count("opt.sat_checks");
+    row.simProofs = r.stats.count("merge.sim_proofs") +
+                    r.stats.count("opt.sim_proofs");
     row.lookups = r.stats.count("sweep.cache_lookups");
     row.hits = r.stats.count("sweep.cache_hits_proven") +
                r.stats.count("sweep.cache_hits_refuted");
@@ -886,12 +888,14 @@ int cmdBench(const Args& args) {
     if (r.verdict != Verdict::Unknown) ++solved;
     if (!row.agree) ++mismatches;
     if (!args.quiet) {
-      std::printf("%-24s %-8s %8.3fs  sat=%lld dc=%lld cache=%lld/%lld\n",
-                  row.name.c_str(), row.verdict, row.seconds,
-                  static_cast<long long>(row.sweepChecks),
-                  static_cast<long long>(row.dcChecks),
-                  static_cast<long long>(row.hits),
-                  static_cast<long long>(row.lookups));
+      std::printf(
+          "%-24s %-8s %8.3fs  sat=%lld dc=%lld sim=%lld cache=%lld/%lld\n",
+          row.name.c_str(), row.verdict, row.seconds,
+          static_cast<long long>(row.sweepChecks),
+          static_cast<long long>(row.dcChecks),
+          static_cast<long long>(row.simProofs),
+          static_cast<long long>(row.hits),
+          static_cast<long long>(row.lookups));
       std::fflush(stdout);
     }
     rows.push_back(std::move(row));
@@ -941,6 +945,7 @@ int cmdBench(const Args& args) {
         << "\", \"steps\": " << r.steps << ", \"seconds\": " << r.seconds
         << ", \"sweeper_sat_checks\": " << r.sweepChecks
         << ", \"dc_sat_checks\": " << r.dcChecks
+        << ", \"sim_proofs\": " << r.simProofs
         << ", \"cache_lookups\": " << r.lookups
         << ", \"cache_hits\": " << r.hits
         << ", \"conflicts\": " << r.conflicts

@@ -397,6 +397,38 @@ Report auditSignatures(const sweep::Signatures& sigs) {
             (Diag() << "cone-order node " << n << " holds no arena slot")
                 .str());
 
+  // An exhaustive arena is exactly the enumeration of every pattern.
+  if (sigs.exhaustive()) {
+    const auto& piNodes = Access::supportNodes(sigs);
+    const std::size_t n = piNodes.size();
+    const std::size_t words = std::size_t{1} << (n > 6 ? n - 6 : 0);
+    if (sigs.words() != words)
+      r.add("sig.exhaustive.pattern",
+            (Diag() << "exhaustive arena over " << n << " inputs holds "
+                    << sigs.words() << " words, not " << words)
+                .str());
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto slot = piNodes[i] < slotOf.size()
+                            ? slotOf[piNodes[i]]
+                            : sweep::Signatures::kNoSlot;
+      if (slot == sweep::Signatures::kNoSlot ||
+          (static_cast<std::size_t>(slot) + 1) * stride > arena.size())
+        continue;  // reported as a slot violation above
+      for (std::size_t w = 0; w < std::min(words, sigs.words()); ++w) {
+        // Bit b of word w is pattern 64·w + b; row i holds its bit i.
+        std::uint64_t expected = 0;
+        for (std::size_t b = 0; b < 64; ++b)
+          expected |= (((64 * w + b) >> i) & 1) << b;
+        if (arena[slot * stride + w] == expected) continue;
+        r.add("sig.exhaustive.pattern",
+              (Diag() << "PI node " << piNodes[i] << " (support entry " << i
+                      << ") word " << w << " differs from the enumeration")
+                  .str());
+        break;
+      }
+    }
+  }
+
   return r;
 }
 

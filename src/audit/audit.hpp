@@ -125,7 +125,10 @@ void require(Report report, std::string where);
 [[nodiscard]] Report auditCnf(const cnf::AigCnf& cnf);
 
 /// Signature-arena slot validity: slots in range, no slot aliasing,
-/// active words within the reserved stride, orders consistent.
+/// active words within the reserved stride, orders consistent. An
+/// exhaustive arena must hold 2^max(n-6,0) words over its n support
+/// inputs, and its PI rows must equal the enumeration of every pattern
+/// (`sig.exhaustive.pattern`).
 [[nodiscard]] Report auditSignatures(const sweep::Signatures& sigs);
 
 /// Merge-map acyclicity: every node of `order` (topological) that
@@ -235,6 +238,13 @@ struct Access {
   }
   static const std::vector<std::uint64_t>& arena(const sweep::Signatures& s) {
     return s.arena_;
+  }
+  static std::vector<std::uint64_t>& arena(sweep::Signatures& s) {
+    return s.arena_;
+  }
+  static const std::vector<aig::NodeId>& supportNodes(
+      const sweep::Signatures& s) {
+    return s.supportNode_;
   }
   static const std::vector<aig::NodeId>& order(const sweep::Signatures& s) {
     return s.order_;

@@ -181,6 +181,10 @@ void writeJson(const BatchSummary& summary, std::ostream& out,
           << (r.stats.count("merge.sat_checks") +
               r.stats.count("opt.sat_checks"))
           << ", "
+          << "\"sim_proofs\": "
+          << (r.stats.count("merge.sim_proofs") +
+              r.stats.count("opt.sim_proofs"))
+          << ", "
           << "\"cache_lookups\": " << r.stats.count("sweep.cache_lookups")
           << ", "
           << "\"cache_hits\": "

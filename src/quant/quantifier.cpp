@@ -161,6 +161,8 @@ std::optional<Lit> Quantifier::quantifyVarImpl(Lit f, VarId v,
                static_cast<std::int64_t>(swept.stats.satRefuted));
     stats_.add("merge.sat_unknown",
                static_cast<std::int64_t>(swept.stats.satUnknown));
+    stats_.add("merge.sim_proofs",
+               static_cast<std::int64_t>(swept.stats.simProofs));
     stats_.add("merge.cache_hits_proven",
                static_cast<std::int64_t>(swept.stats.cacheHitsProven));
     stats_.add("merge.cache_hits_refuted",
@@ -191,6 +193,8 @@ std::optional<Lit> Quantifier::quantifyVarImpl(Lit f, VarId v,
                  static_cast<std::int64_t>(r->stats.satRefuted));
       stats_.add("opt.sat_unknown",
                  static_cast<std::int64_t>(r->stats.satUnknown));
+      stats_.add("opt.sim_proofs",
+                 static_cast<std::int64_t>(r->stats.simProofs));
       stats_.add("opt.odc_sim_refuted",
                  static_cast<std::int64_t>(r->stats.odcSimRefuted));
     }

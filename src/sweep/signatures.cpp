@@ -21,6 +21,15 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// Word `w` of support entry `i`'s row in an exhaustive arena: bit b is
+/// bit i of the pattern index 64·w + b.
+std::uint64_t enumerationWord(std::size_t i, std::size_t w) {
+  static constexpr std::uint64_t kLow[6] = {
+      0xaaaaaaaaaaaaaaaaull, 0xccccccccccccccccull, 0xf0f0f0f0f0f0f0f0ull,
+      0xff00ff00ff00ff00ull, 0xffff0000ffff0000ull, 0xffffffff00000000ull};
+  return i < 6 ? kLow[i] : negMask(((w >> (i - 6)) & 1) != 0);
+}
+
 }  // namespace
 
 Signatures::Signatures(const aig::Aig& aig, std::span<const NodeId> order,
@@ -36,10 +45,20 @@ Signatures::Signatures(const aig::Aig& aig, std::span<const NodeId> order,
   supportNode_.reserve(support_.size());
   for (const VarId v : support_) supportNode_.push_back(aig.piNodeOf(v));
 
-  piArena_.assign(support_.size() * stride_, 0);
-  for (std::size_t i = 0; i < support_.size(); ++i)
+  const std::size_t n = support_.size();
+  if (n <= kExhaustiveMaxInputs) {
+    // Slot count bound: the constant, the PIs, the cone ANDs.
+    const std::size_t words = std::size_t{1} << (n > 6 ? n - 6 : 0);
+    const std::size_t slots = 1 + n + order.size();
+    exhaustive_ = words * slots <= kExhaustiveMaxArenaWords;
+    if (exhaustive_) stride_ = words_ = words;
+  }
+
+  piArena_.assign(n * stride_, 0);
+  for (std::size_t i = 0; i < n; ++i)
     for (std::size_t w = 0; w < words_; ++w)
-      piArena_[i * stride_ + w] = rng.next64();
+      piArena_[i * stride_ + w] =
+          exhaustive_ ? enumerationWord(i, w) : rng.next64();
 
   relayout(order);
 }

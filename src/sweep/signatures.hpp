@@ -3,12 +3,24 @@
 //
 // One cone, one arena: every node in the (topologically ordered) cone gets
 // a dense slot, and all simulation words live in a single node-major
-// std::vector<uint64_t> with a fixed stride. Compared to the previous
-// vector-of-vectors design this removes every per-node allocation on the
-// hot refinement path, and — because columns are stored per slot — a
-// counterexample append simulates ONLY the new word column instead of
-// resimulating the whole history (the old appendWord was O(words) per
-// refinement round, O(words²) over a run).
+// std::vector<uint64_t> with a fixed stride. A counterexample append
+// simulates ONLY the new word column instead of resimulating the whole
+// history.
+//
+// The PI rows hold the patterns, in one of two modes chosen by the
+// constructor and kept for the arena's lifetime (relayout included):
+//
+//  * exhaustive — when the support has n <= kExhaustiveMaxInputs inputs
+//    and the arena (2^max(n-6,0) words per slot) fits
+//    kExhaustiveMaxArenaWords, the rows enumerate every input pattern
+//    0..2^n-1: PI i < 6 holds the constant mask 0xAAAA…, 0xCCCC…, …,
+//    PI i >= 6 holds bit (i-6) of the word index. Every signature is then
+//    the node's complete truth table, so equal (care-masked) signatures
+//    are a proof and a forcingChanges miss is one too. The arena is full
+//    from the start: appends add nothing.
+//  * random — otherwise: `initialWords` random columns, grown by
+//    counterexample appends up to `maxWords`. Equal signatures are only
+//    candidates for SAT.
 //
 // resimulateAll() walks the topological cone order node-major: per node,
 // a straight-line `(a^ma) & (b^mb)` over contiguous rows that the
@@ -39,23 +51,36 @@ class Signatures {
   using Slot = std::uint32_t;
   static constexpr Slot kNoSlot = 0xffffffffu;
 
+  /// Largest support the exhaustive mode enumerates (2^14 patterns, 256
+  /// words per slot).
+  static constexpr std::size_t kExhaustiveMaxInputs = 14;
+  /// Exhaustive arena cap in words over all slots (2 MB): a large cone on
+  /// a small support falls back to random words.
+  static constexpr std::size_t kExhaustiveMaxArenaWords = std::size_t{1}
+                                                          << 18;
+
   /// `order` is the cone's AND nodes in topological order (fanins first),
-  /// `support` the sorted external variables of its PIs. `initialWords`
-  /// random columns are generated immediately; the arena reserves room for
-  /// `maxWords` columns so refinement appends never reallocate.
+  /// `support` the sorted external variables of its PIs. An exhaustive
+  /// arena (see the file comment) ignores the word counts and draws
+  /// nothing from `rng`. Otherwise `initialWords` random columns are
+  /// generated immediately, and the arena reserves room for `maxWords`
+  /// columns so refinement appends never reallocate.
   Signatures(const aig::Aig& aig, std::span<const aig::NodeId> order,
              std::span<const aig::VarId> support, util::Random& rng,
              int initialWords, int maxWords);
 
   [[nodiscard]] std::size_t words() const { return words_; }
   [[nodiscard]] std::size_t stride() const { return stride_; }
+  /// True when the PI rows enumerate every input pattern of the support.
+  [[nodiscard]] bool exhaustive() const { return exhaustive_; }
 
   /// Appends one simulation word per PI — bit j of `cexBits[i]` (parallel
   /// to the support array) is the j-th stored counterexample value, the
   /// remaining bits random noise — and simulates ONLY the new column.
   /// Returns false (and changes nothing, not even the RNG stream) when the
   /// arena is full (words() == stride()), so refinement loops can tell a
-  /// real append from a no-op and surface an arena-full stat.
+  /// real append from a no-op and surface an arena-full stat. An
+  /// exhaustive arena is always full.
   [[nodiscard]] bool appendWord(std::span<const std::uint64_t> cexBits,
                                 int cexCount, util::Random& rng);
 
@@ -64,13 +89,15 @@ class Signatures {
   /// value of support entry i, as in appendWord — keeping the column's
   /// other bits, and simulates ONLY that column. Lets a caller grow a
   /// partly filled counterexample column one pattern at a time.
+  /// Precondition: !exhaustive() (the enumeration is never overwritten).
   void refreshWord(std::size_t w, std::span<const std::uint64_t> cexBits,
                    int cexCount);
 
   /// Re-lays the arena over a new cone `order` on the same support,
   /// keeping every stored PI column (the pattern bank), and resimulates
   /// it. The slot table is sized to the manager's current node count, so
-  /// nodes created since the previous layout become addressable.
+  /// nodes created since the previous layout become addressable. An
+  /// exhaustive arena stays exhaustive.
   void relayout(std::span<const aig::NodeId> order);
 
   /// True when forcing AND node `forced` of the cone to the constant
@@ -78,7 +105,8 @@ class Signatures {
   /// 1 — a concrete input pattern on which the rewrite forced := value
   /// is observable at `root`. Only the transitive fanout of `forced` is
   /// resimulated, into a scratch arena, and propagation stops at nodes
-  /// whose words come out unchanged.
+  /// whose words come out unchanged. On an exhaustive arena a false
+  /// answer proves the rewrite unobservable on every care pattern.
   [[nodiscard]] bool forcingChanges(aig::NodeId forced, bool value,
                                     aig::NodeId root, aig::Lit care);
 
@@ -143,6 +171,7 @@ class Signatures {
 
   std::size_t stride_;  // reserved columns per slot
   std::size_t words_;   // active columns
+  bool exhaustive_ = false;
   std::vector<Slot> slotOf_;          // NodeId -> arena slot (kNoSlot = out)
   std::vector<std::uint64_t> arena_;  // node-major, slot * stride_ + word
   std::vector<std::uint64_t> piArena_;  // support-major, i * stride_ + word

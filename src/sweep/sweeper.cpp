@@ -165,6 +165,16 @@ bool refine(const aig::Aig& aig, std::span<const NodeId> order,
       }
       if (cexCount >= 64) break;  // the next round picks the rest up
 
+      if (sigs.exhaustive()) {
+        // Equal truth tables over every care pattern: proven as proposed,
+        // with no cache lookup (a cached refutation cannot exist).
+        merges.set(n, target);
+        ++stats.simProofs;
+        ++(target.isConstant() ? stats.constMerges : stats.satMerges);
+        if (everywhere) ctx.recordProven(ln, target);
+        continue;
+      }
+
       if (everywhere) {
         // Session pair cache first: facts proven or refuted in ANY
         // earlier round/call on this manager skip the solver. A refuted
@@ -244,19 +254,22 @@ SweepResult sweep(aig::Aig& aig, std::span<const Lit> roots,
                            : initialWords + std::max(opts.maxRounds, 0);
   Signatures sigs(aig, order, support, rng, initialWords, maxWords);
 
+  CBQ_AUDIT_CHECK("sweep.signatures", audit::auditSignatures(sigs));
   ctx.bind(aig);
 
   // ----- layer 2: BDD sweeping -------------------------------------------
+  // On exhaustive signatures layer 3 proves every merge BDDs would find.
   aig::NodeMap merges;
-  if (opts.useBdd) merges = bddSweep(aig, order, support, ctx, out.stats);
+  if (opts.useBdd && !(opts.useSat && sigs.exhaustive()))
+    merges = bddSweep(aig, order, support, ctx, out.stats);
 
-  // ----- layer 3: SAT sweeping with cex-guided refinement ------------------
+  // ----- layer 3: compare points, proven by simulation or SAT ------------
   // Every compare point lives inside the cones of `roots`, and the manager
   // does not grow before the final rebuild — one focus call covers every
   // check of this sweep even when the session's solver carries the whole
-  // run's history.
+  // run's history. Exhaustive signatures make no SAT call.
   if (opts.useSat) {
-    ctx.focusOn(roots);
+    if (!sigs.exhaustive()) ctx.focusOn(roots);
     refine(aig, order, support, sigs, aig::kTrue, ctx, opts.maxRounds,
            opts.satBudget, rng, out.stats, merges);
   }

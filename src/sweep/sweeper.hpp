@@ -4,26 +4,33 @@
 // Given the cones of a set of roots (in practice: the two cofactors of the
 // quantified variable), find functionally equivalent internal nodes and
 // rebuild the cones with every proven equivalence collapsed onto the
-// earlier node. Three detection layers, exactly as in the paper:
+// earlier node. The detection layers:
 //
 //  1. AIG semi-canonicity: structural hashing already identifies
 //     syntactically equal nodes — it happens implicitly in the manager.
 //  2. BDD sweeping: size-bounded BDDs are built bottom-up in a shared
 //     manager; nodes whose BDDs coincide (modulo complement) are merged
 //     without touching the SAT solver. Cones whose BDDs blow past the
-//     node limit simply drop out of this layer.
-//  3. SAT-based checks on the remaining compare points: refine() below,
-//     called with the care set kTrue. Each check is an assumption-only
-//     query on the session's circuit solver, which reasons on the AIG
-//     itself ("load once, factorize many checks in a single run").
-//     Disproofs return counterexamples that are packed — 64 at a time —
-//     into new simulation words, so the next round proposes only
-//     candidates that survive them; proofs are learned by the solver
-//     ("as long as we find equivalent points, we can learn them").
+//     node limit simply drop out of this layer. Skipped when the cone's
+//     signatures are exhaustive and layer 3 runs: layer 3 then proves
+//     every such merge from the truth tables alone.
+//  3. Compare points from simulation signatures: refine() below, called
+//     with the care set kTrue.
+//     * Exhaustive signatures (support of at most
+//       Signatures::kExhaustiveMaxInputs inputs, arena within its cap)
+//       are complete truth tables: an equal candidate is proven as
+//       proposed, with no SAT call (SweepStats::simProofs).
+//     * Otherwise each candidate is an assumption-only query on the
+//       session's circuit solver, which reasons on the AIG itself ("load
+//       once, factorize many checks in a single run"). Disproofs return
+//       counterexamples that are packed — 64 at a time — into new
+//       simulation words, so the next round proposes only candidates that
+//       survive them; proofs are learned by the solver ("as long as we
+//       find equivalent points, we can learn them").
 //
 // refine() is also the §2.2 input don't-care phase (synth::dcSimplify):
 // there the signatures are compared only on the care set ¬fRef and every
-// check holds only under it.
+// proof holds only under it.
 
 #include <cstdint>
 #include <span>
@@ -50,9 +57,12 @@ struct SweepOptions {
 
 struct SweepStats {
   std::size_t bddMerges = 0;   ///< merges proven by BDD pointer equality
-  std::size_t satMerges = 0;   ///< merges proven UNSAT
+  std::size_t satMerges = 0;   ///< node merges proven by layer 3 (SAT,
+                               ///  pair cache or exhaustive simulation)
   std::size_t constMerges = 0; ///< nodes proven constant
   std::size_t satChecks = 0;   ///< SAT equivalence queries issued
+  std::size_t simProofs = 0;   ///< layer-3 merges (node or constant)
+                               ///  proven by exhaustive signatures
   std::size_t satRefuted = 0;  ///< queries answered SAT (not equivalent)
   std::size_t satUnknown = 0;  ///< budget exhausted
   std::size_t rounds = 0;      ///< refinement rounds executed
@@ -86,10 +96,14 @@ SweepResult sweep(aig::Aig& aig, std::span<const aig::Lit> roots,
 /// candidates. Each round makes one pass in that order and proposes, for
 /// every unmerged node, the constant or the earliest earlier node whose
 /// signature — restricted to the patterns where `care` is 1 and
-/// complement-normalized — is equal, then checks it with SAT on `ctx`
+/// complement-normalized — is equal. When `sigs` is exhaustive the equal
+/// signatures are the proof: the merge is taken with no SAT call
+/// (stats.simProofs), and with care kTrue it is recorded in the pair
+/// cache. Otherwise, with care == kTrue, the session's pair cache answers
+/// first, and the remaining candidates are checked with SAT on `ctx`
 /// (bound to `aig` and focused on a cone covering `order` and `care`):
-///   * care == kTrue: checkEquiv/checkConstant behind the pair cache;
-///     proofs are recorded in the cache and learned by the solver;
+///   * care == kTrue: checkEquiv/checkConstant; proofs are recorded in
+///     the cache and learned by the solver;
 ///   * otherwise: checkEquivUnderCare, a fact that holds only where care
 ///     is 1 and is neither cached nor learned.
 /// A refutation banks its model into the next signature word (64 per

@@ -25,8 +25,9 @@ constexpr int kOdcBankWords = 4;
 
 /// The care-column bookkeeping of phase B over the signature arena that
 /// phase A refined (care = ¬fRef: inputs where the reference cofactor is
-/// 0). The stored PI columns are phase B's pattern bank: random words,
-/// phase A's counterexamples, and every input pattern on which an ODC
+/// 0). The stored PI columns are phase B's pattern bank: every input
+/// pattern when the arena is exhaustive; otherwise random words, phase
+/// A's counterexamples, and every input pattern on which an ODC
 /// validation failed. retarget() follows the target as phase B rewrites
 /// it, keeping the bank.
 class CareSim {
@@ -77,6 +78,10 @@ class CareSim {
     return sigs_->forcingChanges(n, value, fTgt_.node(), !fRef_);
   }
 
+  /// True when the bank holds every input pattern: an attempt
+  /// refutesOdc() misses is then proven unobservable.
+  [[nodiscard]] bool exhaustive() const { return sigs_->exhaustive(); }
+
  private:
   const aig::Aig* aig_;
   Lit fRef_, fTgt_;
@@ -103,6 +108,7 @@ bool inputDcPhase(aig::Aig& aig, Lit fRef, sweep::Signatures& sigs,
   out.stats.constReplacements = s.constMerges;
   out.stats.mergeReplacements = s.satMerges;
   out.stats.satChecks = s.satChecks;
+  out.stats.simProofs = s.simProofs;
   out.stats.satRefuted = s.satRefuted;
   out.stats.satUnknown = s.satUnknown;
   out.target = aig.rebuildWithNodeMap(roots, careMap).front();
@@ -112,8 +118,10 @@ bool inputDcPhase(aig::Aig& aig, Lit fRef, sweep::Signatures& sigs,
 /// Phase B: ODC attempts n := 0/1 on out.target, each committed only when
 /// the paper's equivalence check fRef ∨ fTgt' ≡ fRef ∨ fTgt answers
 /// Holds. An attempt that a banked care-set pattern already refutes skips
-/// the rebuild and the SAT call; every SAT refutation grows the bank. The
-/// interrupt is polled before each attempt.
+/// the rebuild and the SAT call; every SAT refutation grows the bank. On
+/// an exhaustive bank a surviving attempt is the proof itself and is
+/// committed with no miter and no SAT call. The interrupt is polled
+/// before each attempt.
 void odcPhase(aig::Aig& aig, Lit fRef, CareSim& sim, sweep::SweepContext& ctx,
               util::Random& rng, const DcOptions& opts, DcResult& out) {
   CBQ_OBS_SPAN("synth", "odc");
@@ -146,6 +154,13 @@ void odcPhase(aig::Aig& aig, Lit fRef, CareSim& sim, sweep::SweepContext& ctx,
             aig.rebuildWithNodeMap(curRoots, tentativeMap).front();
         const Lit tentRoots[] = {tentative};
         if (aig.coneSize(tentRoots) >= curSize) continue;
+        if (sim.exhaustive()) {
+          out.target = tentative;
+          ++out.stats.odcReplacements;
+          ++out.stats.simProofs;
+          changed = true;
+          break;
+        }
         // The paper's extra equivalence check: is the EXOR between the
         // node before/after observable at fRef ∨ fTgt?
         const Lit before = aig.mkOr(fRef, current);
@@ -202,11 +217,12 @@ DcResult dcSimplify(aig::Aig& aig, Lit fRef, Lit fTgt, const DcOptions& opts,
   sweep::Signatures sigs(aig, aig.coneAnds(both), support, rng, words,
                          words + std::max(opts.maxRounds, 0) + kOdcBankWords);
 
+  CBQ_AUDIT_CHECK("dc.signatures", audit::auditSignatures(sigs));
   ctx.bind(aig);
   // Phase A never grows the manager, so the joint cone covers every
   // input-DC query; phase B re-focuses per attempt (its miters may strash
-  // onto nodes outside this cone).
-  ctx.focusOn(both);
+  // onto nodes outside this cone). Exhaustive signatures query nothing.
+  if (!sigs.exhaustive()) ctx.focusOn(both);
   const bool finished =
       inputDcPhase(aig, fRef, sigs, support, ctx, rng, opts, out);
 

@@ -11,7 +11,9 @@
 //    transformed node matches the original outside the don't-care set.
 //    This is the sweeper's own loop (sweep::refine) with care set ¬fRef:
 //    candidates come from simulation signatures compared only where fRef
-//    is 0, and SAT counterexamples refine them.
+//    is 0, and SAT counterexamples refine them. On exhaustive signatures
+//    (small supports, see sweep::Signatures) an equal candidate needs no
+//    SAT call.
 //    Accepted replacements compose soundly: every proof holds pointwise on
 //    the care set, so the rebuilt fTgt agrees with fTgt wherever fRef=0,
 //    which is all that fRef ∨ fTgt needs.
@@ -25,7 +27,9 @@
 //    an attempt, it is simulated on a bank of concrete input patterns
 //    (the random and counterexample words of the input-DC phase, plus
 //    the model of every failed ODC check): a care-set pattern on which
-//    the forced node changes the target refutes it without SAT.
+//    the forced node changes the target refutes it without SAT. When the
+//    bank is exhaustive, an attempt it does not refute is proven too: it
+//    is committed (if the cone shrinks) with no miter and no SAT call.
 
 #include <cstdint>
 #include <span>
@@ -52,6 +56,10 @@ struct DcStats {
   /// SAT queries issued; each answers Holds (one of the three replacement
   /// counters), Fails (satRefuted) or Unknown (satUnknown).
   std::size_t satChecks = 0;
+  /// Replacements proven by exhaustive simulation, with no SAT query:
+  /// satChecks + simProofs == const + merge + odc replacements +
+  /// satRefuted + satUnknown.
+  std::size_t simProofs = 0;
   std::size_t satRefuted = 0;
   std::size_t satUnknown = 0;
   std::size_t nodesBefore = 0;
@@ -67,7 +75,8 @@ struct DcResult {
 /// Postcondition: fRef ∨ result ≡ fRef ∨ fTgt.
 ///
 /// Every check runs on `ctx`'s circuit solver (all queries are
-/// assumption-only, so they coexist with the sweeping checks). Care-set
+/// assumption-only, so they coexist with the sweeping checks); on
+/// exhaustive signatures no query is made at all. Care-set
 /// equivalences hold only under ¬fRef and are NOT recorded in the pair
 /// cache. `ctx.interrupted()` is polled before every input-DC query and
 /// every ODC attempt: when it fires, the phases stop and the current

@@ -8,6 +8,7 @@
 
 #include "aig/aig.hpp"
 #include "util/random.hpp"
+#include "util/var_table.hpp"
 
 namespace cbq::test {
 
@@ -45,18 +46,38 @@ inline aig::Lit randomFormula(aig::Aig& g, util::Random& rng, int numVars,
   return pool.back();
 }
 
-/// Truth table of `root` over varIds 0..numVars-1 (numVars <= 20).
+/// Truth table of `root` over varIds 0..numVars-1 (numVars <= 20): entry
+/// m is the value under v := bit v of m, other PIs false. Evaluated 64
+/// minterms per Aig::simulate call.
 inline std::vector<bool> truthTable(const aig::Aig& g, aig::Lit root,
                                     int numVars) {
+  const std::uint64_t patterns = std::uint64_t{1} << numVars;
   std::vector<bool> tt;
-  tt.reserve(std::size_t{1} << numVars);
-  for (std::uint64_t m = 0; m < (std::uint64_t{1} << numVars); ++m) {
-    std::unordered_map<aig::VarId, bool> a;
-    for (int v = 0; v < numVars; ++v)
-      a.emplace(static_cast<aig::VarId>(v), ((m >> v) & 1) != 0);
-    tt.push_back(g.evaluate(root, a));
+  tt.reserve(patterns);
+  const aig::Lit roots[] = {root};
+  util::VarTable<std::uint64_t> words;
+  for (std::uint64_t base = 0; base < patterns; base += 64) {
+    for (int v = 0; v < numVars; ++v) {
+      std::uint64_t w = 0;
+      for (unsigned b = 0; b < 64; ++b)
+        w |= (((base + b) >> v) & 1) << b;
+      words.set(static_cast<aig::VarId>(v), w);
+    }
+    const std::uint64_t out = g.simulate(roots, words).front();
+    for (unsigned b = 0; b < 64 && base + b < patterns; ++b)
+      tt.push_back(((out >> b) & 1) != 0);
   }
   return tt;
+}
+
+/// XOR of PIs first..first+count-1: a root that widens the support of a
+/// cone it is swept with. Past Signatures::kExhaustiveMaxInputs inputs
+/// the arena holds random words, which keeps a test on the SAT path.
+inline aig::Lit wideXor(aig::Aig& g, aig::VarId first, int count) {
+  aig::Lit x = aig::kFalse;
+  for (int i = 0; i < count; ++i)
+    x = g.mkXor(x, g.pi(first + static_cast<aig::VarId>(i)));
+  return x;
 }
 
 /// Exhaustive functional equality of two literals over the first

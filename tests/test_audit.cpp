@@ -257,6 +257,41 @@ TEST(Audit, SignatureSlotViolationsCaught) {
   EXPECT_TRUE(audit::auditSignatures(sigs).has("sig.slot.duplicate"));
 }
 
+TEST(Audit, ExhaustivePatternViolationsCaught) {
+  // Eight inputs: an exhaustive arena of 4 words per slot. Its PI rows
+  // must stay the enumeration across a relayout onto a cone built after
+  // construction; a flipped bit in one PI row must be reported.
+  Aig g;
+  std::vector<Lit> xs;
+  for (aig::VarId v = 0; v < 8; ++v) xs.push_back(g.pi(v));
+  const Lit root = g.mkXor(g.mkAndAll(xs), g.mkOr(xs[0], xs[7]));
+  const Lit roots[] = {root};
+  const auto support = g.supportVars(roots);
+  util::Random rng(7);
+  sweep::Signatures sigs(g, g.coneAnds(roots), support, rng, 2, 4);
+  ASSERT_TRUE(sigs.exhaustive());
+  ASSERT_EQ(sigs.words(), 4u);
+  ASSERT_TRUE(audit::auditSignatures(sigs).ok())
+      << audit::auditSignatures(sigs).summary();
+
+  const Lit h = g.mkAnd(root, g.mkXor(xs[2], xs[5]));
+  const Lit hRoots[] = {h};
+  sigs.relayout(g.coneAnds(hRoots));
+  ASSERT_TRUE(sigs.exhaustive());
+  ASSERT_TRUE(audit::auditSignatures(sigs).ok())
+      << audit::auditSignatures(sigs).summary();
+
+  auto& arena = Access::arena(sigs);
+  const auto slot = Access::slotOf(sigs)[g.piNodeOf(support[6])];
+  arena[slot * sigs.stride() + 3] ^= std::uint64_t{1} << 9;
+  EXPECT_TRUE(audit::auditSignatures(sigs).has("sig.exhaustive.pattern"));
+  arena[slot * sigs.stride() + 3] ^= std::uint64_t{1} << 9;
+  EXPECT_TRUE(audit::auditSignatures(sigs).ok());
+  const auto slot0 = Access::slotOf(sigs)[g.piNodeOf(support[0])];
+  arena[slot0 * sigs.stride()] = ~arena[slot0 * sigs.stride()];
+  EXPECT_TRUE(audit::auditSignatures(sigs).has("sig.exhaustive.pattern"));
+}
+
 // ----- machinery ------------------------------------------------------
 
 TEST(Audit, SelftestSeedsEveryClassWithNamedInvariant) {

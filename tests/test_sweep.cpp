@@ -1,8 +1,11 @@
 // Merge-phase (sweeping) tests: semantics preservation on random cones,
 // detection of planted equivalences, the BDD and SAT layers individually,
-// the signature arena's node-major resimulation agreeing bit for bit with
-// its column-major referee, and its care-masked keys, equality and
-// constant tests agreeing with a per-pattern referee.
+// the exhaustive-simulation proofs of small-support cones against truth
+// tables on both sides of the arena's bounds, the signature arena's
+// node-major resimulation agreeing bit for bit with its column-major
+// referee, and its care-masked keys, equality and constant tests agreeing
+// with a per-pattern referee. Tests of the SAT path sweep cones whose
+// support exceeds Signatures::kExhaustiveMaxInputs (test::wideXor).
 
 #include <gtest/gtest.h>
 
@@ -20,9 +23,13 @@ namespace {
 
 using aig::Aig;
 using aig::Lit;
+using sweep::Signatures;
 using sweep::sweep;
 using sweep::SweepContext;
 using sweep::SweepOptions;
+
+/// Inputs of a support just past the exhaustive bound.
+constexpr int kWide = static_cast<int>(Signatures::kExhaustiveMaxInputs) + 1;
 
 class SweepRandomized : public ::testing::TestWithParam<int> {};
 
@@ -125,7 +132,8 @@ TEST(Sweep, SatOnlyFindsPlantedEquivalence) {
   auto [f1, f2] = plantEquivalentPair(g);
   SweepOptions opts;
   opts.useBdd = false;
-  const Lit roots[] = {f1, f2};
+  // A third root widens the support past the exhaustive bound.
+  const Lit roots[] = {f1, f2, test::wideXor(g, 3, kWide)};
   SweepContext ctx;
   const auto r = sweep(g, roots, opts, ctx);
   EXPECT_EQ(r.roots[0], r.roots[1]);
@@ -146,16 +154,16 @@ TEST(Sweep, BddOnlyFindsPlantedEquivalence) {
 }
 
 TEST(Sweep, RefutationsRefineSignatures) {
-  // An all-ones detector over 10 variables is false on all but one of
-  // 1024 minterms: a single 64-bit random word almost surely simulates to
-  // all-zero, so the sweeper proposes a constant merge, gets refuted by
-  // SAT, and must keep the node. A few seeds guarantee at least one
-  // false-candidate round deterministically.
+  // An all-ones detector over 16 variables (past the exhaustive bound) is
+  // false on all but one of 65536 minterms: a single 64-bit random word
+  // almost surely simulates to all-zero, so the sweeper proposes a
+  // constant merge, gets refuted by SAT, and must keep the node. A few
+  // seeds guarantee at least one false-candidate round deterministically.
   bool sawRefutation = false;
   for (std::uint64_t seed = 1; seed <= 8 && !sawRefutation; ++seed) {
     Aig g;
     std::vector<Lit> xs;
-    for (aig::VarId v = 0; v < 10; ++v) xs.push_back(g.pi(v));
+    for (aig::VarId v = 0; v < 16; ++v) xs.push_back(g.pi(v));
     const Lit allOnes = g.mkAndAll(xs);
     SweepOptions opts;
     opts.useBdd = false;
@@ -178,7 +186,7 @@ TEST(Sweep, FullArenaRefusesAppendsButStaysSound) {
   for (std::uint64_t seed = 1; seed <= 8 && !sawFullArena; ++seed) {
     Aig g;
     std::vector<Lit> xs;
-    for (aig::VarId v = 0; v < 10; ++v) xs.push_back(g.pi(v));
+    for (aig::VarId v = 0; v < 16; ++v) xs.push_back(g.pi(v));
     const Lit allOnes = g.mkAndAll(xs);
     SweepOptions opts;
     opts.useBdd = false;
@@ -210,13 +218,14 @@ TEST(Sweep, ConstantAndPiRootsSurvive) {
 TEST(Sweep, CofactorPairScenarioSharesAggressively) {
   // The quantification workload: two cofactors of the same function are
   // usually near-identical; sweeping them must keep both functions.
+  // Seed 431 gives a 46-AND formula whose cofactors w.r.t. variable 5
+  // are distinct 61-AND cones sharing most of their structure.
   Aig g;
-  util::Random rng(404);
+  util::Random rng(431);
   const Lit f = test::randomFormula(g, rng, 6, 80);
-  // Pick a variable f barely depends on: cofactors w.r.t. it are similar.
   const Lit f0 = g.cofactor(f, 5, false);
   const Lit f1 = g.cofactor(f, 5, true);
-  if (f0 == f1) GTEST_SKIP() << "strash already merged the cofactors";
+  ASSERT_NE(f0, f1);
   SweepOptions opts;
   const Lit roots[] = {f0, f1};
   SweepContext ctx;
@@ -231,11 +240,177 @@ TEST(Sweep, StatsAreConsistent) {
   Aig g;
   util::Random rng(7);
   const Lit f = test::randomFormula(g, rng, 5, 60);
-  const Lit roots[] = {f};
+  const Lit roots[] = {f, test::wideXor(g, 5, kWide)};
   SweepContext ctx;
   const auto r = sweep(g, roots, {}, ctx);
   EXPECT_GE(r.stats.satChecks, r.stats.satMerges + r.stats.satRefuted);
   EXPECT_GE(r.stats.rounds, 1u);
+}
+
+TEST(Sweep, ExhaustiveConesAreProvenWithoutSat) {
+  // Small supports: every layer-3 merge is a simulation proof, BDD layer 2
+  // is skipped, and the rebuilt cones keep their truth tables.
+  std::size_t proofs = 0;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    util::Random rng(seed * 59 + 13);
+    Aig g;
+    const int vars = 4 + static_cast<int>(seed % 8);
+    const Lit f = test::randomFormula(g, rng, vars, 60);
+    const Lit h = test::randomFormula(g, rng, vars, 60);
+    const Lit roots[] = {f, h};
+    SweepContext ctx;
+    const auto r = sweep(g, roots, {}, ctx);
+    EXPECT_EQ(test::truthTable(g, r.roots[0], vars),
+              test::truthTable(g, f, vars));
+    EXPECT_EQ(test::truthTable(g, r.roots[1], vars),
+              test::truthTable(g, h, vars));
+    EXPECT_EQ(r.stats.satChecks, 0u) << seed;
+    EXPECT_EQ(r.stats.bddMerges, 0u) << seed;
+    EXPECT_EQ(r.stats.simProofs, r.stats.satMerges + r.stats.constMerges)
+        << seed;
+    proofs += r.stats.simProofs;
+  }
+  EXPECT_GT(proofs, 0u);
+}
+
+/// Bit `p` of node `n`'s signature: its value on pattern p.
+bool sigBit(const Signatures& sigs, aig::NodeId n, std::size_t p) {
+  return ((sigs.of(n)[p / 64] >> (p % 64)) & 1) != 0;
+}
+
+TEST(Signatures, ExhaustiveExactlyUpToTheInputBound) {
+  // At the bound the PI rows enumerate every pattern (pattern p sets
+  // support entry i to bit i of p), every node's row is its truth table
+  // and appends are refused; one input more and the rows are random.
+  for (const int n : {kWide - 1, kWide}) {
+    util::Random rng(17);
+    Aig g;
+    const Lit f = test::randomFormula(g, rng, n, 60);
+    const Lit roots[] = {f, test::wideXor(g, 0, n)};
+    const auto order = g.coneAnds(roots);
+    const auto support = g.supportVars(roots);
+    ASSERT_EQ(support.size(), static_cast<std::size_t>(n));
+    Signatures sigs(g, order, support, rng, 2, 4);
+    if (n == kWide) {
+      EXPECT_FALSE(sigs.exhaustive());
+      EXPECT_EQ(sigs.words(), 2u);
+      continue;
+    }
+    ASSERT_TRUE(sigs.exhaustive());
+    const std::size_t patterns = std::size_t{1} << n;
+    ASSERT_EQ(sigs.words() * 64, patterns);
+    for (std::size_t i = 0; i < support.size(); ++i)
+      for (std::size_t p = 0; p < patterns; ++p)
+        ASSERT_EQ(sigBit(sigs, g.piNodeOf(support[i]), p), ((p >> i) & 1) != 0)
+            << "support entry " << i << " pattern " << p;
+    const auto tt = test::truthTable(g, f, n);
+    for (std::size_t p = 0; p < patterns; ++p)
+      ASSERT_EQ(sigBit(sigs, f.node(), p) != f.negated(), tt[p]) << p;
+    const std::vector<std::uint64_t> cex(support.size(), 0);
+    EXPECT_FALSE(sigs.appendWord(cex, 1, rng));
+    EXPECT_EQ(sigs.words() * 64, patterns);
+  }
+}
+
+TEST(Signatures, LargeConeOnSmallSupportFallsBackToRandomWords) {
+  // 14 inputs need 256 words per slot: a cone of more than a thousand
+  // ANDs exceeds the arena cap, so its words are random and the sweeper
+  // takes the SAT path — and stays sound.
+  util::Random rng(23);
+  Aig g;
+  const int n = kWide - 1;
+  std::vector<Lit> roots = {test::wideXor(g, 0, n)};
+  while (g.coneAnds(roots).size() < 1100)
+    roots.push_back(test::randomFormula(g, rng, n, 200));
+  const auto order = g.coneAnds(roots);
+  const auto support = g.supportVars(roots);
+  ASSERT_EQ(support.size(), static_cast<std::size_t>(n));
+  const std::size_t words = std::size_t{1} << (n - 6);
+  ASSERT_GT(words * (1 + support.size() + order.size()),
+            Signatures::kExhaustiveMaxArenaWords);
+  {
+    util::Random sim(3);
+    const Signatures sigs(g, order, support, sim, 2, 4);
+    EXPECT_FALSE(sigs.exhaustive());
+    EXPECT_EQ(sigs.words(), 2u);
+  }
+  SweepOptions opts;
+  opts.useBdd = false;
+  SweepContext ctx;
+  const auto r = sweep(g, roots, opts, ctx);
+  for (std::size_t i = 0; i < roots.size(); ++i)
+    EXPECT_EQ(test::truthTable(g, r.roots[i], n),
+              test::truthTable(g, roots[i], n))
+        << "root " << i;
+  EXPECT_GT(r.stats.satChecks, 0u);
+  EXPECT_EQ(r.stats.simProofs, 0u);
+}
+
+TEST(Refine, ExhaustiveMergesMatchTruthTablesUnderCare) {
+  // The shared loop on an exhaustive arena, with care kTrue and ¬fRef:
+  // every merge holds on every care minterm (truth-table referee), no SAT
+  // query is made, and the pass is complete — no unmerged AND is equal
+  // under care to a constant or to an earlier candidate.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    util::Random rng(seed * 71 + 5);
+    Aig g;
+    const int vars = 8;
+    const Lit fRef = test::randomFormula(g, rng, vars, 30);
+    const Lit fTgt = test::randomFormula(g, rng, vars, 60);
+    const Lit both[] = {fRef, fTgt};
+    const Lit tgt[] = {fTgt};
+    const auto support = g.supportVars(both);
+    const auto order = g.coneAnds(tgt);
+    for (const Lit care : {aig::kTrue, !fRef}) {
+      Signatures sigs(g, g.coneAnds(both), support, rng, 2, 4);
+      ASSERT_TRUE(sigs.exhaustive());
+      SweepContext ctx;
+      ctx.bind(g);
+      sweep::SweepStats stats;
+      aig::NodeMap merges;
+      EXPECT_TRUE(sweep::refine(g, order, support, sigs, care, ctx, 8, 2000,
+                                rng, stats, merges));
+      EXPECT_EQ(stats.satChecks, 0u);
+
+      const auto careTt = test::truthTable(g, care, vars);
+      auto equalUnderCare = [&](Lit a, Lit b) {
+        const auto ta = test::truthTable(g, a, vars);
+        const auto tb = test::truthTable(g, b, vars);
+        for (std::size_t m = 0; m < ta.size(); ++m)
+          if (careTt[m] && ta[m] != tb[m]) return false;
+        return true;
+      };
+      std::vector<Lit> earlier;  // PIs, then the candidates before n
+      for (const aig::VarId v : support) earlier.push_back(g.pi(v));
+      std::size_t merged = 0;
+      for (const aig::NodeId n : order) {
+        const Lit ln(n, false);
+        if (merges.contains(n)) {
+          ++merged;
+          EXPECT_TRUE(equalUnderCare(ln, merges.at(n)))
+              << "seed " << seed << " node " << n;
+        } else {
+          EXPECT_FALSE(equalUnderCare(ln, aig::kFalse) ||
+                       equalUnderCare(ln, aig::kTrue))
+              << "seed " << seed << " node " << n;
+          for (const Lit e : earlier)
+            EXPECT_FALSE(equalUnderCare(ln, e) || equalUnderCare(ln, !e))
+                << "seed " << seed << " node " << n << " vs " << e.node();
+        }
+        earlier.push_back(ln);
+      }
+      EXPECT_EQ(stats.simProofs, merged);
+      EXPECT_EQ(stats.satMerges + stats.constMerges, merged);
+      if (care == aig::kTrue) {
+        // Plain equivalences enter the session's pair cache.
+        for (const aig::NodeId n : order)
+          if (merges.contains(n)) {
+            EXPECT_EQ(ctx.lookupPair(Lit(n, false), merges.at(n)),
+                      SweepContext::PairFact::Proven);
+          }
+      }
+    }
+  }
 }
 
 /// Incrementally appended words, resimulateAll() and the column-major
@@ -244,9 +419,10 @@ TEST(Signatures, ResimulationMatchesIncrementalAndReference) {
   util::Random build(42);
   Aig g;
   const Lit root = test::randomFormula(g, build, 8, 400);
-  const Lit roots[] = {root};
+  const Lit roots[] = {root, test::wideXor(g, 8, kWide)};
   const auto order = g.coneAnds(roots);
   const auto support = g.supportVars(roots);
+  ASSERT_GT(support.size(), Signatures::kExhaustiveMaxInputs);
 
   util::Random rng(7);
   sweep::Signatures sigs(g, order, support, rng, 4, 8);
@@ -275,10 +451,10 @@ TEST(Signatures, CareMaskedTestsAgreeWithPatternReferee) {
     const Lit f = test::randomFormula(g, rng, 5, 40);
     const Lit h = test::randomFormula(g, rng, 5, 40);
     const Lit c = test::randomFormula(g, rng, 5, 15);
-    const Lit roots[] = {f, h, c};
+    const Lit roots[] = {f, h, c, test::wideXor(g, 5, kWide)};
     const auto order = g.coneAnds(roots);
     const auto support = g.supportVars(roots);
-    if (order.empty()) continue;
+    ASSERT_GT(support.size(), Signatures::kExhaustiveMaxInputs) << seed;
     sweep::Signatures sigs(g, order, support, rng, 2, 3);
     // A column of 64 copies of one input pattern: one phase of `c` has
     // an empty care set on that word.

@@ -5,7 +5,10 @@
 // phases, the quantifier's variable schedule) and leave sound results,
 // the flat signature engine's incremental appendWord / refreshWord must
 // be bit-for-bit identical to a full resimulation, and its forced-node
-// resimulation must agree with an explicit rebuild.
+// resimulation must agree with an explicit rebuild. Tests of appends and
+// of SAT-backed checks use supports past
+// Signatures::kExhaustiveMaxInputs (test::wideXor), where the arena holds
+// random words.
 
 #include <gtest/gtest.h>
 
@@ -27,9 +30,13 @@ namespace {
 
 using aig::Aig;
 using aig::Lit;
+using sweep::Signatures;
 using sweep::sweep;
 using sweep::SweepContext;
 using sweep::SweepOptions;
+
+/// Inputs of a support just past the exhaustive bound.
+constexpr int kWide = static_cast<int>(Signatures::kExhaustiveMaxInputs) + 1;
 
 class SweepContextRandomized : public ::testing::TestWithParam<int> {};
 
@@ -78,7 +85,9 @@ TEST_P(SweepContextRandomized, RepeatSweepHitsPairCache) {
   const Lit noise = test::randomFormula(g, rng, 3, 25);
   const Lit f1 = g.mkOr(g.mkAnd(a, b), g.mkAnd(a, c));
   const Lit f2 = g.mkAnd(a, g.mkOr(b, c));
-  const Lit roots[] = {g.mkXor(f1, noise), g.mkXor(f2, noise)};
+  // The third root widens the support past the exhaustive bound.
+  const Lit roots[] = {g.mkXor(f1, noise), g.mkXor(f2, noise),
+                       test::wideXor(g, 6, kWide)};
 
   SweepContext ctx;
   SweepOptions opts;
@@ -197,7 +206,8 @@ constexpr int kNever = std::numeric_limits<int>::max();
 
 TEST(SweepContextInterrupt, SweepStopsEarlyAndStaysSound) {
   // Cofactor pair: many equivalent nodes, and one simulation word over
-  // 8 variables also proposes false candidates for SAT to refute.
+  // 8 variables also proposes false candidates for SAT to refute. The
+  // third root widens the support past the exhaustive bound.
   util::Random rng(73);
   Aig g;
   const Lit f = test::randomFormula(g, rng, 8, 100);
@@ -205,7 +215,7 @@ TEST(SweepContextInterrupt, SweepStopsEarlyAndStaysSound) {
   const Lit b = g.cofactor(f, 7, true);
   const auto ttA = test::truthTable(g, a, 8);
   const auto ttB = test::truthTable(g, b, 8);
-  const Lit roots[] = {a, b};
+  const Lit roots[] = {a, b, test::wideXor(g, 8, kWide)};
   SweepOptions opts;
   opts.useBdd = false;  // every merge goes through a polled SAT check
   opts.numWords = 1;
@@ -236,11 +246,12 @@ TEST(SweepContextInterrupt, SweepStopsEarlyAndStaysSound) {
 
 TEST(SweepContextInterrupt, DcSimplifyKeepsItsPostcondition) {
   // A counter pre-image's cofactor pair: with enable = 0 the state must
-  // already be K, with enable = 1 the incremented state must be K. Phase
-  // A issues care-set queries and phase B commits ODC rewrites after SAT
-  // checks, so interrupting at every poll position covers both phases.
-  constexpr int kBits = 6;
-  constexpr unsigned kTarget = 0x2b;
+  // already be K, with enable = 1 the incremented state must be K. Over
+  // kWide state bits (past the exhaustive bound) phase A issues care-set
+  // queries and phase B commits ODC rewrites after SAT checks, so
+  // interrupting at every poll position covers both phases.
+  constexpr int kBits = kWide;
+  constexpr unsigned kTarget = 0x2b2b;
   Aig g;
   std::vector<Lit> s;
   for (int i = 0; i < kBits; ++i)
@@ -267,6 +278,7 @@ TEST(SweepContextInterrupt, DcSimplifyKeepsItsPostcondition) {
   const auto baseline = synth::dcSimplify(g, fRef, fTgt, {}, full);
   const int totalPolls = polls;
   ASSERT_GT(baseline.stats.odcReplacements, 0u);
+  ASSERT_GT(baseline.stats.satChecks, 0u);
 
   for (int n = 0; n < totalPolls; ++n) {
     SweepContext ctx;
@@ -350,12 +362,12 @@ TEST(Signatures, IncrementalAppendEqualsFullResimulation) {
     util::Random rng(seed * 23 + 5);
     Aig g;
     const Lit f = test::randomFormula(g, rng, 6, 60);
-    const Lit roots[] = {f};
+    const Lit roots[] = {f, test::wideXor(g, 6, kWide)};
     const auto order = g.coneAnds(roots);
     const auto support = g.supportVars(roots);
-    if (order.empty()) continue;
 
     sweep::Signatures sigs(g, order, support, rng, 2, 2 + 6);
+    ASSERT_FALSE(sigs.exhaustive());
 
     // Append a few counterexample words (arbitrary bit patterns).
     for (int round = 0; round < 4; ++round) {
@@ -383,11 +395,12 @@ TEST(Signatures, IncrementalAppendEqualsFullResimulation) {
 TEST(Signatures, AppendStopsAtCapacity) {
   Aig g;
   const Lit f = g.mkAnd(g.pi(0), g.pi(1));
-  const Lit roots[] = {f};
+  const Lit roots[] = {f, test::wideXor(g, 2, kWide)};
   const auto order = g.coneAnds(roots);
   const auto support = g.supportVars(roots);
   util::Random rng(5);
   sweep::Signatures sigs(g, order, support, rng, 1, 2);
+  ASSERT_FALSE(sigs.exhaustive());
   EXPECT_EQ(sigs.words(), 1u);
   std::vector<std::uint64_t> cex(support.size(), 1);
   EXPECT_TRUE(sigs.appendWord(cex, 1, rng));
@@ -405,18 +418,21 @@ bool patternBit(const sweep::Signatures& sigs, const Aig& g, aig::VarId v,
 TEST(Signatures, ForcingChangesAgreesWithForcedRebuild) {
   // Referee: rebuild the root with the node replaced by the constant and
   // evaluate both roots on every stored pattern where the care literal
-  // (a random formula, both phases) is 1.
+  // (a random formula, both phases) is 1. Six inputs give an exhaustive
+  // arena, kWide a random one.
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const int vars = seed % 2 == 0 ? 6 : kWide;
     util::Random rng(seed * 31 + 9);
     Aig g;
     const Lit f = test::randomFormula(g, rng, 6, 50);
     const Lit c = test::randomFormula(g, rng, 6, 20);
     const Lit roots[] = {f};
-    const Lit both[] = {f, c};
+    const Lit both[] = {f, c, test::wideXor(g, 0, vars)};
     const auto order = g.coneAnds(roots);
     const auto support = g.supportVars(both);
     if (order.empty()) continue;
     sweep::Signatures sigs(g, g.coneAnds(both), support, rng, 2, 2);
+    ASSERT_EQ(sigs.exhaustive(), vars == 6);
 
     for (const Lit care : {c, !c}) {
       for (const aig::NodeId n : order) {
@@ -446,9 +462,10 @@ TEST(Signatures, RefreshAndRelayoutKeepThePatterns) {
   util::Random rng(41);
   Aig g;
   const Lit f = test::randomFormula(g, rng, 6, 50);
-  const Lit roots[] = {f};
+  const Lit roots[] = {f, test::wideXor(g, 6, kWide)};
   const auto support = g.supportVars(roots);
   sweep::Signatures sigs(g, g.coneAnds(roots), support, rng, 1, 3);
+  ASSERT_FALSE(sigs.exhaustive());
 
   // Grow a partly filled column one pattern at a time; each refresh must
   // match a full resimulation bit for bit.

@@ -2,10 +2,14 @@
 // disjunction fRef ∨ fTgt exactly (checked against truth tables), shrink
 // constructed examples, honour the ODC escape hatch, and refute ODC
 // attempts on its pattern bank without changing what gets committed.
+// Small supports take the exhaustive-simulation path (no SAT call); the
+// tests of the SAT path and its bank use supports past
+// Signatures::kExhaustiveMaxInputs.
 
 #include <gtest/gtest.h>
 
 #include "helpers.hpp"
+#include "sweep/signatures.hpp"
 #include "synth/dc_simplify.hpp"
 #include "util/random.hpp"
 
@@ -16,6 +20,10 @@ using aig::Aig;
 using aig::Lit;
 using synth::dcSimplify;
 using synth::DcOptions;
+
+/// Inputs of a support just past the exhaustive bound.
+constexpr int kWide =
+    static_cast<int>(sweep::Signatures::kExhaustiveMaxInputs) + 1;
 
 std::vector<bool> orTable(const Aig& g, Lit a, Lit b, int n) {
   auto ta = test::truthTable(g, a, n);
@@ -75,15 +83,17 @@ TEST_P(DcRandomized, InputDcReplacementsMatchOutsideDcSet) {
   }
 }
 
-/// Cofactor pair over 7-8 variables with cones of 20-80 ANDs: muxes of
+/// Cofactor pair over `baseVars` or `baseVars` + 1 variables: muxes of
 /// random formulas, the reference one an AND of two so its onset (the
-/// don't-care set) stays small.
+/// don't-care set) stays small. 7-8 variables give exhaustive signatures;
+/// kWide-kWide+1 random ones, so phase A and phase B issue SAT queries.
+/// Pairs are redrawn until their joint support has every variable.
 struct LargePair {
   int vars;
   Lit fRef, fTgt;
 };
-LargePair largePair(Aig& g, int seed) {
-  const int vars = 7 + seed % 2;
+LargePair largePair(Aig& g, int seed, int baseVars = kWide) {
+  const int vars = baseVars + seed % 2;
   util::Random rng(static_cast<std::uint64_t>(seed) * 107 + 4);
   auto mux = [&] {
     const Lit a = test::randomFormula(g, rng, vars, 40);
@@ -91,13 +101,20 @@ LargePair largePair(Aig& g, int seed) {
     const Lit c = test::randomFormula(g, rng, vars, 40);
     return g.mkMux(a, b, c);
   };
-  const Lit fRef = g.mkAnd(mux(), mux());
-  return {vars, fRef, mux()};
+  for (;;) {
+    const Lit fRef = g.mkAnd(mux(), mux());
+    const LargePair p{vars, fRef, mux()};
+    const Lit both[] = {p.fRef, p.fTgt};
+    if (g.supportVars(both).size() == static_cast<std::size_t>(vars))
+      return p;
+  }
 }
 
 bool statsAddUp(const synth::DcStats& s) {
-  return s.satChecks == s.constReplacements + s.mergeReplacements +
-                            s.odcReplacements + s.satRefuted + s.satUnknown;
+  return s.satChecks + s.simProofs == s.constReplacements +
+                                          s.mergeReplacements +
+                                          s.odcReplacements + s.satRefuted +
+                                          s.satUnknown;
 }
 
 TEST_P(DcRandomized, OdcOnLargerConesPreservesDisjunction) {
@@ -116,7 +133,49 @@ TEST_P(DcRandomized, OdcOnLargerConesPreservesDisjunction) {
     const auto r = dcSimplify(g, p.fRef, p.fTgt, opts, ctx);
     EXPECT_EQ(orTable(g, p.fRef, r.target, p.vars), before) << rounds;
     EXPECT_TRUE(statsAddUp(r.stats)) << rounds;
+    EXPECT_EQ(r.stats.simProofs, 0u) << rounds;
   }
+}
+
+TEST_P(DcRandomized, ExhaustiveOdcCommitsPreserveTheDisjunction) {
+  // The same pair shape on 7-8 variables: both phases prove by
+  // simulation alone, and every commit keeps fRef ∨ fTgt (truth-table
+  // referee).
+  for (const int rounds : {8, 0}) {
+    Aig g;
+    const auto p = largePair(g, GetParam(), 7);
+    const auto before = orTable(g, p.fRef, p.fTgt, p.vars);
+    DcOptions opts;
+    opts.numWords = 1;
+    opts.maxRounds = rounds;
+    opts.odcAttempts = 400;
+    sweep::SweepContext ctx;
+    const auto r = dcSimplify(g, p.fRef, p.fTgt, opts, ctx);
+    EXPECT_EQ(orTable(g, p.fRef, r.target, p.vars), before) << rounds;
+    EXPECT_TRUE(statsAddUp(r.stats)) << rounds;
+    EXPECT_EQ(r.stats.satChecks, 0u) << rounds;
+    EXPECT_EQ(r.stats.satRefuted + r.stats.satUnknown, 0u) << rounds;
+  }
+}
+
+TEST(DcSimplify, ExhaustiveOdcCommitsAndRefutesBySimulation) {
+  // Across the seeds above, simulation proofs commit ODC rewrites and
+  // refute others, and the committed targets shrink.
+  std::size_t odc = 0;
+  std::size_t simRefuted = 0;
+  for (int seed = 0; seed < 12; ++seed) {
+    Aig g;
+    const auto p = largePair(g, seed, 7);
+    DcOptions opts;
+    opts.odcAttempts = 400;
+    sweep::SweepContext ctx;
+    const auto r = dcSimplify(g, p.fRef, p.fTgt, opts, ctx);
+    EXPECT_LE(r.stats.nodesAfter, r.stats.nodesBefore) << seed;
+    odc += r.stats.odcReplacements;
+    simRefuted += r.stats.odcSimRefuted;
+  }
+  EXPECT_GT(odc, 0u);
+  EXPECT_GT(simRefuted, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DcRandomized, ::testing::Range(0, 12));
@@ -217,12 +276,13 @@ Lit equalsConst(Aig& g, const std::vector<Lit>& x, unsigned k) {
 }
 
 TEST(DcSimplify, OdcBankRollsIntoFreshColumns) {
-  // A disjunction of 80 12-bit minterms: forcing a term's node is visible
-  // only on that term's own minterm, which random words almost never hit,
-  // so nearly every surviving attempt is a SAT refutation — more than
-  // one 64-pattern column's worth. The terms the reference already
-  // covers are redundant, so ODC still commits.
-  constexpr int kBits = 12;
+  // A disjunction of 80 15-bit minterms (past the exhaustive bound):
+  // forcing a term's node is visible only on that term's own minterm,
+  // which random words almost never hit, so nearly every surviving
+  // attempt is a SAT refutation — more than one 64-pattern column's
+  // worth. The terms the reference already covers are redundant, so ODC
+  // still commits.
+  constexpr int kBits = kWide;
   Aig g;
   std::vector<Lit> x;
   for (int i = 0; i < kBits; ++i)
@@ -230,7 +290,8 @@ TEST(DcSimplify, OdcBankRollsIntoFreshColumns) {
   util::Random rng(77);
   std::vector<Lit> terms;
   for (int t = 0; t < 80; ++t)
-    terms.push_back(equalsConst(g, x, static_cast<unsigned>(rng.below(4096))));
+    terms.push_back(
+        equalsConst(g, x, static_cast<unsigned>(rng.below(1u << kBits))));
   const Lit fRef = g.mkOr(terms[0], terms[1]);
   const Lit fTgt = g.mkOrAll(terms);
   const auto before = orTable(g, fRef, fTgt, kBits);
