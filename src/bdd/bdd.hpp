@@ -2,9 +2,10 @@
 // Reduced Ordered Binary Decision Diagrams.
 //
 // Two roles in this reproduction:
-//  * size-bounded **BDD sweeping** inside the merge phase (§2.1, after
-//    Kuehlmann–Krohm "Equivalence Checking Using Cuts and Heaps"): node
-//    budgets make BDD construction abort cheaply on hard cones, and
+//  * size-bounded **BDD sweeping**, the merge phase's alternative prover
+//    (§2.1, after Kuehlmann–Krohm "Equivalence Checking Using Cuts and
+//    Heaps"; used when SweepOptions::useSat is off): node budgets make
+//    BDD construction abort cheaply on hard cones, and
 //  * the canonical **BDD reachability baseline** the paper positions
 //    itself against (backward pre-image by vector compose, forward image
 //    by and-exists over a partitioned transition relation).

@@ -6,8 +6,9 @@
 //
 //   1. merge phase   — structural hashing happens for free while the
 //                      cofactors are rebuilt in the shared manager; the
-//                      sweeping engine (BDD sweeping + incremental SAT
-//                      checks) then collapses every functionally
+//                      sweeping engine (simulation compare points,
+//                      proven by exhaustive signatures or incremental
+//                      SAT checks) then collapses every functionally
 //                      equivalent pair of cofactor nodes;
 //   2. optimization  — each cofactor is simplified using the other's onset
 //                      as an input don't-care set (plus the ODC variant),

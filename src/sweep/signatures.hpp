@@ -52,7 +52,9 @@ class Signatures {
   static constexpr Slot kNoSlot = 0xffffffffu;
 
   /// Largest support the exhaustive mode enumerates (2^14 patterns, 256
-  /// words per slot).
+  /// words per slot). Of the benchmarked circuits only arbiter8's cones
+  /// (13-16 inputs) sit near it: there simulation and SAT tie at 13-14
+  /// inputs, and simulation loses at 15-16.
   static constexpr std::size_t kExhaustiveMaxInputs = 14;
   /// Exhaustive arena cap in words over all slots (2 MB): a large cone on
   /// a small support falls back to random words.

@@ -18,17 +18,15 @@ using aig::Lit;
 using aig::NodeId;
 using aig::VarId;
 
-/// Shared BDD manager node limit of layer 2: cones whose BDDs grow past
-/// it drop out of BDD sweeping and are left to the SAT layer.
+/// Shared BDD manager node limit of BDD sweeping: cones whose BDDs grow
+/// past it drop out and stay unmerged.
 constexpr std::size_t kBddNodeLimit = 2000;
 
-/// Layer 2: merges every AND of `order` whose size-bounded BDD equals
-/// (modulo complement) a constant, a PI or an earlier node's BDD. Every
-/// merge is a proven equivalence — it feeds the session's pair cache so
-/// a later call whose BDD layer blows the limit still knows.
+/// BDD sweeping (useSat off): merges every AND of `order` whose
+/// size-bounded BDD equals (modulo complement) a constant, a PI or an
+/// earlier node's BDD. Every merge is a proven equivalence.
 aig::NodeMap bddSweep(const aig::Aig& aig, std::span<const NodeId> order,
-                      std::span<const VarId> support, SweepContext& ctx,
-                      SweepStats& stats) {
+                      std::span<const VarId> support, SweepStats& stats) {
   bdd::BddManager bm(kBddNodeLimit);
   std::vector<bdd::BddRef> nodeBdd(aig.numNodes(), bdd::kFalseBdd);
   std::vector<bool> hasBdd(aig.numNodes(), false);
@@ -90,7 +88,6 @@ aig::NodeMap bddSweep(const aig::Aig& aig, std::span<const NodeId> order,
       ++stats.bddMerges;
     }
     merges.set(n, target);
-    ctx.recordProven(Lit(n, false), target);
   }
   return merges;
 }
@@ -167,11 +164,11 @@ bool refine(const aig::Aig& aig, std::span<const NodeId> order,
 
       if (sigs.exhaustive()) {
         // Equal truth tables over every care pattern: proven as proposed,
-        // with no cache lookup (a cached refutation cannot exist).
+        // with no cache lookup (a cached refutation cannot exist) and no
+        // cache entry (re-proving costs one signature compare).
         merges.set(n, target);
         ++stats.simProofs;
         ++(target.isConstant() ? stats.constMerges : stats.satMerges);
-        if (everywhere) ctx.recordProven(ln, target);
         continue;
       }
 
@@ -246,29 +243,24 @@ SweepResult sweep(aig::Aig& aig, std::span<const Lit> roots,
   out.stats.nodesBefore = order.size();
   if (order.empty()) return out;
   const auto support = aig.supportVars(roots);
-
-  util::Random rng(opts.seed);
-  const int initialWords = std::max(opts.numWords, 1);
-  const int maxWords = opts.maxWords > 0
-                           ? opts.maxWords
-                           : initialWords + std::max(opts.maxRounds, 0);
-  Signatures sigs(aig, order, support, rng, initialWords, maxWords);
-
-  CBQ_AUDIT_CHECK("sweep.signatures", audit::auditSignatures(sigs));
   ctx.bind(aig);
 
-  // ----- layer 2: BDD sweeping -------------------------------------------
-  // On exhaustive signatures layer 3 proves every merge BDDs would find.
   aig::NodeMap merges;
-  if (opts.useBdd && !(opts.useSat && sigs.exhaustive()))
-    merges = bddSweep(aig, order, support, ctx, out.stats);
-
-  // ----- layer 3: compare points, proven by simulation or SAT ------------
-  // Every compare point lives inside the cones of `roots`, and the manager
-  // does not grow before the final rebuild — one focus call covers every
-  // check of this sweep even when the session's solver carries the whole
-  // run's history. Exhaustive signatures make no SAT call.
-  if (opts.useSat) {
+  if (!opts.useSat) {
+    merges = bddSweep(aig, order, support, out.stats);
+  } else {
+    util::Random rng(opts.seed);
+    const int initialWords = std::max(opts.numWords, 1);
+    const int maxWords = opts.maxWords > 0
+                             ? opts.maxWords
+                             : initialWords + std::max(opts.maxRounds, 0);
+    Signatures sigs(aig, order, support, rng, initialWords, maxWords);
+    CBQ_AUDIT_CHECK("sweep.signatures", audit::auditSignatures(sigs));
+    // Every compare point lives inside the cones of `roots`, and the
+    // manager does not grow before the final rebuild — one focus call
+    // covers every check of this sweep even when the session's solver
+    // carries the whole run's history. Exhaustive signatures make no SAT
+    // call.
     if (!sigs.exhaustive()) ctx.focusOn(roots);
     refine(aig, order, support, sigs, aig::kTrue, ctx, opts.maxRounds,
            opts.satBudget, rng, out.stats, merges);

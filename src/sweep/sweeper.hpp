@@ -8,13 +8,7 @@
 //
 //  1. AIG semi-canonicity: structural hashing already identifies
 //     syntactically equal nodes — it happens implicitly in the manager.
-//  2. BDD sweeping: size-bounded BDDs are built bottom-up in a shared
-//     manager; nodes whose BDDs coincide (modulo complement) are merged
-//     without touching the SAT solver. Cones whose BDDs blow past the
-//     node limit simply drop out of this layer. Skipped when the cone's
-//     signatures are exhaustive and layer 3 runs: layer 3 then proves
-//     every such merge from the truth tables alone.
-//  3. Compare points from simulation signatures: refine() below, called
+//  2. Compare points from simulation signatures: refine() below, called
 //     with the care set kTrue.
 //     * Exhaustive signatures (support of at most
 //       Signatures::kExhaustiveMaxInputs inputs, arena within its cap)
@@ -27,6 +21,13 @@
 //       simulation words, so the next round proposes only candidates that
 //       survive them; proofs are learned by the solver ("as long as we
 //       find equivalent points, we can learn them").
+//
+// The paper's size-bounded BDD sweeping (shared manager, nodes whose BDDs
+// coincide modulo complement are merged, cones past the node limit drop
+// out) replaces layer 2 when SweepOptions::useSat is off — the merge
+// ablation's bdd-only column. It does not run in front of layer 2: on
+// exhaustive cones layer 2 proves every merge it would find, and on the
+// wider cones measured it found no merge layer 2 missed and cost time.
 //
 // refine() is also the §2.2 input don't-care phase (synth::dcSimplify):
 // there the signatures are compared only on the care set ¬fRef and every
@@ -50,18 +51,18 @@ struct SweepOptions {
                                   ///  numWords + maxRounds, so cex appends
                                   ///  never hit the cap)
   std::int64_t satBudget = 2000;  ///< conflicts per SAT equivalence query
-  bool useBdd = true;             ///< enable layer 2
-  bool useSat = true;             ///< enable layer 3
+  bool useSat = true;             ///< layer 2 (simulation + SAT); false:
+                                  ///  BDD sweeping instead
   std::uint64_t seed = 0x5eed;    ///< simulation seed
 };
 
 struct SweepStats {
   std::size_t bddMerges = 0;   ///< merges proven by BDD pointer equality
-  std::size_t satMerges = 0;   ///< node merges proven by layer 3 (SAT,
+  std::size_t satMerges = 0;   ///< node merges proven by layer 2 (SAT,
                                ///  pair cache or exhaustive simulation)
   std::size_t constMerges = 0; ///< nodes proven constant
   std::size_t satChecks = 0;   ///< SAT equivalence queries issued
-  std::size_t simProofs = 0;   ///< layer-3 merges (node or constant)
+  std::size_t simProofs = 0;   ///< layer-2 merges (node or constant)
                                ///  proven by exhaustive signatures
   std::size_t satRefuted = 0;  ///< queries answered SAT (not equivalent)
   std::size_t satUnknown = 0;  ///< budget exhausted
@@ -98,8 +99,8 @@ SweepResult sweep(aig::Aig& aig, std::span<const aig::Lit> roots,
 /// signature — restricted to the patterns where `care` is 1 and
 /// complement-normalized — is equal. When `sigs` is exhaustive the equal
 /// signatures are the proof: the merge is taken with no SAT call
-/// (stats.simProofs), and with care kTrue it is recorded in the pair
-/// cache. Otherwise, with care == kTrue, the session's pair cache answers
+/// (stats.simProofs) and the pair cache is neither read nor written.
+/// Otherwise, with care == kTrue, the session's pair cache answers
 /// first, and the remaining candidates are checked with SAT on `ctx`
 /// (bound to `aig` and focused on a cone covering `order` and `care`):
 ///   * care == kTrue: checkEquiv/checkConstant; proofs are recorded in

@@ -80,6 +80,16 @@ inline aig::Lit wideXor(aig::Aig& g, aig::VarId first, int count) {
   return x;
 }
 
+/// The XOR of wideXor(g, first, count) built in the opposite order: a
+/// structurally distinct equivalent, so a sweep of both always has a
+/// compare point to prove.
+inline aig::Lit wideXorReversed(aig::Aig& g, aig::VarId first, int count) {
+  aig::Lit x = aig::kFalse;
+  for (int i = count - 1; i >= 0; --i)
+    x = g.mkXor(x, g.pi(first + static_cast<aig::VarId>(i)));
+  return x;
+}
+
 /// Exhaustive functional equality of two literals over the first
 /// `numVars` variables.
 inline bool equivalentExhaustive(const aig::Aig& g, aig::Lit a, aig::Lit b,

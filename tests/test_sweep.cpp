@@ -5,7 +5,8 @@
 // node-major resimulation agreeing bit for bit with its column-major
 // referee, and its care-masked keys, equality and constant tests agreeing
 // with a per-pattern referee. Tests of the SAT path sweep cones whose
-// support exceeds Signatures::kExhaustiveMaxInputs (test::wideXor).
+// support exceeds Signatures::kExhaustiveMaxInputs (test::wideXor); the
+// randomized soundness tests run every seed on both sides of the bound.
 
 #include <gtest/gtest.h>
 
@@ -33,42 +34,70 @@ constexpr int kWide = static_cast<int>(Signatures::kExhaustiveMaxInputs) + 1;
 
 class SweepRandomized : public ::testing::TestWithParam<int> {};
 
-TEST_P(SweepRandomized, PreservesSemantics) {
-  util::Random rng(static_cast<std::uint64_t>(GetParam()) * 53 + 1);
-  Aig g;
-  const Lit a = test::randomFormula(g, rng, 5, 60);
-  const Lit b = test::randomFormula(g, rng, 5, 60);
-  const auto ttA = test::truthTable(g, a, 5);
-  const auto ttB = test::truthTable(g, b, 5);
+/// Adds to `roots` the XOR of inputs 0..kWide-1 built in two orders: the
+/// support is then past the exhaustive bound whatever the random formulas
+/// use, so the sweep takes the SAT path, and the two XORs give it at
+/// least one compare point.
+void widen(Aig& g, std::vector<Lit>& roots) {
+  roots.push_back(test::wideXor(g, 0, kWide));
+  roots.push_back(test::wideXorReversed(g, 0, kWide));
+}
 
-  const Lit roots[] = {a, b};
-  SweepContext ctx;
-  const auto result = sweep(g, roots, {}, ctx);
-  EXPECT_EQ(test::truthTable(g, result.roots[0], 5), ttA);
-  EXPECT_EQ(test::truthTable(g, result.roots[1], 5), ttB);
-  EXPECT_LE(result.stats.nodesAfter, result.stats.nodesBefore);
+TEST_P(SweepRandomized, PreservesSemantics) {
+  for (const bool wide : {false, true}) {
+    util::Random rng(static_cast<std::uint64_t>(GetParam()) * 53 + 1);
+    Aig g;
+    const int vars = wide ? kWide : 5;
+    std::vector<Lit> roots = {test::randomFormula(g, rng, vars, 60),
+                              test::randomFormula(g, rng, vars, 60)};
+    if (wide) widen(g, roots);
+    SweepContext ctx;
+    const auto result = sweep(g, roots, {}, ctx);
+    for (std::size_t i = 0; i < roots.size(); ++i)
+      EXPECT_EQ(test::truthTable(g, result.roots[i], vars),
+                test::truthTable(g, roots[i], vars))
+          << "root " << i << " wide " << wide;
+    EXPECT_LE(result.stats.nodesAfter, result.stats.nodesBefore);
+    // The narrow cone is proven by simulation, the wide one by SAT.
+    EXPECT_EQ(wide ? result.stats.simProofs : result.stats.satChecks, 0u);
+    if (wide) {
+      EXPECT_GT(result.stats.satChecks, 0u);
+    }
+  }
 }
 
 TEST_P(SweepRandomized, SatOnlyAndBddOnlyLayersAreSound) {
-  util::Random rng(static_cast<std::uint64_t>(GetParam()) * 61 + 3);
-  Aig g;
-  const Lit a = test::randomFormula(g, rng, 5, 50);
-  const auto tt = test::truthTable(g, a, 5);
-  {
-    SweepOptions opts;
-    opts.useBdd = false;
-    const Lit roots[] = {a};
-    SweepContext ctx;
-    EXPECT_EQ(test::truthTable(g, sweep(g, roots, opts, ctx).roots[0], 5),
-              tt);
-  }
-  {
-    SweepOptions opts;
-    opts.useSat = false;
-    const Lit roots[] = {a};
-    SweepContext ctx;
-    EXPECT_EQ(test::truthTable(g, sweep(g, roots, opts, ctx).roots[0], 5),
-              tt);
+  for (const bool wide : {false, true}) {
+    util::Random rng(static_cast<std::uint64_t>(GetParam()) * 61 + 3);
+    Aig g;
+    const int vars = wide ? kWide : 5;
+    std::vector<Lit> roots = {test::randomFormula(g, rng, vars, 50)};
+    if (wide) widen(g, roots);
+    std::vector<std::vector<bool>> tts;
+    for (const Lit root : roots) tts.push_back(test::truthTable(g, root, vars));
+    auto truthTables = [&](const std::vector<Lit>& rebuilt) {
+      std::vector<std::vector<bool>> out;
+      for (const Lit root : rebuilt)
+        out.push_back(test::truthTable(g, root, vars));
+      return out;
+    };
+    {
+      SweepContext ctx;
+      const auto r = sweep(g, roots, {}, ctx);
+      EXPECT_EQ(truthTables(r.roots), tts) << wide;
+      EXPECT_EQ(wide ? r.stats.simProofs : r.stats.satChecks, 0u);
+      if (wide) {
+        EXPECT_GT(r.stats.satChecks, 0u);
+      }
+    }
+    {
+      SweepOptions opts;
+      opts.useSat = false;
+      SweepContext ctx;
+      const auto r = sweep(g, roots, opts, ctx);
+      EXPECT_EQ(truthTables(r.roots), tts) << wide;
+      EXPECT_EQ(r.stats.satChecks + r.stats.simProofs, 0u) << wide;
+    }
   }
 }
 
@@ -130,12 +159,10 @@ TEST(Sweep, DetectsConstantNodes) {
 TEST(Sweep, SatOnlyFindsPlantedEquivalence) {
   Aig g;
   auto [f1, f2] = plantEquivalentPair(g);
-  SweepOptions opts;
-  opts.useBdd = false;
   // A third root widens the support past the exhaustive bound.
   const Lit roots[] = {f1, f2, test::wideXor(g, 3, kWide)};
   SweepContext ctx;
-  const auto r = sweep(g, roots, opts, ctx);
+  const auto r = sweep(g, roots, {}, ctx);
   EXPECT_EQ(r.roots[0], r.roots[1]);
   EXPECT_GT(r.stats.satMerges, 0u);
   EXPECT_GT(r.stats.satChecks, 0u);
@@ -166,7 +193,6 @@ TEST(Sweep, RefutationsRefineSignatures) {
     for (aig::VarId v = 0; v < 16; ++v) xs.push_back(g.pi(v));
     const Lit allOnes = g.mkAndAll(xs);
     SweepOptions opts;
-    opts.useBdd = false;
     opts.numWords = 1;
     opts.seed = seed;
     const Lit roots[] = {allOnes};
@@ -189,7 +215,6 @@ TEST(Sweep, FullArenaRefusesAppendsButStaysSound) {
     for (aig::VarId v = 0; v < 16; ++v) xs.push_back(g.pi(v));
     const Lit allOnes = g.mkAndAll(xs);
     SweepOptions opts;
-    opts.useBdd = false;
     opts.numWords = 1;
     opts.maxWords = 1;  // no room for counterexample columns
     opts.seed = seed;
@@ -248,8 +273,8 @@ TEST(Sweep, StatsAreConsistent) {
 }
 
 TEST(Sweep, ExhaustiveConesAreProvenWithoutSat) {
-  // Small supports: every layer-3 merge is a simulation proof, BDD layer 2
-  // is skipped, and the rebuilt cones keep their truth tables.
+  // Small supports: every merge is a simulation proof, no BDD is built,
+  // and the rebuilt cones keep their truth tables.
   std::size_t proofs = 0;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     util::Random rng(seed * 59 + 13);
@@ -334,10 +359,8 @@ TEST(Signatures, LargeConeOnSmallSupportFallsBackToRandomWords) {
     EXPECT_FALSE(sigs.exhaustive());
     EXPECT_EQ(sigs.words(), 2u);
   }
-  SweepOptions opts;
-  opts.useBdd = false;
   SweepContext ctx;
-  const auto r = sweep(g, roots, opts, ctx);
+  const auto r = sweep(g, roots, {}, ctx);
   for (std::size_t i = 0; i < roots.size(); ++i)
     EXPECT_EQ(test::truthTable(g, r.roots[i], n),
               test::truthTable(g, roots[i], n))
@@ -401,14 +424,7 @@ TEST(Refine, ExhaustiveMergesMatchTruthTablesUnderCare) {
       }
       EXPECT_EQ(stats.simProofs, merged);
       EXPECT_EQ(stats.satMerges + stats.constMerges, merged);
-      if (care == aig::kTrue) {
-        // Plain equivalences enter the session's pair cache.
-        for (const aig::NodeId n : order)
-          if (merges.contains(n)) {
-            EXPECT_EQ(ctx.lookupPair(Lit(n, false), merges.at(n)),
-                      SweepContext::PairFact::Proven);
-          }
-      }
+      EXPECT_EQ(ctx.cacheSize(), 0u);  // simulation proofs are not cached
     }
   }
 }

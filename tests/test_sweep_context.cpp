@@ -91,7 +91,6 @@ TEST_P(SweepContextRandomized, RepeatSweepHitsPairCache) {
 
   SweepContext ctx;
   SweepOptions opts;
-  opts.useBdd = false;  // force the SAT layer to do the proving
   const auto first = sweep(g, roots, opts, ctx);
   const auto lookupsAfterFirst = ctx.counters().lookups;
 
@@ -217,8 +216,7 @@ TEST(SweepContextInterrupt, SweepStopsEarlyAndStaysSound) {
   const auto ttB = test::truthTable(g, b, 8);
   const Lit roots[] = {a, b, test::wideXor(g, 8, kWide)};
   SweepOptions opts;
-  opts.useBdd = false;  // every merge goes through a polled SAT check
-  opts.numWords = 1;
+  opts.numWords = 1;  // every merge goes through a polled SAT check
 
   int polls = 0;
   SweepContext full;

@@ -4,7 +4,8 @@
 // attempts on its pattern bank without changing what gets committed.
 // Small supports take the exhaustive-simulation path (no SAT call); the
 // tests of the SAT path and its bank use supports past
-// Signatures::kExhaustiveMaxInputs.
+// Signatures::kExhaustiveMaxInputs, and the randomized truth-table tests
+// run every seed on both sides of the bound.
 
 #include <gtest/gtest.h>
 
@@ -35,50 +36,84 @@ std::vector<bool> orTable(const Aig& g, Lit a, Lit b, int n) {
 
 class DcRandomized : public ::testing::TestWithParam<int> {};
 
-TEST_P(DcRandomized, DisjunctionIsPreserved) {
-  util::Random rng(static_cast<std::uint64_t>(GetParam()) * 97 + 1);
-  Aig g;
-  const Lit fRef = test::randomFormula(g, rng, 5, 40);
-  const Lit fTgt = test::randomFormula(g, rng, 5, 40);
-  const auto before = orTable(g, fRef, fTgt, 5);
+/// ORs into the target the XOR of inputs 0..kWide-1 built in two orders:
+/// the joint support is then past the exhaustive bound whatever the random
+/// formulas use, so both phases take the SAT path, and the two XORs give
+/// the input-DC phase at least one compare point.
+void widen(Aig& g, Lit& fTgt) {
+  fTgt = g.mkOr(fTgt, g.mkAnd(test::wideXor(g, 0, kWide),
+                              test::wideXorReversed(g, 0, kWide)));
+}
 
-  sweep::SweepContext ctx;
-  const auto r = dcSimplify(g, fRef, fTgt, {}, ctx);
-  EXPECT_EQ(orTable(g, fRef, r.target, 5), before);
+TEST_P(DcRandomized, DisjunctionIsPreserved) {
+  for (const bool wide : {false, true}) {
+    util::Random rng(static_cast<std::uint64_t>(GetParam()) * 97 + 1);
+    Aig g;
+    const int vars = wide ? kWide : 5;
+    const Lit fRef = test::randomFormula(g, rng, vars, 40);
+    Lit fTgt = test::randomFormula(g, rng, vars, 40);
+    if (wide) widen(g, fTgt);
+    const auto before = orTable(g, fRef, fTgt, vars);
+
+    sweep::SweepContext ctx;
+    const auto r = dcSimplify(g, fRef, fTgt, {}, ctx);
+    EXPECT_EQ(orTable(g, fRef, r.target, vars), before) << wide;
+    EXPECT_EQ(wide ? r.stats.simProofs : r.stats.satChecks, 0u) << wide;
+    // A constant target or fRef = 1 is settled before any check.
+    if (wide && !fTgt.isConstant() && !fRef.isTrue()) {
+      EXPECT_GT(r.stats.satChecks, 0u);
+    }
+  }
 }
 
 TEST_P(DcRandomized, OdcDisabledStillPreserves) {
-  util::Random rng(static_cast<std::uint64_t>(GetParam()) * 101 + 2);
-  Aig g;
-  const Lit fRef = test::randomFormula(g, rng, 5, 40);
-  const Lit fTgt = test::randomFormula(g, rng, 5, 40);
-  const auto before = orTable(g, fRef, fTgt, 5);
-  DcOptions opts;
-  opts.useOdc = false;
-  sweep::SweepContext ctx;
-  const auto r = dcSimplify(g, fRef, fTgt, opts, ctx);
-  EXPECT_EQ(orTable(g, fRef, r.target, 5), before);
+  for (const bool wide : {false, true}) {
+    util::Random rng(static_cast<std::uint64_t>(GetParam()) * 101 + 2);
+    Aig g;
+    const int vars = wide ? kWide : 5;
+    const Lit fRef = test::randomFormula(g, rng, vars, 40);
+    Lit fTgt = test::randomFormula(g, rng, vars, 40);
+    if (wide) widen(g, fTgt);
+    const auto before = orTable(g, fRef, fTgt, vars);
+    DcOptions opts;
+    opts.useOdc = false;
+    sweep::SweepContext ctx;
+    const auto r = dcSimplify(g, fRef, fTgt, opts, ctx);
+    EXPECT_EQ(orTable(g, fRef, r.target, vars), before) << wide;
+    EXPECT_EQ(wide ? r.stats.simProofs : r.stats.satChecks, 0u) << wide;
+    if (wide) {
+      EXPECT_GT(r.stats.satChecks, 0u);
+    }
+  }
 }
 
 TEST_P(DcRandomized, InputDcReplacementsMatchOutsideDcSet) {
   // Stronger than the disjunction property: wherever fRef = 0 the
   // simplified target must equal the original pointwise.
-  util::Random rng(static_cast<std::uint64_t>(GetParam()) * 103 + 3);
-  Aig g;
-  const Lit fRef = test::randomFormula(g, rng, 5, 30);
-  const Lit fTgt = test::randomFormula(g, rng, 5, 30);
-  DcOptions opts;
-  opts.useOdc = false;  // ODC replacements are allowed to differ pointwise
-  sweep::SweepContext ctx;
-  const auto r = dcSimplify(g, fRef, fTgt, opts, ctx);
-  EXPECT_EQ(r.stats.odcReplacements, 0u);
-  EXPECT_EQ(r.stats.odcSimRefuted, 0u);
-  const auto tRef = test::truthTable(g, fRef, 5);
-  const auto tOld = test::truthTable(g, fTgt, 5);
-  const auto tNew = test::truthTable(g, r.target, 5);
-  for (std::size_t i = 0; i < tRef.size(); ++i) {
-    if (!tRef[i]) {
-      EXPECT_EQ(tNew[i], tOld[i]) << "care minterm " << i;
+  for (const bool wide : {false, true}) {
+    util::Random rng(static_cast<std::uint64_t>(GetParam()) * 103 + 3);
+    Aig g;
+    const int vars = wide ? kWide : 5;
+    const Lit fRef = test::randomFormula(g, rng, vars, 30);
+    Lit fTgt = test::randomFormula(g, rng, vars, 30);
+    if (wide) widen(g, fTgt);
+    DcOptions opts;
+    opts.useOdc = false;  // ODC replacements are allowed to differ pointwise
+    sweep::SweepContext ctx;
+    const auto r = dcSimplify(g, fRef, fTgt, opts, ctx);
+    EXPECT_EQ(r.stats.odcReplacements, 0u);
+    EXPECT_EQ(r.stats.odcSimRefuted, 0u);
+    EXPECT_EQ(wide ? r.stats.simProofs : r.stats.satChecks, 0u) << wide;
+    if (wide) {
+      EXPECT_GT(r.stats.satChecks, 0u);
+    }
+    const auto tRef = test::truthTable(g, fRef, vars);
+    const auto tOld = test::truthTable(g, fTgt, vars);
+    const auto tNew = test::truthTable(g, r.target, vars);
+    for (std::size_t i = 0; i < tRef.size(); ++i) {
+      if (!tRef[i]) {
+        EXPECT_EQ(tNew[i], tOld[i]) << "care minterm " << i << " wide " << wide;
+      }
     }
   }
 }
