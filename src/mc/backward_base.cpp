@@ -5,6 +5,7 @@
 #include "audit/audit.hpp"
 #include "obs/tracer.hpp"
 #include "sat/circuit_solver.hpp"
+#include "sweep/signatures.hpp"
 
 namespace cbq::mc::detail {
 
@@ -35,7 +36,7 @@ Trace reconstructTrace(const Network& net, aig::Aig& archive,
     subst.emplace_back(net.stateVars[i], archNext[i]);
 
   Trace trace;
-  std::unordered_map<VarId, bool> state = net.initAssignment();
+  std::vector<bool> state = net.init;  // per latch
 
   sat::CircuitSolver solver(archive);
   std::vector<Lit> assumptions;
@@ -50,9 +51,10 @@ Trace reconstructTrace(const Network& net, aig::Aig& archive,
 
     assumptions.clear();
     assumptions.push_back(target);
-    for (const auto& [v, value] : state) {
+    for (std::size_t i = 0; i < net.numLatches(); ++i) {
+      const VarId v = net.stateVars[i];
       if (!archive.hasPi(v)) continue;
-      assumptions.push_back(Lit(archive.piNodeOf(v), false) ^ !value);
+      assumptions.push_back(Lit(archive.piNodeOf(v), false) ^ !state[i]);
     }
     if (solver.solveLimited(assumptions, -1) != sat::Status::Sat) {
       // By construction this cannot happen; bail out with what we have —
@@ -65,15 +67,7 @@ Trace reconstructTrace(const Network& net, aig::Aig& archive,
       inputs.emplace(v, solver.modelOf(v));
     trace.inputs.push_back(inputs);
 
-    if (t < d) {
-      std::unordered_map<VarId, bool> a = state;
-      for (const auto& [v, b] : inputs) a.insert_or_assign(v, b);
-      std::unordered_map<VarId, bool> nextState;
-      for (std::size_t i = 0; i < net.numLatches(); ++i)
-        nextState.emplace(net.stateVars[i],
-                          net.aig.evaluate(net.next[i], a));
-      state = std::move(nextState);
-    }
+    if (t < d) state = net.step(state, inputs);
   }
   sat::exportEffort(stats, solver);
   return trace;
@@ -102,10 +96,11 @@ BackwardReachSession::BackwardReachSession(
   // retires the manager's node space. Two solvers for two very different
   // query shapes: `session_` carries the merge/DC compare-point checks
   // (small cofactor cones, thousands of queries), while `fixSession_`
-  // carries the fixpoint implications (one huge reached-set cone, one
-  // query per iteration). Keeping them apart keeps the reached-set
-  // learnt gates and activities out of the compare-point searches. Their
-  // interrupts poll the budget of the resume in progress.
+  // carries the fixpoint and collapse implications past the truth-table
+  // bound (one huge reached-set cone, two queries per iteration). Keeping
+  // them apart keeps the reached-set learnt gates and activities out of
+  // the compare-point searches. Their interrupts poll the budget of the
+  // resume in progress.
   session_.setInterrupt(interrupt());
   fixSession_.setInterrupt(interrupt());
 
@@ -123,12 +118,12 @@ void BackwardReachSession::exportLive(obs::Metrics& stats) const {
   stats.high("mem.aig_peak_nodes", static_cast<double>(mgr_.numNodes()));
 }
 
-void BackwardReachSession::commitFrontier(Lit pre) {
+void BackwardReachSession::commitFrontier(Lit pre, bool collapse) {
   frontier_ = pre;
   // pre ⇒ reached just failed; if reached ⇒ pre holds, the union is pre
-  // itself. fixSession_ is still focused on {pre, reached}. Fails or an
-  // interrupted query keeps the plain disjunction.
-  if (fixSession_.checkImplies(reached_, pre) == sat::Verdict::Holds) {
+  // itself. Otherwise (or when the query was interrupted) the reached set
+  // is the plain disjunction.
+  if (collapse) {
     reached_ = pre;
     res_.stats.add("reach.reached_collapses");
   } else {
@@ -237,20 +232,34 @@ Progress BackwardReachSession::run(const portfolio::Budget& bud) {
       }
       case Phase::Fix: {
         CBQ_OBS_SPAN("engine", "fixpoint");
-        // Fixpoint: every pre-image state already reached? Runs in its
-        // own session (fixSession_) so the reached-set checks keep their
-        // own learnt gates and activities, apart from the small merge/DC
-        // compare-point checks.
-        fixSession_.bind(mgr_);
+        // Fixpoint: every pre-image state already reached? Then the
+        // collapse query: does the pre-image subsume the reached set?
+        // On a small support both are word loops over one exhaustive
+        // arena of the {pre, reached} cone; otherwise they go to their
+        // own SAT session (fixSession_), whose reached-set learnt gates
+        // and activities stay apart from the merge/DC compare points.
         const Lit fpRoots[] = {pre_, reached_};
-        fixSession_.focusOn(fpRoots);
         res_.stats.add("reach.fixpoint_checks");
-        const sat::Verdict fp = fixSession_.checkImplies(pre_, reached_);
-        if (fp == sat::Verdict::Holds)
-          return report(Verdict::Safe, true, iter_);
-        if (fp == sat::Verdict::Unknown)  // interrupted mid-solve: retry
-          return report(Verdict::Unknown, false, iter_);
-        commitFrontier(pre_);
+        bool collapse = false;
+        if (const auto tables = sweep::Signatures::truthTables(mgr_, fpRoots)) {
+          CBQ_AUDIT_CHECK("reach.fixpoint.signatures",
+                          audit::auditSignatures(*tables));
+          res_.stats.add("reach.fixpoint_sim_proofs");
+          if (tables->impliesOnAll(pre_, reached_))
+            return report(Verdict::Safe, true, iter_);
+          collapse = tables->impliesOnAll(reached_, pre_);
+        } else {
+          fixSession_.bind(mgr_);
+          fixSession_.focusOn(fpRoots);
+          const sat::Verdict fp = fixSession_.checkImplies(pre_, reached_);
+          if (fp == sat::Verdict::Holds)
+            return report(Verdict::Safe, true, iter_);
+          if (fp == sat::Verdict::Unknown)  // interrupted mid-solve: retry
+            return report(Verdict::Unknown, false, iter_);
+          collapse = fixSession_.checkImplies(reached_, pre_) ==
+                     sat::Verdict::Holds;
+        }
+        commitFrontier(pre_, collapse);
         if (mgr_.evaluate(frontier_, initDense_)) {
           phase_ = Phase::Trace;
         } else {

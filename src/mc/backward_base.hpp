@@ -12,17 +12,21 @@
 // boundary (or retries the interrupted pre-image / fixpoint query)
 // instead of starting over.
 //
-// The skeleton owns the run's persistent sweep sessions (a circuit SAT
+// The skeleton owns the run's persistent sweep session (a circuit SAT
 // solver + proven/refuted pair cache bound to the working manager, see
-// sweep/sweep_context.hpp): the per-engine eliminator receives one via
-// PreImageRequest and threads it into its quantifier, and the fixpoint
-// checks issue their implication queries against the other. Compaction
-// re-strashes the live cones into a fresh manager after every committed
-// iteration: it drops the scratch nodes that cofactoring and sweeping
-// leave behind and re-applies the construction rewrite rules across the
-// whole live set. The fixpoint solver therefore lives for one iteration,
-// and the sweep session carries only its pair cache across
-// (SweepContext::rebindRemapped).
+// sweep/sweep_context.hpp): the per-engine eliminator receives it via
+// PreImageRequest and threads it into its quantifier. The two set-level
+// queries of an iteration — the fixpoint check pre ⇒ reached and the
+// collapse check reached ⇒ pre — are decided from one exhaustive truth-
+// table arena of the {pre, reached} cone whenever its support is small
+// enough (sweep::Signatures::truthTables); only past that bound do they
+// go to a second SAT session, fixSession_, which is bound and focused
+// just for them. Compaction re-strashes the live cones into a fresh
+// manager after every committed iteration: it drops the scratch nodes
+// that cofactoring and sweeping leave behind and re-applies the
+// construction rewrite rules across the whole live set. A fixpoint solver
+// therefore lives for one iteration, and the sweep session carries only
+// its pair cache across (SweepContext::rebindRemapped).
 //
 // No per-iteration cost grows with the depth reached: the reached set
 // collapses to the pre-image whenever the pre-image subsumes it (every
@@ -79,14 +83,16 @@ class BackwardReachSession final : public Session {
     Init,   ///< frontier 0: eliminate inputs from the bad cone
     Guard,  ///< iteration/cone limits, then commit to the next pre-image
     Pre,    ///< in-line substitution + input elimination -> pre_
-    Fix,    ///< pre_ => reached? (Safe on fixpoint)
+    Fix,    ///< pre_ => reached? (Safe on fixpoint), then the collapse
     Trace,  ///< counterexample reconstruction over the archive
   };
 
   Progress run(const portfolio::Budget& bud);
   /// Records `pre` (which the fixpoint check just found not contained in
-  /// the reached set) as the new frontier and grows the reached set.
-  void commitFrontier(aig::Lit pre);
+  /// the reached set) as the new frontier and grows the reached set: to
+  /// `pre` itself when `collapse` (reached ⇒ pre was proven), else to the
+  /// disjunction.
+  void commitFrontier(aig::Lit pre, bool collapse);
   void compact();
 
   const Network* net_;
@@ -99,7 +105,8 @@ class BackwardReachSession final : public Session {
   std::vector<aig::VarSub> subst_;
 
   sweep::SweepContext session_;      ///< merge/DC compare-point checks
-  sweep::SweepContext fixSession_;   ///< fixpoint implication checks
+  sweep::SweepContext fixSession_;   ///< fixpoint/collapse checks past the
+                                     ///< truth-table bound
 
   aig::Aig archive_;                 ///< frontier history for traces
   std::vector<aig::Lit> archNext_;

@@ -32,15 +32,15 @@ Trace reconstructBddTrace(const Network& net, bdd::BddManager& bm,
     subst.emplace(net.stateVars[i], next[i]);
 
   Trace trace;
-  std::unordered_map<VarId, bool> state = net.initAssignment();
+  std::vector<bool> state = net.init;  // per latch
   for (int t = 0; t <= d; ++t) {
     BddRef target =
         t < d ? bm.compose(frontiers[static_cast<std::size_t>(d - 1 - t)],
                            subst)
               : bad;
     // Fix the current state by cofactoring; what remains is over inputs.
-    for (const auto& [v, value] : state)
-      target = bm.cofactor(target, v, value);
+    for (std::size_t i = 0; i < net.numLatches(); ++i)
+      target = bm.cofactor(target, net.stateVars[i], state[i]);
     const auto pick = bm.anySat(target);
 
     std::unordered_map<VarId, bool> inputs;
@@ -50,15 +50,7 @@ Trace reconstructBddTrace(const Network& net, bdd::BddManager& bm,
     }
     trace.inputs.push_back(inputs);
 
-    if (t < d) {
-      std::unordered_map<VarId, bool> a = state;
-      for (const auto& [v, b] : inputs) a.insert_or_assign(v, b);
-      std::unordered_map<VarId, bool> nextState;
-      for (std::size_t i = 0; i < net.numLatches(); ++i)
-        nextState.emplace(net.stateVars[i],
-                          net.aig.evaluate(net.next[i], a));
-      state = std::move(nextState);
-    }
+    if (t < d) state = net.step(state, inputs);
   }
   return trace;
 }

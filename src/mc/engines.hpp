@@ -108,12 +108,17 @@ class Session {
   virtual void exportLive(obs::Metrics& /*stats*/) const {}
 
   /// Cumulative effort of a report: the sat.* counters of its stats
-  /// (conflicts + decisions + propagations). BDD engines report live
-  /// nodes instead.
+  /// (conflicts + decisions + propagations) plus every query proven by
+  /// exhaustive simulation instead of SAT (merge.sim_proofs,
+  /// opt.sim_proofs, reach.fixpoint_sim_proofs) — on small supports the
+  /// circuit-quantification engines make progress with no SAT call at
+  /// all. BDD engines report live nodes instead.
   [[nodiscard]] virtual std::uint64_t effort(const obs::Metrics& stats) const {
-    return static_cast<std::uint64_t>(stats.count("sat.conflicts") +
-                                      stats.count("sat.decisions") +
-                                      stats.count("sat.propagations"));
+    return static_cast<std::uint64_t>(
+        stats.count("sat.conflicts") + stats.count("sat.decisions") +
+        stats.count("sat.propagations") + stats.count("merge.sim_proofs") +
+        stats.count("opt.sim_proofs") +
+        stats.count("reach.fixpoint_sim_proofs"));
   }
 
   /// This resume's Progress: the result record with verdict `v`, live

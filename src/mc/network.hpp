@@ -9,11 +9,13 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "aig/aig.hpp"
+#include "util/var_table.hpp"
 
 namespace cbq::mc {
 
@@ -58,6 +60,24 @@ struct Network {
     for (std::size_t i = 0; i < stateVars.size(); ++i)
       a[stateVars[i]] = init[i];
     return a;
+  }
+
+  /// The latch values (per latch, parallel to stateVars) one transition
+  /// after `state` under `inputs` (absent inputs read as false): one
+  /// 64-way simulation of all next-state cones, every lane carrying the
+  /// same pattern, so the shared logic is walked once per step.
+  [[nodiscard]] std::vector<bool> step(
+      const std::vector<bool>& state,
+      const std::unordered_map<aig::VarId, bool>& inputs) const {
+    util::VarTable<std::uint64_t> words;
+    for (std::size_t i = 0; i < stateVars.size(); ++i)
+      if (state[i]) words.set(stateVars[i], ~std::uint64_t{0});
+    for (const auto& [v, value] : inputs)
+      if (value) words.set(v, ~std::uint64_t{0});
+    const auto out = aig.simulate(next, words);
+    std::vector<bool> succ(out.size());
+    for (std::size_t i = 0; i < out.size(); ++i) succ[i] = (out[i] & 1) != 0;
+    return succ;
   }
 
   /// Structural well-formedness (sizes line up, vars are disjoint).

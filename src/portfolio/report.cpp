@@ -185,6 +185,10 @@ void writeJson(const BatchSummary& summary, std::ostream& out,
           << (r.stats.count("merge.sim_proofs") +
               r.stats.count("opt.sim_proofs"))
           << ", "
+          << "\"fixpoint_checks\": " << r.stats.count("reach.fixpoint_checks")
+          << ", "
+          << "\"fixpoint_sim_proofs\": "
+          << r.stats.count("reach.fixpoint_sim_proofs") << ", "
           << "\"cache_lookups\": " << r.stats.count("sweep.cache_lookups")
           << ", "
           << "\"cache_hits\": "

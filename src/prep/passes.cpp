@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "sweep/sweeper.hpp"
-#include "util/random.hpp"
 
 namespace cbq::prep {
 
@@ -245,74 +244,6 @@ PassResult latchCorrespondence(const Network& net,
       if (id == numL) id = numClasses++;
       classOf[i] = id;
     }
-  }
-
-  // ----- simulation prefilter (read-only on `net`) -------------------------
-  // Drive every latch variable with its current class's random word,
-  // inputs with fresh noise, simulate the next-state cones word-parallel,
-  // and split classes whose members' next-state words differ. A split
-  // here only anticipates a structural split below (see passes.hpp), but
-  // costs one O(cone) simulation instead of a manager-growing compose
-  // round.
-  {
-    std::vector<Lit> simRoots(net.next.begin(), net.next.end());
-    const auto simOrder = net.aig.coneAnds(simRoots);
-    const auto supVars = net.aig.supportVars(simRoots);
-    std::unordered_map<VarId, std::size_t> latchOf;
-    latchOf.reserve(numL);
-    for (std::size_t i = 0; i < numL; ++i)
-      latchOf.emplace(net.stateVars[i], i);
-
-    util::Random rng(0x1a7c4c0221ull);
-    std::vector<std::uint64_t> val(net.aig.numNodes(), 0);
-    std::size_t simRounds = 0;
-    for (;;) {
-      if (interrupt && interrupt()) return {};
-      // Words: one per class (shared by its members), fresh noise per
-      // input — all drawn in fixed (class id / support) order.
-      std::vector<std::uint64_t> classWord(numClasses);
-      for (auto& w : classWord) w = rng.next64();
-      for (std::size_t i = 0; i < numL; ++i)
-        if (net.aig.hasPi(net.stateVars[i]))
-          val[net.aig.piNodeOf(net.stateVars[i])] = classWord[classOf[i]];
-      for (const VarId v : supVars)
-        if (!latchOf.contains(v)) val[net.aig.piNodeOf(v)] = rng.next64();
-
-      for (const aig::NodeId n : simOrder) {
-        const Lit f0 = net.aig.fanin0(n);
-        const Lit f1 = net.aig.fanin1(n);
-        const std::uint64_t a =
-            val[f0.node()] ^ (f0.negated() ? ~std::uint64_t{0} : 0);
-        const std::uint64_t b =
-            val[f1.node()] ^ (f1.negated() ? ~std::uint64_t{0} : 0);
-        val[n] = a & b;
-      }
-
-      std::unordered_map<std::uint64_t, std::size_t> wordId;
-      std::vector<std::size_t> newClassOf(numL);
-      std::size_t newCount = 0;
-      std::unordered_map<std::uint64_t, std::size_t> splitId;
-      for (std::size_t i = 0; i < numL; ++i) {
-        const Lit nx = net.next[i];
-        const std::uint64_t w =
-            val[nx.node()] ^ (nx.negated() ? ~std::uint64_t{0} : 0);
-        // Dense word ids keep the split key in one 64-bit word.
-        const auto [wit, winserted] = wordId.emplace(w, wordId.size());
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(classOf[i]) << 33) |
-            static_cast<std::uint64_t>(wit->second);
-        const auto [it, inserted] = splitId.emplace(key, newCount);
-        if (inserted) ++newCount;
-        newClassOf[i] = it->second;
-      }
-      ++simRounds;
-      if (newCount == numClasses) break;  // no sim-distinguishable pair left
-      classOf = std::move(newClassOf);
-      numClasses = newCount;
-    }
-    if (stats)
-      stats->add("prep.corr_sim_rounds",
-                 static_cast<std::int64_t>(simRounds));
   }
 
   Network cur = mc::cloneNetwork(net);  // compose mutates the manager

@@ -75,15 +75,6 @@ PassResult structuralSimplify(const mc::Network& net,
 /// ANDs, abandoned — soundly, as a no-op — when the working manager
 /// outgrows 8 × the starting node count or when `interrupt` fires
 /// between rounds.
-/// A word-parallel simulation prefilter runs before the compose loop:
-/// each latch variable is driven by its CURRENT class representative's
-/// random word, the next-state cones are simulated in topological order,
-/// and classes whose members' next-state words differ are split. Simulation under a class-consistent assignment can never
-/// distinguish latches the structural fixpoint keeps together (equal
-/// composed literals evaluate equally), so the prefilter only
-/// anticipates splits the compose loop would make anyway — the final
-/// partition is unchanged, but many refinement rounds collapse into
-/// cheap simulation rounds instead of manager-growing compose rounds.
 PassResult latchCorrespondence(const mc::Network& net,
                                std::function<bool()> interrupt = {},
                                obs::Metrics* stats = nullptr);

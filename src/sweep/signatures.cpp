@@ -30,7 +30,28 @@ std::uint64_t enumerationWord(std::size_t i, std::size_t w) {
   return i < 6 ? kLow[i] : negMask(((w >> (i - 6)) & 1) != 0);
 }
 
+/// True when a support of `inputs` variables under a cone of `ands` AND
+/// nodes gets an exhaustive arena.
+bool fitsExhaustive(std::size_t inputs, std::size_t ands) {
+  if (inputs > Signatures::kExhaustiveMaxInputs) return false;
+  // Slot count bound: the constant, the PIs, the cone ANDs.
+  const std::size_t words = std::size_t{1} << (inputs > 6 ? inputs - 6 : 0);
+  return words * (1 + inputs + ands) <= Signatures::kExhaustiveMaxArenaWords;
+}
+
 }  // namespace
+
+std::optional<Signatures> Signatures::truthTables(const aig::Aig& aig,
+                                                  std::span<const Lit> roots) {
+  // The support first: a wide one rules the arena out without the cone.
+  const auto support = aig.supportVars(roots);
+  if (support.size() > kExhaustiveMaxInputs) return std::nullopt;
+  const auto order = aig.coneAnds(roots);
+  if (!fitsExhaustive(support.size(), order.size())) return std::nullopt;
+  util::Random unused;  // an exhaustive arena draws no random word
+  return std::optional<Signatures>(std::in_place, aig, order, support, unused,
+                                   1, 1);
+}
 
 Signatures::Signatures(const aig::Aig& aig, std::span<const NodeId> order,
                        std::span<const VarId> support, util::Random& rng,
@@ -46,13 +67,8 @@ Signatures::Signatures(const aig::Aig& aig, std::span<const NodeId> order,
   for (const VarId v : support_) supportNode_.push_back(aig.piNodeOf(v));
 
   const std::size_t n = support_.size();
-  if (n <= kExhaustiveMaxInputs) {
-    // Slot count bound: the constant, the PIs, the cone ANDs.
-    const std::size_t words = std::size_t{1} << (n > 6 ? n - 6 : 0);
-    const std::size_t slots = 1 + n + order.size();
-    exhaustive_ = words * slots <= kExhaustiveMaxArenaWords;
-    if (exhaustive_) stride_ = words_ = words;
-  }
+  exhaustive_ = fitsExhaustive(n, order.size());
+  if (exhaustive_) stride_ = words_ = std::size_t{1} << (n > 6 ? n - 6 : 0);
 
   piArena_.assign(n * stride_, 0);
   for (std::size_t i = 0; i < n; ++i)
@@ -254,6 +270,12 @@ bool Signatures::equalNormalized(NodeId a, bool phaseA, NodeId b, bool phaseB,
   const std::uint64_t flip = negMask(phaseA != phaseB);
   for (std::size_t w = 0; w < words_; ++w)
     if (((sa[w] ^ sb[w] ^ flip) & careWord(care, w)) != 0) return false;
+  return true;
+}
+
+bool Signatures::impliesOnAll(Lit a, Lit b) const {
+  for (std::size_t w = 0; w < words_; ++w)
+    if ((careWord(a, w) & ~careWord(b, w)) != 0) return false;
   return true;
 }
 

@@ -33,6 +33,7 @@
 // ¬fRef holds, the §2.1 sweeper everywhere (care = kTrue).
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -60,6 +61,13 @@ class Signatures {
   /// a small support falls back to random words.
   static constexpr std::size_t kExhaustiveMaxArenaWords = std::size_t{1}
                                                           << 18;
+
+  /// The exhaustive arena over the cones of `roots` — every node's
+  /// complete truth table — or std::nullopt when their support or size is
+  /// past the bound. Lets set-level queries (implication, emptiness) on
+  /// small supports be decided without a SAT call.
+  [[nodiscard]] static std::optional<Signatures> truthTables(
+      const aig::Aig& aig, std::span<const aig::Lit> roots);
 
   /// `order` is the cone's AND nodes in topological order (fanins first),
   /// `support` the sorted external variables of its PIs. An exhaustive
@@ -157,6 +165,13 @@ class Signatures {
   [[nodiscard]] bool equalNormalized(aig::NodeId a, bool phaseA,
                                      aig::NodeId b, bool phaseB,
                                      aig::Lit care) const;
+
+  /// True when literal `b` is 1 on every pattern where literal `a` is 1
+  /// (both literals of the arena: the constant, a support PI or a cone
+  /// node). On an exhaustive arena the answer proves a ⇒ b; `b` = kFalse
+  /// asks whether `a` is empty. On a random arena only a false answer is
+  /// conclusive: some stored pattern refutes the implication.
+  [[nodiscard]] bool impliesOnAll(aig::Lit a, aig::Lit b) const;
 
  private:
   friend struct ::cbq::audit::Access;

@@ -4,10 +4,12 @@
 // reachability run.
 //
 // A SweepContext owns one sat::CircuitSolver bound to one AIG manager.
-// Every backward-reachability iteration, every per-variable
-// quantification sweep, every don't-care simplification and every
-// fixpoint check of a run shares that single solver: the AIG itself is
-// the constraint database (nothing is encoded), learnt gates and
+// Every SAT query its owner makes shares that single solver: the
+// per-variable quantification sweeps and don't-care simplifications of
+// every backward iteration, or the fixpoint checks whose cones are past
+// the truth-table bound (smaller ones are word loops over
+// Signatures::truthTables and reach no solver). The AIG itself is the
+// constraint database (nothing is encoded), learnt gates and
 // proven-equivalence facts accumulate, and the solver's heuristic state
 // (activities, saved phases) carries over. Nothing is encoded as the
 // manager grows, and a focused query walks only its own cone's fanout:

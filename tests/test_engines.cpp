@@ -9,6 +9,7 @@
 #include "mc/engines.hpp"
 #include "mc/unroller.hpp"
 #include "prep/pipeline.hpp"
+#include "sweep/signatures.hpp"
 
 namespace cbq {
 namespace {
@@ -138,6 +139,63 @@ TEST(Engines, NonStutteringDesignsMatchBddBackward) {
       ASSERT_EQ(a.verdict, inst.expected) << inst.net.name;
       EXPECT_EQ(a.verdict, b.verdict) << inst.net.name;
       EXPECT_EQ(a.steps, b.steps) << inst.net.name;
+    }
+  }
+}
+
+/// `width` latches, all reset to 0, bad when every latch is 1. shift:
+/// latch 0 loads the input and latch i takes latch i-1, so all-ones is
+/// first reached at depth `width`. Otherwise every latch holds its value
+/// and all-ones is unreachable.
+mc::Network allOnesRegister(int width, bool shift) {
+  mc::NetworkBuilder b(shift ? "shift" : "hold");
+  const aig::Lit in = b.addInput();
+  std::vector<aig::Lit> latches;
+  for (int i = 0; i < width; ++i) latches.push_back(b.addLatch(false));
+  for (std::size_t i = 0; i < latches.size(); ++i)
+    b.setNext(i, !shift ? latches[i] : i == 0 ? in : latches[i - 1]);
+  b.setBad(b.aig().mkAndAll(latches));
+  return b.finish();
+}
+
+TEST(Engines, SetQueriesUseTruthTablesOnlyBelowTheBound) {
+  // The fixpoint (and cbq-fwd's bad-state) queries are word loops over
+  // exhaustive truth tables while their cones' support fits the bound,
+  // and SAT queries past it. 16 latches put the hold register's one
+  // fixpoint check and the shift register's first ones past the bound;
+  // the verdicts and depths are the BDD engine's either way.
+  constexpr int kWidth =
+      static_cast<int>(sweep::Signatures::kExhaustiveMaxInputs) + 2;
+  for (const bool shift : {true, false}) {
+    const auto net = allOnesRegister(kWidth, shift);
+    const auto bdd = mc::BddBackwardReach{}.check(net);
+    ASSERT_EQ(bdd.verdict, shift ? Verdict::Unsafe : Verdict::Safe);
+    const auto fwd = mc::makeEngine("cbq-fwd")->check(net);
+    EXPECT_EQ(fwd.verdict, bdd.verdict) << net.name;
+    EXPECT_EQ(fwd.stats.count("reach.fixpoint_sim_proofs"), 0) << net.name;
+    const auto res = mc::CircuitQuantReach{}.check(net);
+    ASSERT_EQ(res.verdict, bdd.verdict) << net.name;
+    EXPECT_EQ(res.steps, bdd.steps) << net.name;
+    const auto checks = res.stats.count("reach.fixpoint_checks");
+    const auto simProofs = res.stats.count("reach.fixpoint_sim_proofs");
+    if (shift) {
+      EXPECT_GT(simProofs, 0);
+      EXPECT_LT(simProofs, checks);
+    } else {
+      EXPECT_EQ(checks, 1);
+      EXPECT_EQ(simProofs, 0);
+    }
+  }
+  // Small supports throughout: no fixpoint query reaches SAT.
+  for (const bool safe : {true, false}) {
+    const auto inst = circuits::makeInstance("counter", 4, safe);
+    for (const char* name : {"cbq-reach", "cbq-fwd"}) {
+      const auto res = mc::makeEngine(name)->check(inst.net);
+      ASSERT_EQ(res.verdict, inst.expected) << name;
+      EXPECT_GT(res.stats.count("reach.fixpoint_checks"), 0) << name;
+      EXPECT_EQ(res.stats.count("reach.fixpoint_sim_proofs"),
+                res.stats.count("reach.fixpoint_checks"))
+          << name;
     }
   }
 }

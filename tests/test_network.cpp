@@ -8,6 +8,7 @@
 #include "circuits/suite.hpp"
 #include "mc/network.hpp"
 #include "mc/result.hpp"
+#include "util/random.hpp"
 
 namespace cbq {
 namespace {
@@ -173,6 +174,33 @@ TEST(Replay, MissingInputsDefaultToFalse) {
   Trace t;
   t.inputs.resize(5);  // empty maps: enable = 0 -> no counting
   EXPECT_FALSE(mc::replayHitsBad(net, t));
+}
+
+TEST(Replay, OneSimulationPerStepMatchesPerLatchEvaluation) {
+  // Network::step and the replay referee simulate all next-state cones
+  // (and bad) at once; a per-latch Aig::evaluate walk is the reference.
+  util::Random rng(7);
+  for (const auto& f : circuits::familyNames()) {
+    const auto inst = circuits::makeInstance(f, 4, false);
+    const Network& net = inst.net;
+    std::vector<bool> state = net.init;
+    Trace t;
+    for (int step = 0; step < 12; ++step) {
+      std::unordered_map<aig::VarId, bool> in;
+      for (const aig::VarId v : net.inputVars) in.emplace(v, rng.flip());
+      t.inputs.push_back(in);
+      std::unordered_map<aig::VarId, bool> a = in;
+      for (std::size_t i = 0; i < net.numLatches(); ++i)
+        a.emplace(net.stateVars[i], state[i]);
+      const bool bad = net.aig.evaluate(net.bad, a);
+      EXPECT_EQ(mc::replayHitsBad(net, t), bad) << f << " step " << step;
+      std::vector<bool> succ(net.numLatches());
+      for (std::size_t i = 0; i < net.numLatches(); ++i)
+        succ[i] = net.aig.evaluate(net.next[i], a);
+      ASSERT_EQ(net.step(state, in), succ) << f << " step " << step;
+      state = std::move(succ);
+    }
+  }
 }
 
 TEST(WidthSweep, ProducesRequestedWidths) {

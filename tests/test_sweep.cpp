@@ -4,9 +4,11 @@
 // tables on both sides of the arena's bounds, the signature arena's
 // node-major resimulation agreeing bit for bit with its column-major
 // referee, and its care-masked keys, equality and constant tests agreeing
-// with a per-pattern referee. Tests of the SAT path sweep cones whose
+// with a per-pattern referee, and its truth-table implication agreeing
+// with the circuit solver. Tests of the SAT path sweep cones whose
 // support exceeds Signatures::kExhaustiveMaxInputs (test::wideXor); the
-// randomized soundness tests run every seed on both sides of the bound.
+// randomized soundness tests run every seed on both sides of the bound,
+// and one-word signatures over a wide support force SAT refutations.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "helpers.hpp"
+#include "sat/circuit_solver.hpp"
 #include "sweep/signatures.hpp"
 #include "sweep/sweeper.hpp"
 #include "util/random.hpp"
@@ -102,6 +105,61 @@ TEST_P(SweepRandomized, SatOnlyAndBddOnlyLayersAreSound) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SweepRandomized, ::testing::Range(0, 10));
+
+/// AND of `width` random literals over inputs 0..vars-1: a function true
+/// on one pattern in 2^width, which a single random signature word almost
+/// never sees.
+Lit randomCube(Aig& g, util::Random& rng, int vars, int width) {
+  Lit cube = aig::kTrue;
+  for (int i = 0; i < width; ++i)
+    cube = g.mkAnd(cube, g.pi(static_cast<aig::VarId>(
+                             rng.below(static_cast<std::uint64_t>(vars)))) ^
+                             rng.flip());
+  return cube;
+}
+
+class SweepRefutations : public ::testing::TestWithParam<int> {};
+
+TEST_P(SweepRefutations, OneWordSignaturesForceRefutedCandidates) {
+  // One random word over a support past the bound, and roots that differ
+  // from a shared base only on a small-onset cube: the signatures propose
+  // candidates (base ≡ base ^ cube, constants inside the cubes) that SAT
+  // must refute. Every merge the loop commits is checked against the
+  // truth tables, so a prover that accepts a false candidate fails here.
+  util::Random rng(static_cast<std::uint64_t>(GetParam()) * 97 + 11);
+  Aig g;
+  const int vars = kWide + 1;
+  const Lit base = test::randomFormula(g, rng, vars, 40);
+  std::vector<Lit> roots = {base, test::wideXor(g, 0, vars)};
+  for (int k = 0; k < 4; ++k)
+    roots.push_back(g.mkXor(base, randomCube(g, rng, vars, 10)));
+  const auto order = g.coneAnds(roots);
+  const auto support = g.supportVars(roots);
+  ASSERT_EQ(support.size(), static_cast<std::size_t>(vars));
+  Signatures sigs(g, order, support, rng, 1, 4);
+  ASSERT_FALSE(sigs.exhaustive());
+  SweepContext ctx;
+  ctx.bind(g);
+  ctx.focusOn(roots);
+  sweep::SweepStats stats;
+  aig::NodeMap merges;
+  EXPECT_TRUE(sweep::refine(g, order, support, sigs, aig::kTrue, ctx, 16,
+                            -1, rng, stats, merges));
+  EXPECT_GT(stats.satRefuted, 0u);
+  EXPECT_EQ(stats.simProofs, 0u);
+  for (const aig::NodeId n : order)
+    if (merges.contains(n))
+      EXPECT_EQ(test::truthTable(g, Lit(n, false), vars),
+                test::truthTable(g, merges.at(n), vars))
+          << "node " << n;
+  const auto rebuilt = g.rebuildWithNodeMap(roots, merges);
+  for (std::size_t i = 0; i < roots.size(); ++i)
+    EXPECT_EQ(test::truthTable(g, rebuilt[i], vars),
+              test::truthTable(g, roots[i], vars))
+        << "root " << i;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SweepRefutations, ::testing::Range(0, 10));
 
 /// Builds the same function twice with different structures so structural
 /// hashing alone cannot merge them.
@@ -316,6 +374,9 @@ TEST(Signatures, ExhaustiveExactlyUpToTheInputBound) {
     const auto support = g.supportVars(roots);
     ASSERT_EQ(support.size(), static_cast<std::size_t>(n));
     Signatures sigs(g, order, support, rng, 2, 4);
+    // truthTables() builds the same arena for set-level queries, and
+    // refuses where it would not be exhaustive.
+    EXPECT_EQ(Signatures::truthTables(g, roots).has_value(), n < kWide);
     if (n == kWide) {
       EXPECT_FALSE(sigs.exhaustive());
       EXPECT_EQ(sigs.words(), 2u);
@@ -359,6 +420,7 @@ TEST(Signatures, LargeConeOnSmallSupportFallsBackToRandomWords) {
     EXPECT_FALSE(sigs.exhaustive());
     EXPECT_EQ(sigs.words(), 2u);
   }
+  EXPECT_FALSE(Signatures::truthTables(g, roots).has_value());
   SweepContext ctx;
   const auto r = sweep(g, roots, {}, ctx);
   for (std::size_t i = 0; i < roots.size(); ++i)
@@ -367,6 +429,54 @@ TEST(Signatures, LargeConeOnSmallSupportFallsBackToRandomWords) {
         << "root " << i;
   EXPECT_GT(r.stats.satChecks, 0u);
   EXPECT_EQ(r.stats.simProofs, 0u);
+}
+
+TEST(Signatures, TruthTableImplicationAgreesWithSat) {
+  // Differential: on supports of 1..14 inputs the exhaustive arena's
+  // implication and emptiness answers equal the circuit solver's, on
+  // random pairs and on pairs built so that the implication holds.
+  std::size_t holds = 0;
+  std::size_t fails = 0;
+  for (int n = 1; n < kWide; ++n) {
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+      util::Random rng(static_cast<std::uint64_t>(n) * 131 + seed);
+      Aig g;
+      const Lit full = test::wideXor(g, 0, n);
+      const Lit f = test::randomFormula(g, rng, n, 30);
+      const Lit h = test::randomFormula(g, rng, n, 30);
+      const Lit fh = g.mkAnd(f, h);
+      const std::pair<Lit, Lit> queries[] = {
+          {f, h},  {h, f},          {fh, h},          {f, g.mkOr(f, h)},
+          {f, !f}, {full, f},       {fh, aig::kFalse}, {f, aig::kFalse},
+          {g.mkAnd(fh, !h), aig::kFalse}};
+      std::vector<Lit> roots = {full};
+      for (const auto& [a, b] : queries) {
+        roots.push_back(a);
+        roots.push_back(b);
+      }
+      const auto tables = Signatures::truthTables(g, roots);
+      ASSERT_TRUE(tables.has_value()) << n;
+      ASSERT_TRUE(tables->exhaustive());
+      ASSERT_EQ(g.supportVars(roots).size(), static_cast<std::size_t>(n));
+      sat::CircuitSolver solver(g);
+      for (const auto& [a, b] : queries) {
+        // b = kFalse asks for emptiness: the solver's checkSat.
+        const sat::Verdict v =
+            b == aig::kFalse
+                ? (sat::checkSat(solver, a) == sat::Verdict::Fails
+                       ? sat::Verdict::Holds
+                       : sat::Verdict::Fails)
+                : sat::checkImplies(solver, a, b);
+        const bool table = tables->impliesOnAll(a, b);
+        EXPECT_EQ(table, v == sat::Verdict::Holds)
+            << "inputs " << n << " seed " << seed << " " << a.raw()
+            << " => " << b.raw();
+        ++(table ? holds : fails);
+      }
+    }
+  }
+  EXPECT_GT(holds, 0u);
+  EXPECT_GT(fails, 0u);
 }
 
 TEST(Refine, ExhaustiveMergesMatchTruthTablesUnderCare) {
