@@ -831,7 +831,6 @@ int cmdBench(const Args& args) {
     int steps = 0;
     double seconds = 0.0;
     std::int64_t sweepChecks = 0, dcChecks = 0, simProofs = 0;
-    std::int64_t fixpointChecks = 0, fixpointSimProofs = 0;
     std::int64_t lookups = 0, hits = 0;
     std::int64_t conflicts = 0, propagations = 0;
     std::int64_t remaps = 0, compactions = 0;
@@ -877,8 +876,6 @@ int cmdBench(const Args& args) {
     row.dcChecks = r.stats.count("opt.sat_checks");
     row.simProofs = r.stats.count("merge.sim_proofs") +
                     r.stats.count("opt.sim_proofs");
-    row.fixpointChecks = r.stats.count("reach.fixpoint_checks");
-    row.fixpointSimProofs = r.stats.count("reach.fixpoint_sim_proofs");
     row.lookups = r.stats.count("sweep.cache_lookups");
     row.hits = r.stats.count("sweep.cache_hits_proven") +
                r.stats.count("sweep.cache_hits_refuted");
@@ -949,8 +946,6 @@ int cmdBench(const Args& args) {
         << ", \"sweeper_sat_checks\": " << r.sweepChecks
         << ", \"dc_sat_checks\": " << r.dcChecks
         << ", \"sim_proofs\": " << r.simProofs
-        << ", \"fixpoint_checks\": " << r.fixpointChecks
-        << ", \"fixpoint_sim_proofs\": " << r.fixpointSimProofs
         << ", \"cache_lookups\": " << r.lookups
         << ", \"cache_hits\": " << r.hits
         << ", \"conflicts\": " << r.conflicts

@@ -8,14 +8,10 @@
 // retried from the same frontier on the next resume.
 
 #include <algorithm>
-#include <optional>
-#include <span>
 
-#include "audit/audit.hpp"
 #include "mc/engines.hpp"
 #include "quant/quantifier.hpp"
 #include "sat/circuit_solver.hpp"
-#include "sweep/signatures.hpp"
 #include "sweep/sweep_context.hpp"
 
 namespace cbq::mc {
@@ -130,9 +126,7 @@ class ForwardReachSession final : public Session {
     reached_ = m_.initCube;
     frontier_ = m_.initCube;
     // Run-wide persistent sweep session for the bad-intersection and
-    // fixpoint queries past the truth-table bound (on small supports both
-    // are word loops over exhaustive truth tables, see tableImplies):
-    // the forward engine never compacts its manager, so
+    // fixpoint queries: the forward engine never compacts its manager, so
     // learnt gates over the ring/reached cones stay valid. Each query
     // focuses the solver on its own cone, keeping per-check cost bounded
     // by the live state sets rather than by the accumulated scratch.
@@ -148,13 +142,8 @@ class ForwardReachSession final : public Session {
         case Phase::Bad: {
           const Lit q = m_.mgr.mkAnd(frontier_, m_.bad);
           const Lit qRoots[] = {q};
-          sat::Verdict sat;
-          if (const auto empty = tableImplies(qRoots, q, aig::kFalse)) {
-            sat = *empty ? sat::Verdict::Fails : sat::Verdict::Holds;
-          } else {
-            session_.focusOn(qRoots);
-            sat = session_.checkSat(q);
-          }
+          session_.focusOn(qRoots);
+          const sat::Verdict sat = session_.checkSat(q);
           if (sat == sat::Verdict::Unknown)  // interrupted: retry
             return report(Verdict::Unknown, false, iter_);
           if (sat == sat::Verdict::Holds) {
@@ -222,15 +211,9 @@ class ForwardReachSession final : public Session {
         }
         case Phase::Fix: {
           const Lit fpRoots[] = {img_, reached_};
+          session_.focusOn(fpRoots);
           res_.stats.add("reach.fixpoint_checks");
-          sat::Verdict fp;
-          if (const auto holds = tableImplies(fpRoots, img_, reached_)) {
-            res_.stats.add("reach.fixpoint_sim_proofs");
-            fp = *holds ? sat::Verdict::Holds : sat::Verdict::Fails;
-          } else {
-            session_.focusOn(fpRoots);
-            fp = session_.checkImplies(img_, reached_);
-          }
+          const sat::Verdict fp = session_.checkImplies(img_, reached_);
           if (fp == sat::Verdict::Holds)
             return report(Verdict::Safe, true, iter_);
           if (fp == sat::Verdict::Unknown)  // interrupted: retry
@@ -256,17 +239,6 @@ class ForwardReachSession final : public Session {
   }
 
  private:
-  /// Decides a ⇒ b (b = kFalse: a is empty) from the exhaustive truth
-  /// tables of the cones of `roots`; std::nullopt when their support or
-  /// size is past the bound and the query must go to SAT.
-  std::optional<bool> tableImplies(std::span<const Lit> roots, Lit a,
-                                   Lit b) const {
-    const auto tables = sweep::Signatures::truthTables(m_.mgr, roots);
-    if (!tables) return std::nullopt;
-    CBQ_AUDIT_CHECK("reach.fwd.signatures", audit::auditSignatures(*tables));
-    return tables->impliesOnAll(a, b);
-  }
-
   enum class Phase : std::uint8_t { Bad, Guard, Img, Fix };
 
   const Network* net_;

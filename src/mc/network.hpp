@@ -31,15 +31,6 @@ struct Network {
   [[nodiscard]] std::size_t numLatches() const { return stateVars.size(); }
   [[nodiscard]] std::size_t numInputs() const { return inputVars.size(); }
 
-  /// The initial state as a complete assignment over the state variables.
-  [[nodiscard]] std::unordered_map<aig::VarId, bool> initAssignment() const {
-    std::unordered_map<aig::VarId, bool> a;
-    a.reserve(stateVars.size());
-    for (std::size_t i = 0; i < stateVars.size(); ++i)
-      a.emplace(stateVars[i], init[i]);
-    return a;
-  }
-
   /// One past the largest state/input VarId — the size a dense
   /// per-variable table needs to cover every network variable.
   [[nodiscard]] std::size_t varBound() const {
@@ -51,8 +42,8 @@ struct Network {
     return bound;
   }
 
-  /// Dense variant of initAssignment(): value indexed directly by VarId
-  /// (state variables carry their reset value, everything else false).
+  /// The initial state as a dense assignment indexed directly by VarId
+  /// (state variables carry their `init` value, everything else false).
   /// Sized by varBound() so the engines' replay/init paths can write
   /// per-step input values in place instead of rebuilding a hash map.
   [[nodiscard]] std::vector<bool> initAssignmentDense() const {

@@ -67,8 +67,10 @@ struct Progress {
   bool done = false;
   int bound = 0;            ///< fixpoint iterations committed / BMC depth
   bool advanced = false;    ///< committed >= 1 bound in this resume
-  /// Cumulative solver effort (conflicts + decisions + propagations; BDD
-  /// engines report live nodes). The Session base derives effortDelta.
+  /// Cumulative effort score (Session::effort): SAT conflicts + decisions
+  /// + propagations plus one unit per query proven by exhaustive
+  /// simulation, so it is not pure SAT effort; BDD engines report live
+  /// nodes. The Session base derives effortDelta.
   std::uint64_t effort = 0;
   std::uint64_t effortDelta = 0;  ///< effort spent in this resume
   double sliceSeconds = 0.0;      ///< wall time of this resume

@@ -38,7 +38,8 @@ struct ProgressEvent {
   std::string verdict;
   std::string detail;
   std::int64_t bound = -1;        ///< reached bound/frame, -1 = n/a
-  double effort = 0.0;            ///< cumulative SAT effort score
+  double effort = 0.0;            ///< cumulative effort score: SAT work
+                                  ///< plus simulation proofs
   double effortDelta = 0.0;       ///< effort spent in this slice
   double seconds = 0.0;           ///< wall seconds for this event's scope
   bool advanced = false;          ///< did the slice make bound progress

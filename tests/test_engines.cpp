@@ -159,9 +159,9 @@ mc::Network allOnesRegister(int width, bool shift) {
 }
 
 TEST(Engines, SetQueriesUseTruthTablesOnlyBelowTheBound) {
-  // The fixpoint (and cbq-fwd's bad-state) queries are word loops over
-  // exhaustive truth tables while their cones' support fits the bound,
-  // and SAT queries past it. 16 latches put the hold register's one
+  // cbq-reach's fixpoint queries are word loops over exhaustive truth
+  // tables while their cones' support fits the bound, and SAT queries
+  // past it. 16 latches put the hold register's one
   // fixpoint check and the shift register's first ones past the bound;
   // the verdicts and depths are the BDD engine's either way.
   constexpr int kWidth =
@@ -170,9 +170,6 @@ TEST(Engines, SetQueriesUseTruthTablesOnlyBelowTheBound) {
     const auto net = allOnesRegister(kWidth, shift);
     const auto bdd = mc::BddBackwardReach{}.check(net);
     ASSERT_EQ(bdd.verdict, shift ? Verdict::Unsafe : Verdict::Safe);
-    const auto fwd = mc::makeEngine("cbq-fwd")->check(net);
-    EXPECT_EQ(fwd.verdict, bdd.verdict) << net.name;
-    EXPECT_EQ(fwd.stats.count("reach.fixpoint_sim_proofs"), 0) << net.name;
     const auto res = mc::CircuitQuantReach{}.check(net);
     ASSERT_EQ(res.verdict, bdd.verdict) << net.name;
     EXPECT_EQ(res.steps, bdd.steps) << net.name;
@@ -189,14 +186,12 @@ TEST(Engines, SetQueriesUseTruthTablesOnlyBelowTheBound) {
   // Small supports throughout: no fixpoint query reaches SAT.
   for (const bool safe : {true, false}) {
     const auto inst = circuits::makeInstance("counter", 4, safe);
-    for (const char* name : {"cbq-reach", "cbq-fwd"}) {
-      const auto res = mc::makeEngine(name)->check(inst.net);
-      ASSERT_EQ(res.verdict, inst.expected) << name;
-      EXPECT_GT(res.stats.count("reach.fixpoint_checks"), 0) << name;
-      EXPECT_EQ(res.stats.count("reach.fixpoint_sim_proofs"),
-                res.stats.count("reach.fixpoint_checks"))
-          << name;
-    }
+    const auto res = mc::CircuitQuantReach{}.check(inst.net);
+    ASSERT_EQ(res.verdict, inst.expected) << inst.net.name;
+    EXPECT_GT(res.stats.count("reach.fixpoint_checks"), 0) << inst.net.name;
+    EXPECT_EQ(res.stats.count("reach.fixpoint_sim_proofs"),
+              res.stats.count("reach.fixpoint_checks"))
+        << inst.net.name;
   }
 }
 

@@ -30,7 +30,7 @@ TEST(NetworkBuilder, BasicShape) {
   EXPECT_EQ(net.numLatches(), 1u);
   EXPECT_EQ(net.numInputs(), 1u);
   EXPECT_TRUE(net.wellFormed());
-  EXPECT_TRUE(net.initAssignment().at(net.stateVars[0]));
+  EXPECT_TRUE(net.init[0]);
 }
 
 TEST(NetworkBuilder, SetNextOfResolvesLatch) {

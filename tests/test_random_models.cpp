@@ -51,12 +51,6 @@ std::pair<Verdict, int> explicitStateCheck(const Network& net) {
   const int latches = static_cast<int>(net.numLatches());
   const int inputs = static_cast<int>(net.numInputs());
 
-  auto encode = [&](const std::unordered_map<VarId, bool>& a) {
-    std::uint32_t s = 0;
-    for (int i = 0; i < latches; ++i)
-      if (a.at(net.stateVars[static_cast<std::size_t>(i)])) s |= 1u << i;
-    return s;
-  };
   auto assignmentFor = [&](std::uint32_t s, std::uint32_t in) {
     std::unordered_map<VarId, bool> a;
     for (int i = 0; i < latches; ++i)
@@ -68,7 +62,9 @@ std::pair<Verdict, int> explicitStateCheck(const Network& net) {
     return a;
   };
 
-  const std::uint32_t initState = encode(net.initAssignment());
+  std::uint32_t initState = 0;
+  for (int i = 0; i < latches; ++i)
+    if (net.init[static_cast<std::size_t>(i)]) initState |= 1u << i;
   std::vector<int> depth(std::size_t{1} << latches, -1);
   std::queue<std::uint32_t> queue;
   depth[initState] = 0;

@@ -344,20 +344,15 @@ TEST(TimeSlice, RejectsUnknownEngine) {
 
 // ----- dense assignment satellites -------------------------------------------
 
-TEST(DenseAssignment, MatchesHashedInitAssignment) {
+TEST(DenseAssignment, MatchesInitVector) {
   util::Random rng(42);
   for (int round = 0; round < 20; ++round) {
     const Network net = randomNetwork(rng, 5, 2);
-    const auto sparse = net.initAssignment();
     const auto dense = net.initAssignmentDense();
     ASSERT_EQ(dense.size(), net.varBound());
-    for (const auto& [v, value] : sparse) EXPECT_EQ(dense[v], value);
-    // Both representations evaluate identically on every cone.
-    for (const Lit root : net.next)
-      EXPECT_EQ(net.aig.evaluate(root, sparse),
-                net.aig.evaluate(root, dense));
-    EXPECT_EQ(net.aig.evaluate(net.bad, sparse),
-              net.aig.evaluate(net.bad, dense));
+    for (std::size_t i = 0; i < net.stateVars.size(); ++i)
+      EXPECT_EQ(dense[net.stateVars[i]], net.init[i]);
+    for (const VarId v : net.inputVars) EXPECT_FALSE(dense[v]);
   }
 }
 
