@@ -402,8 +402,8 @@ int usage() {
       "  cbq bench [--engine NAME] [--timeout S] [--smoke] [-o FILE]\n"
       "            [--schedule seq|slice|race] [--prep ...]\n"
       "      run the generated family suite and write BENCH_reach.json:\n"
-      "      per-circuit wall time, sweeper SAT calls, pair-cache hit\n"
-      "      rate, solver effort. --schedule seq (default) runs one\n"
+      "      per-circuit wall time, sweeper SAT calls and simulation\n"
+      "      proofs, solver effort. --schedule seq (default) runs one\n"
       "      engine sequentially (default cbq-reach); slice/race run the\n"
       "      engine portfolio time-sliced on one core / racing on\n"
       "      threads; --smoke restricts to a few tiny circuits for CI\n"
@@ -773,7 +773,7 @@ int cmdGenSuite(const Args& args) {
 
 /// `cbq bench`: one engine, sequential, over the generated family suite —
 /// the perf-trajectory harness. Writes a JSON report with per-circuit wall
-/// time, sweeper SAT-call counts, pair-cache hit rate and solver effort,
+/// time, sweeper SAT-call and simulation-proof counts and solver effort,
 /// so successive runs of the binary are comparable ("did the hot loop get
 /// faster, and why").
 int cmdBench(const Args& args) {
@@ -831,9 +831,7 @@ int cmdBench(const Args& args) {
     int steps = 0;
     double seconds = 0.0;
     std::int64_t sweepChecks = 0, dcChecks = 0, simProofs = 0;
-    std::int64_t lookups = 0, hits = 0;
-    std::int64_t conflicts = 0, propagations = 0;
-    std::int64_t remaps = 0, compactions = 0;
+    std::int64_t conflicts = 0, propagations = 0, compactions = 0;
     bool agree = true;
   };
   std::vector<Row> rows;
@@ -876,12 +874,8 @@ int cmdBench(const Args& args) {
     row.dcChecks = r.stats.count("opt.sat_checks");
     row.simProofs = r.stats.count("merge.sim_proofs") +
                     r.stats.count("opt.sim_proofs");
-    row.lookups = r.stats.count("sweep.cache_lookups");
-    row.hits = r.stats.count("sweep.cache_hits_proven") +
-               r.stats.count("sweep.cache_hits_refuted");
     row.conflicts = r.stats.count("sat.conflicts");
     row.propagations = r.stats.count("sat.propagations");
-    row.remaps = r.stats.count("sweep.cache_remaps");
     row.compactions = r.stats.count("reach.compactions");
     row.agree = r.verdict == Verdict::Unknown || r.verdict == inst.expected;
     total += r.seconds;
@@ -889,13 +883,11 @@ int cmdBench(const Args& args) {
     if (!row.agree) ++mismatches;
     if (!args.quiet) {
       std::printf(
-          "%-24s %-8s %8.3fs  sat=%lld dc=%lld sim=%lld cache=%lld/%lld\n",
+          "%-24s %-8s %8.3fs  sat=%lld dc=%lld sim=%lld\n",
           row.name.c_str(), row.verdict, row.seconds,
           static_cast<long long>(row.sweepChecks),
           static_cast<long long>(row.dcChecks),
-          static_cast<long long>(row.simProofs),
-          static_cast<long long>(row.hits),
-          static_cast<long long>(row.lookups));
+          static_cast<long long>(row.simProofs));
       std::fflush(stdout);
     }
     rows.push_back(std::move(row));
@@ -906,16 +898,6 @@ int cmdBench(const Args& args) {
     std::fprintf(stderr, "cbq: cannot write %s\n", outPath.c_str());
     return 1;
   }
-  const std::int64_t allLookups = [&] {
-    std::int64_t s = 0;
-    for (const Row& r : rows) s += r.lookups;
-    return s;
-  }();
-  const std::int64_t allHits = [&] {
-    std::int64_t s = 0;
-    for (const Row& r : rows) s += r.hits;
-    return s;
-  }();
   out << "{\n";
   out << "  \"run\": ";
   makeRunInfo(args, schedule).writeJson(out);
@@ -930,11 +912,6 @@ int cmdBench(const Args& args) {
   out << "  \"solved\": " << solved << ",\n";
   out << "  \"verdict_mismatches\": " << mismatches << ",\n";
   out << "  \"total_seconds\": " << total << ",\n";
-  out << "  \"cache_hit_rate\": "
-      << (allLookups > 0
-              ? static_cast<double>(allHits) / static_cast<double>(allLookups)
-              : 0.0)
-      << ",\n";
   out << "  \"results\": [";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
@@ -946,11 +923,8 @@ int cmdBench(const Args& args) {
         << ", \"sweeper_sat_checks\": " << r.sweepChecks
         << ", \"dc_sat_checks\": " << r.dcChecks
         << ", \"sim_proofs\": " << r.simProofs
-        << ", \"cache_lookups\": " << r.lookups
-        << ", \"cache_hits\": " << r.hits
         << ", \"conflicts\": " << r.conflicts
         << ", \"propagations\": " << r.propagations
-        << ", \"cache_remaps\": " << r.remaps
         << ", \"compactions\": " << r.compactions << "}";
   }
   out << "\n  ]\n}\n";

@@ -145,8 +145,6 @@ void BM_ConeEquivCnf(benchmark::State& state) {
   for (auto _ : state) {
     Solver s;
     cbq::cnf::AigCnf cnf(cone.g, s);
-    const cbq::aig::Lit roots[] = {cone.balanced, cone.folded};
-    cnf.focusOn(roots);
     benchmark::DoNotOptimize(
         cbq::cnf::checkEquiv(cnf, cone.balanced, cone.folded));
   }
@@ -172,8 +170,6 @@ void BM_ConeSatCnf(benchmark::State& state) {
   for (auto _ : state) {
     Solver s;
     cbq::cnf::AigCnf cnf(cone.g, s);
-    const cbq::aig::Lit roots[] = {cone.balanced};
-    cnf.focusOn(roots);
     benchmark::DoNotOptimize(cbq::cnf::checkSat(cnf, cone.balanced));
   }
   state.SetItemsProcessed(state.iterations());

@@ -408,19 +408,6 @@ bool Aig::evaluate(Lit root, const std::vector<bool>& assignment) const {
 
 std::vector<Lit> Aig::transferFrom(const Aig& src,
                                    std::span<const Lit> roots) {
-  return transferFromImpl(src, roots, nullptr);
-}
-
-std::vector<Lit> Aig::transferFrom(
-    const Aig& src, std::span<const Lit> roots,
-    std::vector<std::pair<NodeId, Lit>>& outMap) {
-  outMap.clear();
-  return transferFromImpl(src, roots, &outMap);
-}
-
-std::vector<Lit> Aig::transferFromImpl(
-    const Aig& src, std::span<const Lit> roots,
-    std::vector<std::pair<NodeId, Lit>>* outMap) {
   if (&src == this) return {roots.begin(), roots.end()};
   memo_.reset(src.nodes_.size());  // keyed by src node ids
 
@@ -436,19 +423,14 @@ std::vector<Lit> Aig::transferFromImpl(
     auto [n, expand] = stack.back();
     stack.pop_back();
     if (expand) {
-      const Lit l = mkAnd(resultOf(src.fanin0(n)), resultOf(src.fanin1(n)));
-      memo_.put(n, l);
-      if (outMap != nullptr) outMap->emplace_back(n, l);
+      memo_.put(n, mkAnd(resultOf(src.fanin0(n)), resultOf(src.fanin1(n))));
       continue;
     }
     if (memo_.contains(n)) continue;
     if (src.isConst(n)) {
       memo_.put(n, kFalse);
-      if (outMap != nullptr) outMap->emplace_back(n, kFalse);
     } else if (src.isPi(n)) {
-      const Lit l = pi(src.piVar(n));
-      memo_.put(n, l);
-      if (outMap != nullptr) outMap->emplace_back(n, l);
+      memo_.put(n, pi(src.piVar(n)));
     } else {
       stack.push_back({n, true});
       stack.push_back({src.fanin0(n).node(), false});

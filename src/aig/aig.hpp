@@ -228,15 +228,6 @@ class Aig {
   /// doubles as compaction into a clean manager.
   std::vector<Lit> transferFrom(const Aig& src, std::span<const Lit> roots);
 
-  /// As above, and additionally records (src NodeId → literal here) for
-  /// every node of the transferred cones in `outMap`. This is how caches
-  /// keyed by the source manager's node ids (e.g. the sweep session's
-  /// proven/refuted pairs) survive a compaction: facts about transferred
-  /// nodes are rewritten through the map, facts about dropped scratch
-  /// nodes are discarded.
-  std::vector<Lit> transferFrom(const Aig& src, std::span<const Lit> roots,
-                                std::vector<std::pair<NodeId, Lit>>& outMap);
-
  private:
   /// Introspection seam for the deep-invariant auditor and its
   /// corruption-injection tests (audit/audit.hpp) — never production code.
@@ -247,10 +238,6 @@ class Aig {
   NodeId newNode(Lit f0, Lit f1, std::uint32_t level);
   Lit mkAndRaw(Lit a, Lit b);  // hashing + one-level rules only
   bool tryTwoLevel(Lit a, Lit b, Lit& out);
-
-  std::vector<Lit> transferFromImpl(
-      const Aig& src, std::span<const Lit> roots,
-      std::vector<std::pair<NodeId, Lit>>* outMap);
 
   /// Generic iterative cone rebuild. `leaf(var)` supplies the literal that
   /// replaces the PI with external id `var`; `nodeMap` (optional) replaces

@@ -55,23 +55,6 @@ sat::Lit AigCnf::litFor(aig::Lit l) {
   return sat::Lit(nodeVar_[root], false) ^ l.negated();
 }
 
-void AigCnf::focusOn(std::span<const aig::Lit> roots) {
-  for (const aig::Lit r : roots) litFor(r);
-  std::vector<sat::Var> vars;
-  auto push = [&](aig::NodeId n) {
-    if (const sat::Var v = nodeVar_[n]; v != sat::kUndefVar)
-      vars.push_back(v);
-  };
-  push(0);  // constant node, when encoded (its var is unit-forced anyway)
-  for (const aig::Lit r : roots) push(r.node());
-  for (const aig::NodeId n : aig_->coneAnds(roots)) {
-    push(n);
-    push(aig_->fanin0(n).node());
-    push(aig_->fanin1(n).node());
-  }
-  solver_->focusDecisions(vars);
-}
-
 bool AigCnf::modelOf(aig::VarId var) const {
   if (!aig_->hasPi(var)) return false;
   const aig::NodeId p = aig_->piNodeOf(var);

@@ -34,14 +34,6 @@ class AigCnf {
   /// (three clauses per AND node) on first use.
   sat::Lit litFor(aig::Lit l);
 
-  /// Encodes the cones of `roots` and focuses the solver's branching on
-  /// exactly their variables (Solver::focusDecisions). In a run-long
-  /// shared clause database this caps the cost of a query at the size of
-  /// its own cone instead of the size of everything ever encoded. Queries
-  /// issued afterwards must keep their assumptions inside these cones —
-  /// or inside nodes created later, which stay decidable by default.
-  void focusOn(std::span<const aig::Lit> roots);
-
   /// Number of AND nodes encoded so far (decision-variable metric used by
   /// the hybrid-engine experiments).
   [[nodiscard]] std::size_t numEncodedNodes() const { return encodedAnds_; }

@@ -140,13 +140,11 @@ void BackwardReachSession::compact() {
   CBQ_OBS_SPAN("engine", "compact");
   std::vector<Lit> live{reached_, frontier_, badL_};
   live.insert(live.end(), nextL_.begin(), nextL_.end());
-  // Re-strash every live cone into a fresh manager. The transfer map
-  // lets the sweep session carry its proven/refuted pair cache across
-  // the NodeId change; the fixpoint session just rebinds (it records no
-  // pair facts).
+  // Re-strash every live cone into a fresh manager. The sweep session
+  // rebinds to it here, keeping its counterexample bank (keyed by VarId);
+  // the fixpoint session rebinds on its next SAT query.
   aig::Aig fresh;
-  std::vector<std::pair<aig::NodeId, Lit>> xfer;
-  auto mv = fresh.transferFrom(mgr_, live, xfer);
+  auto mv = fresh.transferFrom(mgr_, live);
   reached_ = mv[0];
   frontier_ = mv[1];
   badL_ = mv[2];
@@ -155,7 +153,7 @@ void BackwardReachSession::compact() {
   subst_.clear();
   for (std::size_t i = 0; i < net_->stateVars.size(); ++i)
     subst_.emplace_back(net_->stateVars[i], nextL_[i]);
-  session_.rebindRemapped(mgr_, xfer);
+  session_.bind(mgr_);
   // The compacted manager plus the sweep session's rebuilt solver — a
   // stale node reference here would poison every later query.
   CBQ_AUDIT_CHECK("reach.compact", audit::auditAig(mgr_));
@@ -231,35 +229,40 @@ Progress BackwardReachSession::run(const portfolio::Budget& bud) {
         break;
       }
       case Phase::Fix: {
-        CBQ_OBS_SPAN("engine", "fixpoint");
-        // Fixpoint: every pre-image state already reached? Then the
-        // collapse query: does the pre-image subsume the reached set?
-        // On a small support both are word loops over one exhaustive
-        // arena of the {pre, reached} cone; otherwise they go to their
-        // own SAT session (fixSession_), whose reached-set learnt gates
-        // and activities stay apart from the merge/DC compare points.
-        const Lit fpRoots[] = {pre_, reached_};
-        res_.stats.add("reach.fixpoint_checks");
-        bool collapse = false;
-        if (const auto tables = sweep::Signatures::truthTables(mgr_, fpRoots)) {
-          CBQ_AUDIT_CHECK("reach.fixpoint.signatures",
-                          audit::auditSignatures(*tables));
-          res_.stats.add("reach.fixpoint_sim_proofs");
-          if (tables->impliesOnAll(pre_, reached_))
-            return report(Verdict::Safe, true, iter_);
-          collapse = tables->impliesOnAll(reached_, pre_);
-        } else {
-          fixSession_.bind(mgr_);
-          fixSession_.focusOn(fpRoots);
-          const sat::Verdict fp = fixSession_.checkImplies(pre_, reached_);
-          if (fp == sat::Verdict::Holds)
-            return report(Verdict::Safe, true, iter_);
-          if (fp == sat::Verdict::Unknown)  // interrupted mid-solve: retry
-            return report(Verdict::Unknown, false, iter_);
-          collapse = fixSession_.checkImplies(reached_, pre_) ==
-                     sat::Verdict::Holds;
+        {
+          CBQ_OBS_SPAN("engine", "fixpoint");
+          // Fixpoint: every pre-image state already reached? Then the
+          // collapse query: does the pre-image subsume the reached set?
+          // On a small support both are word loops over one exhaustive
+          // arena of the {pre, reached} cone; otherwise they go to their
+          // own SAT session (fixSession_), whose reached-set learnt gates
+          // and activities stay apart from the merge/DC compare points.
+          const Lit fpRoots[] = {pre_, reached_};
+          res_.stats.add("reach.fixpoint_checks");
+          bool collapse = false;
+          if (const auto tables =
+                  sweep::Signatures::truthTables(mgr_, fpRoots)) {
+            CBQ_AUDIT_CHECK("reach.fixpoint.signatures",
+                            audit::auditSignatures(*tables));
+            res_.stats.add("reach.fixpoint_sim_proofs");
+            if (tables->impliesOnAll(pre_, reached_))
+              return report(Verdict::Safe, true, iter_);
+            collapse = tables->impliesOnAll(reached_, pre_);
+          } else {
+            fixSession_.bind(mgr_);
+            fixSession_.focusOn(fpRoots);
+            const sat::Verdict fp = fixSession_.checkImplies(pre_, reached_);
+            if (fp == sat::Verdict::Holds)
+              return report(Verdict::Safe, true, iter_);
+            if (fp == sat::Verdict::Unknown)  // interrupted mid-solve: retry
+              return report(Verdict::Unknown, false, iter_);
+            collapse = fixSession_.checkImplies(reached_, pre_) ==
+                       sat::Verdict::Holds;
+          }
+          commitFrontier(pre_, collapse);
         }
-        commitFrontier(pre_, collapse);
+        // Compaction runs outside the fixpoint span: engine/compact is
+        // its sibling, not a share of it.
         if (mgr_.evaluate(frontier_, initDense_)) {
           phase_ = Phase::Trace;
         } else {

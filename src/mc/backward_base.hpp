@@ -13,9 +13,10 @@
 // instead of starting over.
 //
 // The skeleton owns the run's persistent sweep session (a circuit SAT
-// solver + proven/refuted pair cache bound to the working manager, see
-// sweep/sweep_context.hpp): the per-engine eliminator receives it via
-// PreImageRequest and threads it into its quantifier. The two set-level
+// solver bound to the working manager plus a bank of §2.1
+// counterexamples, see sweep/sweep_context.hpp): the per-engine
+// eliminator receives it via PreImageRequest and threads it into its
+// quantifier. The two set-level
 // queries of an iteration — the fixpoint check pre ⇒ reached and the
 // collapse check reached ⇒ pre — are decided from one exhaustive truth-
 // table arena of the {pre, reached} cone whenever its support is small
@@ -24,9 +25,9 @@
 // just for them. Compaction re-strashes the live cones into a fresh
 // manager after every committed iteration: it drops the scratch nodes
 // that cofactoring and sweeping leave behind and re-applies the
-// construction rewrite rules across the whole live set. A fixpoint solver
-// therefore lives for one iteration, and the sweep session carries only
-// its pair cache across (SweepContext::rebindRemapped).
+// construction rewrite rules across the whole live set. Both solvers
+// therefore live for one iteration; the sweep session carries only its
+// counterexample bank across, which is keyed by VarId and needs no remap.
 //
 // No per-iteration cost grows with the depth reached: the reached set
 // collapses to the pre-image whenever the pre-image subsumes it (every

@@ -47,8 +47,8 @@ namespace cbq::mc {
 /// transfers — no search); resume() runs until a definitive verdict, a
 /// permanent give-up (both report done = true), or the budget expires
 /// (done = false). A paused session keeps all working state — the
-/// unrolled incremental solver, the frontier and sweep-session pair
-/// cache, the BDD reached set — so resume() continues where the previous
+/// unrolled incremental solver, the frontier and sweep session, the BDD
+/// reached set — so resume() continues where the previous
 /// slice stopped, arbitrarily many times. A session resumed in N slices
 /// reaches the same verdict (and counterexample) as one uninterrupted
 /// run; only the wall-clock split differs.

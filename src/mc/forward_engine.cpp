@@ -170,8 +170,8 @@ class ForwardReachSession final : public Session {
           // Image: ∃(s, i) . TR ∧ F — both variable classes at once (§1).
           // One sweep session per image computation, apart from the run
           // session: every sweep and DC check of the image shares its
-          // solver and pair cache, and it retires with the image's
-          // scratch cones. Measured against a throwaway session per
+          // solver and counterexample bank, and it retires with the
+          // image's scratch cones. Measured against a throwaway session per
           // sweep/DC call on the generated suite (`cbq bench --engine
           // cbq-fwd --timeout 10`, best of 2 runs, 4-vCPU VM), it solves
           // 64-65 of 70 instances instead of 63 (haystack8_safe finishes

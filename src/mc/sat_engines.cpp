@@ -125,7 +125,7 @@ std::unique_ptr<Session> CircuitQuantReach::start(const Network& net) const {
   const auto eliminate =
       [quantOpts = opts_.quant, carry = EliminateCarry{}](
           const detail::PreImageRequest& req) mutable -> std::optional<Lit> {
-    // The run-wide solver + pair cache; its interrupt polls the budget.
+    // The run-wide sweep session; its interrupt polls the budget.
     quant::Quantifier q(*req.mgr, quantOpts, *req.session);
     Lit f = req.formula;
     std::vector<VarId> vars(req.net->inputVars);
@@ -174,8 +174,8 @@ std::unique_ptr<Session> HybridReach::start(const Network& net) const {
           const detail::PreImageRequest& req) mutable -> std::optional<Lit> {
     // Phase 1 (§4): partial circuit quantification — cheap variables are
     // eliminated, blow-up-prone ones abort and stay. A pause mid-phase-2
-    // retries phase 1, which replays from the warm session pair cache and
-    // reproduces the same partial result, re-keying the phase-2 carry.
+    // retries phase 1, which recomputes the partial result on the warm
+    // session and re-keys the phase-2 carry with it.
     // The run-wide session, shared with the fixpoint checks.
     quant::Quantifier q(*req.mgr, quantOpts, *req.session);
     auto r = q.quantifyAll(req.formula, req.net->inputVars);

@@ -13,7 +13,7 @@
 // exclusively from these registries; there is no side channel.
 //
 // Naming convention: dotted lowercase paths, subsystem first —
-// sat.conflicts, sweep.cache_lookups, prep.coi.seconds, reach.compactions,
+// sat.conflicts, merge.sat_checks, prep.coi.seconds, reach.compactions,
 // sched.promotions, mem.aig_peak_nodes. The README's
 // observability section keeps the catalogue.
 

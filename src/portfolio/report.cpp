@@ -188,13 +188,7 @@ void writeJson(const BatchSummary& summary, std::ostream& out,
           << "\"fixpoint_checks\": " << r.stats.count("reach.fixpoint_checks")
           << ", "
           << "\"fixpoint_sim_proofs\": "
-          << r.stats.count("reach.fixpoint_sim_proofs") << ", "
-          << "\"cache_lookups\": " << r.stats.count("sweep.cache_lookups")
-          << ", "
-          << "\"cache_hits\": "
-          << (r.stats.count("sweep.cache_hits_proven") +
-              r.stats.count("sweep.cache_hits_refuted"))
-          << "}";
+          << r.stats.count("reach.fixpoint_sim_proofs") << "}";
     }
     out << "]}";
   }

@@ -42,16 +42,17 @@ PassResult coiReduction(const mc::Network& net,
 PassResult constLatchSweep(const mc::Network& net,
                            obs::Metrics* stats = nullptr);
 
-/// Structural simplification: runs the sweeper (BDD + SAT equivalence
-/// merging) over {next functions, bad} and compacts into a fresh manager,
-/// re-applying the construction rewrite rules across the live set. Every
-/// root function is preserved exactly. Each SAT equivalence query is
-/// bounded to 200 conflicts, and the pass is skipped on cones above
-/// 100,000 ANDs, too large to sweep in a preprocessing step. The result
-/// is kept only when the AND count shrinks by at least 5%: a noise-level
-/// shrink still perturbs the cone structure the backward engines
-/// cofactor through, which measurably hurts more than two saved nodes
-/// help (counter10: 73 -> 71 ANDs, 1.9x slower fixpoint).
+/// Structural simplification: runs the sweeper (simulation + SAT
+/// equivalence merging) over {next functions, bad} and compacts into a
+/// fresh manager, re-applying the construction rewrite rules across the
+/// live set. Every root function is preserved exactly. Each SAT
+/// equivalence query is bounded to 200 conflicts, and the pass is skipped
+/// on cones above 100,000 ANDs, too large to sweep in a preprocessing
+/// step. The result is kept only when the AND count shrinks by at least
+/// 5%: a noise-level shrink still perturbs the cone structure the
+/// backward engines cofactor through, which measurably hurts more than
+/// two saved nodes help (counter10: 73 -> 71 ANDs, 1.9x slower
+/// fixpoint).
 /// `interrupt` (optional) is installed on the pass's sweep session, so
 /// the sweeper polls it per compare point and its solver inside each SAT
 /// check; when it fires the sweep stops with whatever merges are already

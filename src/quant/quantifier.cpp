@@ -163,10 +163,6 @@ std::optional<Lit> Quantifier::quantifyVarImpl(Lit f, VarId v,
                static_cast<std::int64_t>(swept.stats.satUnknown));
     stats_.add("merge.sim_proofs",
                static_cast<std::int64_t>(swept.stats.simProofs));
-    stats_.add("merge.cache_hits_proven",
-               static_cast<std::int64_t>(swept.stats.cacheHitsProven));
-    stats_.add("merge.cache_hits_refuted",
-               static_cast<std::int64_t>(swept.stats.cacheHitsRefuted));
     if (f0 == f1) return f0;
     if (f0 == !f1) return aig::kTrue;
   }

@@ -75,7 +75,6 @@ Var Solver::newVar() {
   levels_.push_back(0);
   reasons_.push_back(kNoReason);
   activity_.push_back(0.0);
-  decidable_.push_back(1);
   seen_.push_back(false);
   heapIndex_.push_back(-1);
   watches_.emplace_back();
@@ -397,36 +396,12 @@ void Solver::analyzeFinal(Lit p, std::vector<Lit>& outCore) {
 // ----- branching ----------------------------------------------------------------
 
 Lit Solver::pickBranchLit() {
-  // Unfocused variables are dropped on pop; focusDecisions() rebuilds the
-  // heap, so they reappear as soon as a later focus includes them.
   while (!heapEmpty()) {
     const Var v = heapPop();
-    if (decidable_[static_cast<std::size_t>(v)] != 0 &&
-        value(v) == LBool::Undef)
+    if (value(v) == LBool::Undef)
       return Lit(v, polarity_[static_cast<std::size_t>(v)]);
   }
   return kUndefLit;
-}
-
-void Solver::focusDecisions(std::span<const Var> vars) {
-  decidable_.assign(assigns_.size(), 0);
-  for (const Var v : vars) decidable_[static_cast<std::size_t>(v)] = 1;
-  // Rebuild the order heap over the focused unassigned variables; the
-  // previous focus may have dropped some of them from the heap.
-  heap_.clear();
-  std::fill(heapIndex_.begin(), heapIndex_.end(), -1);
-  for (std::size_t v = 0; v < assigns_.size(); ++v) {
-    if (decidable_[v] != 0 && assigns_[v] == LBool::Undef)
-      heapInsert(static_cast<Var>(v));
-  }
-}
-
-void Solver::unfocusDecisions() {
-  decidable_.assign(assigns_.size(), 1);
-  heap_.clear();
-  std::fill(heapIndex_.begin(), heapIndex_.end(), -1);
-  for (std::size_t v = 0; v < assigns_.size(); ++v)
-    if (assigns_[v] == LBool::Undef) heapInsert(static_cast<Var>(v));
 }
 
 // ----- learned clause DB ----------------------------------------------------------

@@ -67,20 +67,6 @@ class Solver {
     interrupt_ = std::move(callback);
   }
 
-  /// Restricts branching to `vars` (variables created after this call
-  /// stay decidable by default). A Sat answer then assigns every focused
-  /// variable but may leave the rest of the clause database untouched —
-  /// sound whenever the unfocused part is satisfiable under any partial
-  /// model of the focused part, which holds for Tseitin circuit cones
-  /// plus implied (learned) facts. This is what keeps per-query cost
-  /// proportional to the query's cone in a run-long shared database
-  /// instead of to everything ever encoded. Callers must focus on a
-  /// superset of every assumption's transitive cone.
-  void focusDecisions(std::span<const Var> vars);
-
-  /// Back to full decidability (every query assigns every variable).
-  void unfocusDecisions();
-
   /// Model value of a literal after a Sat answer.
   [[nodiscard]] LBool modelValue(Lit l) const {
     return lxor(model_[static_cast<std::size_t>(l.var())], l.sign());
@@ -197,7 +183,6 @@ class Solver {
   int qhead_ = 0;
 
   std::vector<double> activity_;
-  std::vector<std::uint8_t> decidable_;  // focusDecisions() mask
   double varInc_ = 1.0;
   float claInc_ = 1.0f;
   std::vector<Var> heap_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <utility>
-#include <vector>
 
 namespace cbq::sweep {
 
@@ -11,9 +10,11 @@ void SweepContext::setInterrupt(std::function<bool()> callback) {
   if (solver_) solver_->setInterrupt(interrupt_);
 }
 
-void SweepContext::rebuild(const aig::Aig& aig) {
+bool SweepContext::bind(const aig::Aig& aig) {
+  if (boundTo(aig)) return false;
   if (solver_) {
-    // Retire the old solver's effort so run totals survive rebuilds.
+    ++counters_.rebinds;
+    // Retire the old solver's effort so run totals survive rebinds.
     retiredConflicts_ += solver_->conflicts();
     retiredDecisions_ += solver_->decisions();
     retiredPropagations_ += solver_->propagations();
@@ -22,49 +23,7 @@ void SweepContext::rebuild(const aig::Aig& aig) {
   if (interrupt_) solver_->setInterrupt(interrupt_);
   aig_ = &aig;
   uid_ = aig.uid();
-}
-
-bool SweepContext::bind(const aig::Aig& aig) {
-  if (boundTo(aig)) return false;
-  if (solver_) ++counters_.rebinds;
-  rebuild(aig);
-  pairFacts_.clear();
   return true;
-}
-
-void SweepContext::rebindRemapped(
-    const aig::Aig& newMgr,
-    std::span<const std::pair<aig::NodeId, aig::Lit>> transferMap) {
-  // Dense old-NodeId → new-literal table (absent = dropped scratch node).
-  aig::NodeId maxOld = 0;
-  for (const auto& [n, l] : transferMap) maxOld = std::max(maxOld, n);
-  constexpr std::uint32_t kAbsent = 0xffffffffu;
-  std::vector<std::uint32_t> newRaw(static_cast<std::size_t>(maxOld) + 1,
-                                    kAbsent);
-  // The constant node is 0 in every manager but rarely appears in the
-  // transfer map (strashed AND fanins are never constant) — seed it so
-  // proven constant-equivalence facts survive the compaction.
-  newRaw[0] = aig::kFalse.raw();
-  for (const auto& [n, l] : transferMap) newRaw[n] = l.raw();
-
-  std::unordered_map<std::uint64_t, bool> remapped;
-  remapped.reserve(pairFacts_.size());
-  for (const auto& [key, proven] : pairFacts_) {
-    const aig::Lit a = aig::Lit::fromRaw(static_cast<std::uint32_t>(key >> 32));
-    const aig::Lit b = aig::Lit::fromRaw(static_cast<std::uint32_t>(key));
-    if (a.node() > maxOld || b.node() > maxOld) continue;
-    const std::uint32_t ra = newRaw[a.node()];
-    const std::uint32_t rb = newRaw[b.node()];
-    if (ra == kAbsent || rb == kAbsent) continue;
-    const aig::Lit na = aig::Lit::fromRaw(ra) ^ a.negated();
-    const aig::Lit nb = aig::Lit::fromRaw(rb) ^ b.negated();
-    if (na.node() == nb.node()) continue;  // re-strash already merged them
-    remapped.emplace(pairKey(na, nb), proven);
-  }
-
-  ++counters_.remaps;
-  rebuild(newMgr);
-  pairFacts_ = std::move(remapped);
 }
 
 // ----- queries ----------------------------------------------------------
@@ -113,38 +72,22 @@ void SweepContext::learnConstant(aig::Lit a, bool value) {
   solver_->addClause({a ^ !value});
 }
 
-// ----- pair cache ------------------------------------------------------
+// ----- counterexample bank ---------------------------------------------
 
-std::uint64_t SweepContext::pairKey(aig::Lit a, aig::Lit b) {
-  // Symmetric, complement-normalized: order by node id, then complement
-  // both sides so the first literal is positive. "a ≡ b" and "¬a ≡ ¬b"
-  // (and both argument orders) land on the same key.
-  if (a.node() > b.node()) std::swap(a, b);
-  if (a.negated()) {
-    a = !a;
-    b = !b;
+void SweepContext::bankModel(std::span<const aig::VarId> support) {
+  const std::uint64_t slot = bankWrites_++ % kBankPatterns;
+  const std::size_t w = slot / 64;
+  const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
+  for (const aig::VarId v : support) {
+    BankRow row = bank_.get(v, BankRow{});
+    row[w] = modelOf(v) ? row[w] | bit : row[w] & ~bit;
+    bank_.set(v, row);
   }
-  return (static_cast<std::uint64_t>(a.raw()) << 32) | b.raw();
 }
 
-SweepContext::PairFact SweepContext::lookupPair(aig::Lit a, aig::Lit b) {
-  ++counters_.lookups;
-  const auto it = pairFacts_.find(pairKey(a, b));
-  if (it == pairFacts_.end()) return PairFact::Unknown;
-  if (it->second) {
-    ++counters_.hitsProven;
-    return PairFact::Proven;
-  }
-  ++counters_.hitsRefuted;
-  return PairFact::Refuted;
-}
-
-void SweepContext::recordProven(aig::Lit a, aig::Lit b) {
-  pairFacts_[pairKey(a, b)] = true;
-}
-
-void SweepContext::recordRefuted(aig::Lit a, aig::Lit b) {
-  pairFacts_[pairKey(a, b)] = false;
+int SweepContext::bankedPatterns() const {
+  return static_cast<int>(
+      std::min<std::uint64_t>(bankWrites_, kBankPatterns));
 }
 
 std::uint64_t SweepContext::totalConflicts() const {
@@ -164,16 +107,8 @@ void SweepContext::exportStats(obs::Metrics& stats) const {
   stats.add("sat.decisions", static_cast<std::int64_t>(totalDecisions()));
   stats.add("sat.propagations",
             static_cast<std::int64_t>(totalPropagations()));
-  stats.add("sweep.cache_lookups",
-            static_cast<std::int64_t>(counters_.lookups));
-  stats.add("sweep.cache_hits_proven",
-            static_cast<std::int64_t>(counters_.hitsProven));
-  stats.add("sweep.cache_hits_refuted",
-            static_cast<std::int64_t>(counters_.hitsRefuted));
   stats.add("sweep.session_rebinds",
             static_cast<std::int64_t>(counters_.rebinds));
-  stats.add("sweep.cache_remaps",
-            static_cast<std::int64_t>(counters_.remaps));
   // Historical name from when two engines split the queries; perfbench's
   // sat.circuit_share still reads it.
   stats.add("sat.backend.circuit_wins",

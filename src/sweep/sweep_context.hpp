@@ -17,25 +17,26 @@
 // compactions stays outside the focus and costs the session nothing but
 // per-node state.
 //
-// On top of the solver the context keeps a proven/refuted candidate-pair
-// cache. Node functions are immutable within one manager identity
-// (Aig::uid(); the node space is append-only), so "m ≡ t" and "m ≢ t"
-// are facts that stay true for the lifetime of the binding — a compare
-// point re-encountered in iteration k+1 skips SAT entirely. Rebinding to
-// a different manager (or the same manager object after a move replaced
-// its contents, e.g. periodic compaction) retires the solver and drops
-// the cache; bind() validates the uid on every call.
+// On top of the solver the context keeps a bank of the last
+// kBankPatterns SAT counterexamples of the §2.1 merge phase: the input
+// patterns on which a proposed compare point was refuted. They are
+// stored per VarId, which every manager of a run shares, so the bank
+// outlives bind(): a rebind — to another manager, or to the same object
+// after a compaction moved fresh contents into it — retires only the
+// solver. sweep() seeds each random signature arena with the bank, so a
+// pair refuted by an earlier sweep starts out split and is not proposed
+// again.
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
-#include <unordered_map>
-#include <utility>
 
 #include "aig/aig.hpp"
 #include "sat/circuit_solver.hpp"
 #include "obs/metrics.hpp"
+#include "util/var_table.hpp"
 
 namespace cbq::sweep {
 
@@ -55,26 +56,15 @@ class SweepContext {
   /// early — soundly — once it fires.
   [[nodiscard]] bool interrupted() const { return interrupt_ && interrupt_(); }
 
-  /// Binds the session to `aig`, reusing the live solver/cache when the
+  /// Binds the session to `aig`, reusing the live solver when the
   /// manager identity is unchanged. Returns true when the session was
-  /// (re)built — the previous solver was retired and the cache dropped.
+  /// (re)built — the previous solver was retired. The bank is kept.
   bool bind(const aig::Aig& aig);
 
   /// True when bind(aig) would be a no-op.
   [[nodiscard]] bool boundTo(const aig::Aig& aig) const {
     return solver_ != nullptr && aig_ == &aig && uid_ == aig.uid();
   }
-
-  /// Rebinds to `newMgr` after a compaction, carrying the pair cache
-  /// across the NodeId change: `transferMap` is the (old NodeId → new
-  /// literal) relation Aig::transferFrom reported, facts about
-  /// transferred nodes are rewritten through it, facts about dropped
-  /// scratch nodes are discarded. The solver restarts empty (its node
-  /// state is unsalvageable), but re-encountered compare points still
-  /// skip SAT — compaction no longer costs the learned history.
-  void rebindRemapped(
-      const aig::Aig& newMgr,
-      std::span<const std::pair<aig::NodeId, aig::Lit>> transferMap);
 
   /// The live solver. Precondition: bind() has been called.
   [[nodiscard]] sat::CircuitSolver& circuitSolver() { return *solver_; }
@@ -107,25 +97,36 @@ class SweepContext {
   void learnEquiv(aig::Lit a, aig::Lit b);
   void learnConstant(aig::Lit a, bool value);
 
-  // ----- candidate-pair cache -------------------------------------------
+  // ----- counterexample bank ---------------------------------------------
 
-  enum class PairFact : std::uint8_t { Unknown, Proven, Refuted };
+  /// Bank size in 64-pattern words: the sweeper's default initial
+  /// signature words (SweepOptions::numWords), so a full bank fills them.
+  static constexpr int kBankWords = 2;
+  static constexpr int kBankPatterns = kBankWords * 64;
 
-  /// Cached verdict for "a ≡ b" (complement-normalized, symmetric).
-  PairFact lookupPair(aig::Lit a, aig::Lit b);
-  void recordProven(aig::Lit a, aig::Lit b);
-  void recordRefuted(aig::Lit a, aig::Lit b);
+  /// Banks the last Sat answer's values of `support` as the newest
+  /// pattern, overwriting the oldest once kBankPatterns are held. The
+  /// pattern's bits of variables outside `support` keep what the slot
+  /// held: the refuted query does not depend on them.
+  void bankModel(std::span<const aig::VarId> support);
+
+  /// Patterns held, at most kBankPatterns; slot j is bit j % 64 of word
+  /// j / 64.
+  [[nodiscard]] int bankedPatterns() const;
+
+  /// Word `w` of `v`'s banked values, or `fallback` when no banked
+  /// pattern has assigned `v`.
+  [[nodiscard]] std::uint64_t bankWord(aig::VarId v, int w,
+                                       std::uint64_t fallback) const {
+    return bank_.contains(v) ? bank_.at(v)[static_cast<std::size_t>(w)]
+                             : fallback;
+  }
 
   struct Counters {
-    std::uint64_t rebinds = 0;      ///< sessions retired by identity change
-    std::uint64_t remaps = 0;       ///< caches carried across compactions
-    std::uint64_t lookups = 0;      ///< pair-cache queries
-    std::uint64_t hitsProven = 0;   ///< queries answered Proven
-    std::uint64_t hitsRefuted = 0;  ///< queries answered Refuted
-    std::uint64_t queries = 0;      ///< semantic checks asked of the solver
+    std::uint64_t rebinds = 0;  ///< sessions retired by identity change
+    std::uint64_t queries = 0;  ///< semantic checks asked of the solver
   };
   [[nodiscard]] const Counters& counters() const { return counters_; }
-  [[nodiscard]] std::size_t cacheSize() const { return pairFacts_.size(); }
 
   // ----- cumulative SAT effort (includes retired solvers) ----------------
 
@@ -135,23 +136,20 @@ class SweepContext {
 
   /// Adds the session's counters into an engine stats bag under the
   /// canonical names (sat.conflicts/decisions/propagations,
-  /// sweep.cache_lookups/_hits_proven/_hits_refuted, sweep.session_rebinds,
-  /// sweep.cache_remaps, and the query count as sat.backend.circuit_wins).
+  /// sweep.session_rebinds, and the query count as
+  /// sat.backend.circuit_wins).
   void exportStats(obs::Metrics& stats) const;
 
  private:
-  static std::uint64_t pairKey(aig::Lit a, aig::Lit b);
-
-  /// Retires the current solver's effort counters and starts a fresh one
-  /// bound to `aig` (shared tail of bind / remap).
-  void rebuild(const aig::Aig& aig);
+  using BankRow = std::array<std::uint64_t, kBankWords>;
 
   const aig::Aig* aig_ = nullptr;
   std::uint64_t uid_ = 0;
   std::unique_ptr<sat::CircuitSolver> solver_;
-  std::unordered_map<std::uint64_t, bool> pairFacts_;  // key -> proven?
   std::function<bool()> interrupt_;
   Counters counters_;
+  util::VarTable<BankRow> bank_;  // VarId -> banked values, bit per slot
+  std::uint64_t bankWrites_ = 0;  // patterns ever banked
 
   std::uint64_t retiredConflicts_ = 0;
   std::uint64_t retiredDecisions_ = 0;

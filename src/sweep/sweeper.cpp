@@ -92,14 +92,33 @@ aig::NodeMap bddSweep(const aig::Aig& aig, std::span<const NodeId> order,
   return merges;
 }
 
+/// Overwrites the low bits of `sigs`'s initial random columns with the
+/// session's banked counterexamples, one column per bank word, so pairs
+/// refuted by earlier sweeps start out split. A support variable no
+/// banked pattern assigned keeps its random bits.
+void seedFromBank(const aig::Aig& aig, Signatures& sigs,
+                  std::span<const VarId> support, const SweepContext& ctx) {
+  const int banked = ctx.bankedPatterns();
+  const int words = std::min(static_cast<int>(sigs.words()),
+                             SweepContext::kBankWords);
+  std::vector<std::uint64_t> bits(support.size());
+  for (int w = 0; w < words && w * 64 < banked; ++w) {
+    const auto col = static_cast<std::size_t>(w);
+    for (std::size_t i = 0; i < support.size(); ++i)
+      bits[i] = ctx.bankWord(support[i], w,
+                             sigs.of(aig.piNodeOf(support[i]))[col]);
+    sigs.refreshWord(col, bits, std::min(64, banked - 64 * w));
+  }
+}
+
 }  // namespace
 
 bool refine(const aig::Aig& aig, std::span<const NodeId> order,
             std::span<const VarId> support, Signatures& sigs, Lit care,
             SweepContext& ctx, int rounds, std::int64_t satBudget,
             util::Random& rng, SweepStats& stats, aig::NodeMap& merges) {
-  // With care everywhere a proof is a plain equivalence: it may enter the
-  // pair cache and the solver. Under a care set it is neither.
+  // With care everywhere a proof is a plain equivalence and a refutation
+  // a pattern worth banking. Under a care set it is neither.
   const bool everywhere = care == aig::kTrue;
 
   // Candidate pool: PIs first (they can only be representatives), then AND
@@ -163,31 +182,11 @@ bool refine(const aig::Aig& aig, std::span<const NodeId> order,
       if (cexCount >= 64) break;  // the next round picks the rest up
 
       if (sigs.exhaustive()) {
-        // Equal truth tables over every care pattern: proven as proposed,
-        // with no cache lookup (a cached refutation cannot exist) and no
-        // cache entry (re-proving costs one signature compare).
+        // Equal truth tables over every care pattern: proven as proposed.
         merges.set(n, target);
         ++stats.simProofs;
         ++(target.isConstant() ? stats.constMerges : stats.satMerges);
         continue;
-      }
-
-      if (everywhere) {
-        // Session pair cache first: facts proven or refuted in ANY
-        // earlier round/call on this manager skip the solver. A refuted
-        // pair's distinguishing pattern already split some earlier
-        // signature word, so the node just stays unmerged.
-        const auto fact = ctx.lookupPair(ln, target);
-        if (fact == SweepContext::PairFact::Proven) {
-          merges.set(n, target);
-          ++stats.cacheHitsProven;
-          ++(target.isConstant() ? stats.constMerges : stats.satMerges);
-          continue;
-        }
-        if (fact == SweepContext::PairFact::Refuted) {
-          ++stats.cacheHitsRefuted;
-          continue;
-        }
       }
 
       ++stats.satChecks;
@@ -201,7 +200,6 @@ bool refine(const aig::Aig& aig, std::span<const NodeId> order,
           merges.set(n, target);
           ++(target.isConstant() ? stats.constMerges : stats.satMerges);
           if (everywhere) {
-            ctx.recordProven(ln, target);
             if (target.isConstant())
               ctx.learnConstant(ln, target.isTrue());
             else
@@ -210,7 +208,7 @@ bool refine(const aig::Aig& aig, std::span<const NodeId> order,
           break;
         case sat::Verdict::Fails:
           ++stats.satRefuted;
-          if (everywhere) ctx.recordRefuted(ln, target);
+          if (everywhere) ctx.bankModel(support);
           for (std::size_t i = 0; i < support.size(); ++i)
             cexBits[i] |= std::uint64_t{ctx.modelOf(support[i]) ? 1u : 0u}
                           << cexCount;
@@ -224,10 +222,9 @@ bool refine(const aig::Aig& aig, std::span<const NodeId> order,
     }
 
     if (interrupted || cexCount == 0) break;  // stable or stopped early
-    // A full arena refuses the append: the distinguishing patterns are
-    // lost, but the loop stays sound — and with care everywhere refuted
-    // pairs are skipped via the session cache, so later rounds still
-    // make proof progress.
+    // A full arena refuses the append: the round's patterns are lost and
+    // its refuted pairs may be proposed again, but the loop stays sound
+    // and ends within `rounds` rounds.
     if (!sigs.appendWord(cexBits, cexCount, rng)) ++stats.arenaFull;
   }
   CBQ_AUDIT_CHECK("sweep.refine", audit::auditMergeOrder(aig, order, merges));
@@ -255,13 +252,16 @@ SweepResult sweep(aig::Aig& aig, std::span<const Lit> roots,
                              ? opts.maxWords
                              : initialWords + std::max(opts.maxRounds, 0);
     Signatures sigs(aig, order, support, rng, initialWords, maxWords);
+    if (!sigs.exhaustive()) {
+      seedFromBank(aig, sigs, support, ctx);
+      // Every compare point lives inside the cones of `roots`, and the
+      // manager does not grow before the final rebuild — one focus call
+      // covers every check of this sweep even when the session's solver
+      // carries the whole run's history. Exhaustive signatures make no
+      // SAT call.
+      ctx.focusOn(roots);
+    }
     CBQ_AUDIT_CHECK("sweep.signatures", audit::auditSignatures(sigs));
-    // Every compare point lives inside the cones of `roots`, and the
-    // manager does not grow before the final rebuild — one focus call
-    // covers every check of this sweep even when the session's solver
-    // carries the whole run's history. Exhaustive signatures make no SAT
-    // call.
-    if (!sigs.exhaustive()) ctx.focusOn(roots);
     refine(aig, order, support, sigs, aig::kTrue, ctx, opts.maxRounds,
            opts.satBudget, rng, out.stats, merges);
   }

@@ -20,7 +20,9 @@
 //       counterexamples that are packed — 64 at a time — into new
 //       simulation words, so the next round proposes only candidates that
 //       survive them; proofs are learned by the solver ("as long as we
-//       find equivalent points, we can learn them").
+//       find equivalent points, we can learn them"). The session banks
+//       the last SweepContext::kBankPatterns counterexamples and seeds
+//       the next sweep's random words with them.
 //
 // The paper's size-bounded BDD sweeping (shared manager, nodes whose BDDs
 // coincide modulo complement are merged, cones past the node limit drop
@@ -58,8 +60,8 @@ struct SweepOptions {
 
 struct SweepStats {
   std::size_t bddMerges = 0;   ///< merges proven by BDD pointer equality
-  std::size_t satMerges = 0;   ///< node merges proven by layer 2 (SAT,
-                               ///  pair cache or exhaustive simulation)
+  std::size_t satMerges = 0;   ///< node merges proven by layer 2 (SAT
+                               ///  or exhaustive simulation)
   std::size_t constMerges = 0; ///< nodes proven constant
   std::size_t satChecks = 0;   ///< SAT equivalence queries issued
   std::size_t simProofs = 0;   ///< layer-2 merges (node or constant)
@@ -69,8 +71,6 @@ struct SweepStats {
   std::size_t rounds = 0;      ///< refinement rounds executed
   std::size_t nodesBefore = 0; ///< cone size before
   std::size_t nodesAfter = 0;  ///< cone size after rebuild
-  std::size_t cacheHitsProven = 0;   ///< merges taken from the pair cache
-  std::size_t cacheHitsRefuted = 0;  ///< SAT checks skipped as known-refuted
   std::size_t arenaFull = 0;  ///< cex appends refused: arena at maxWords
 };
 
@@ -83,8 +83,9 @@ struct SweepResult {
 /// with merges applied. New nodes are added to `aig`; the returned literals
 /// express the same functions as the inputs.
 ///
-/// Every SAT check runs on `ctx`'s circuit solver and consults its pair
-/// cache; sweep() binds `ctx` to `aig` itself. `ctx.interrupted()` is
+/// Every SAT check runs on `ctx`'s circuit solver, and a random signature
+/// arena starts from `ctx`'s banked counterexamples (refine() feeds the
+/// bank); sweep() binds `ctx` to `aig` itself. `ctx.interrupted()` is
 /// polled once per SAT compare point: sweeping is an optimization, so
 /// when it fires the rounds stop and the cones are rebuilt with the
 /// merges already proven (sound).
@@ -99,14 +100,13 @@ SweepResult sweep(aig::Aig& aig, std::span<const aig::Lit> roots,
 /// signature — restricted to the patterns where `care` is 1 and
 /// complement-normalized — is equal. When `sigs` is exhaustive the equal
 /// signatures are the proof: the merge is taken with no SAT call
-/// (stats.simProofs) and the pair cache is neither read nor written.
-/// Otherwise, with care == kTrue, the session's pair cache answers
-/// first, and the remaining candidates are checked with SAT on `ctx`
-/// (bound to `aig` and focused on a cone covering `order` and `care`):
-///   * care == kTrue: checkEquiv/checkConstant; proofs are recorded in
-///     the cache and learned by the solver;
+/// (stats.simProofs). Otherwise each candidate is checked with SAT on
+/// `ctx` (bound to `aig` and focused on a cone covering `order` and
+/// `care`):
+///   * care == kTrue: checkEquiv/checkConstant; proofs are learned by the
+///     solver, refutations banked in the session (SweepContext::bankModel);
 ///   * otherwise: checkEquivUnderCare, a fact that holds only where care
-///     is 1 and is neither cached nor learned.
+///     is 1 and is neither learned nor banked.
 /// A refutation banks its model into the next signature word (64 per
 /// round); an Unknown answer disqualifies the node. Stops after `rounds`
 /// rounds, a round with no refutation, or when ctx.interrupted() fires;

@@ -534,7 +534,7 @@ TEST(Refine, ExhaustiveMergesMatchTruthTablesUnderCare) {
       }
       EXPECT_EQ(stats.simProofs, merged);
       EXPECT_EQ(stats.satMerges + stats.constMerges, merged);
-      EXPECT_EQ(ctx.cacheSize(), 0u);  // simulation proofs are not cached
+      EXPECT_EQ(ctx.bankedPatterns(), 0);  // no SAT call, nothing banked
     }
   }
 }

@@ -1,24 +1,25 @@
 // Persistent sweep-session tests: context-shared sweeps must agree with
-// fresh-context sweeps across successive calls, the pair cache must be
-// dropped (or correctly remapped) when the manager identity changes, the
-// context's interrupt must reach every poll site (sweeper, both DC
-// phases, the quantifier's variable schedule) and leave sound results,
-// the flat signature engine's incremental appendWord / refreshWord must
-// be bit-for-bit identical to a full resimulation, and its forced-node
-// resimulation must agree with an explicit rebuild. Tests of appends and
-// of SAT-backed checks use supports past
-// Signatures::kExhaustiveMaxInputs (test::wideXor), where the arena holds
-// random words.
+// fresh-context sweeps across successive calls, the counterexample bank
+// must keep a warm sweep from proposing a pair an earlier sweep refuted —
+// in the same manager and after a compaction into a fresh one — and must
+// leave sweeps sound, the solver must be retired when the manager
+// identity changes, the context's interrupt must reach every poll site
+// (sweeper, both DC phases, the quantifier's variable schedule) and
+// leave sound results, the flat signature engine's incremental
+// appendWord / refreshWord must be bit-for-bit identical to a full
+// resimulation, and its forced-node resimulation must agree with an
+// explicit rebuild. Tests of appends and of SAT-backed checks use
+// supports past Signatures::kExhaustiveMaxInputs (test::wideXor), where
+// the arena holds random words.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
-#include "cnf/aig_cnf.hpp"
 #include "helpers.hpp"
 #include "quant/quantifier.hpp"
-#include "sat/solver.hpp"
 #include "sweep/signatures.hpp"
 #include "sweep/sweep_context.hpp"
 #include "sweep/sweeper.hpp"
@@ -73,58 +74,129 @@ TEST_P(SweepContextRandomized, PersistentAgreesWithFreshAcrossCalls) {
   EXPECT_TRUE(ctx.boundTo(g));
 }
 
-TEST_P(SweepContextRandomized, RepeatSweepHitsPairCache) {
-  const auto seed = static_cast<std::uint64_t>(GetParam());
-  util::Random rng(seed * 131 + 3);
-  Aig g;
-  // Two structurally different builds of equivalent functions so the SAT
-  // layer has real work the first time around.
-  const Lit a = g.pi(0);
-  const Lit b = g.pi(1);
-  const Lit c = g.pi(2);
-  const Lit noise = test::randomFormula(g, rng, 3, 25);
-  const Lit f1 = g.mkOr(g.mkAnd(a, b), g.mkAnd(a, c));
-  const Lit f2 = g.mkAnd(a, g.mkOr(b, c));
-  // The third root widens the support past the exhaustive bound.
-  const Lit roots[] = {g.mkXor(f1, noise), g.mkXor(f2, noise),
-                       test::wideXor(g, 6, kWide)};
-
-  SweepContext ctx;
-  SweepOptions opts;
-  const auto first = sweep(g, roots, opts, ctx);
-  const auto lookupsAfterFirst = ctx.counters().lookups;
-
-  // Same roots again: everything provable was recorded, so the second
-  // call must consult the cache and issue no more SAT checks than before.
-  const auto second = sweep(g, roots, opts, ctx);
-  EXPECT_GT(ctx.counters().lookups, lookupsAfterFirst);
-  EXPECT_LE(second.stats.satChecks, first.stats.satChecks);
-  if (first.stats.satMerges > 0) {
-    EXPECT_GT(ctx.counters().hitsProven + ctx.counters().hitsRefuted, 0u);
+/// Roots over inputs 0..vars-1 (past the exhaustive bound) whose sweep
+/// refutes candidates: a shared base XORed with cubes of 10 distinct
+/// literals. Random signature words almost never split a cube, or the
+/// deeper nodes of its AND chain, from the constant, nor base ^ cube
+/// from base.
+std::vector<Lit> refutingRoots(Aig& g, util::Random& rng, int vars) {
+  const Lit base = test::randomFormula(g, rng, vars, 40);
+  std::vector<Lit> roots = {base, test::wideXor(g, 0, vars)};
+  std::vector<aig::VarId> order(static_cast<std::size_t>(vars));
+  std::iota(order.begin(), order.end(), aig::VarId{0});
+  for (int k = 0; k < 4; ++k) {
+    Lit cube = aig::kTrue;
+    for (int i = 0; i < 10; ++i) {
+      std::swap(order[static_cast<std::size_t>(i)],
+                order[static_cast<std::size_t>(i) +
+                      rng.below(static_cast<std::uint64_t>(vars - i))]);
+      cube = g.mkAnd(cube, g.pi(order[static_cast<std::size_t>(i)]) ^
+                               rng.flip());
+    }
+    roots.push_back(g.mkXor(base, cube));
   }
-  EXPECT_EQ(test::truthTable(g, first.roots[0], 3 + 3),
-            test::truthTable(g, second.roots[0], 3 + 3));
+  return roots;
+}
+
+constexpr int kRefutingVars = kWide + 1;
+
+TEST_P(SweepContextRandomized, RepeatSweepReQueriesNoRefutedPair) {
+  util::Random rng(static_cast<std::uint64_t>(GetParam()) * 131 + 3);
+  Aig g;
+  const auto roots = refutingRoots(g, rng, kRefutingVars);
+  SweepContext ctx;
+  const auto first = sweep(g, roots, {}, ctx);
+  ASSERT_GT(first.stats.satRefuted, 0u);
+  ASSERT_LE(first.stats.satRefuted,
+            static_cast<std::size_t>(SweepContext::kBankPatterns));
+  EXPECT_EQ(static_cast<std::size_t>(ctx.bankedPatterns()),
+            first.stats.satRefuted);
+
+  // Same roots, same seed. A cold session proposes and refutes the same
+  // pairs again. On the warm session every pattern that refuted a pair
+  // is in the initial signatures, so no refuted pair is proposed again;
+  // what is left are pairs the first sweep split with random words the
+  // bank overwrote.
+  SweepContext cold;
+  EXPECT_EQ(sweep(g, roots, {}, cold).stats.satRefuted,
+            first.stats.satRefuted);
+  const auto second = sweep(g, roots, {}, ctx);
+  EXPECT_LT(second.stats.satRefuted, first.stats.satRefuted);
+  for (std::size_t i = 0; i < roots.size(); ++i)
+    EXPECT_EQ(test::truthTable(g, second.roots[i], kRefutingVars),
+              test::truthTable(g, roots[i], kRefutingVars))
+        << "root " << i;
+}
+
+TEST_P(SweepContextRandomized, BankSurvivesCompaction) {
+  util::Random rng(static_cast<std::uint64_t>(GetParam()) * 29 + 1);
+  Aig g;
+  const auto roots = refutingRoots(g, rng, kRefutingVars);
+  SweepContext ctx;
+  const auto first = sweep(g, roots, {}, ctx);
+  ASSERT_GT(first.stats.satRefuted, 0u);
+  const int banked = ctx.bankedPatterns();
+
+  // Compaction idiom: transfer the live cones into a fresh manager, move
+  // it over the old one and rebind. The bank is keyed by VarId, so it
+  // needs no remap: against a cold session on the moved cones, the warm
+  // one refutes fewer pairs.
+  Aig fresh;
+  const auto moved = fresh.transferFrom(g, roots);
+  g = std::move(fresh);
+  EXPECT_TRUE(ctx.bind(g));
+  EXPECT_EQ(ctx.bankedPatterns(), banked);
+  SweepContext cold;
+  const auto coldRefuted = sweep(g, moved, {}, cold).stats.satRefuted;
+  ASSERT_GT(coldRefuted, 0u);
+  const auto second = sweep(g, moved, {}, ctx);
+  EXPECT_LT(second.stats.satRefuted, coldRefuted);
+  for (std::size_t i = 0; i < roots.size(); ++i)
+    EXPECT_EQ(test::truthTable(g, second.roots[i], kRefutingVars),
+              test::truthTable(g, moved[i], kRefutingVars))
+        << "root " << i;
+}
+
+TEST_P(SweepContextRandomized, WarmBankSweepStaysSound) {
+  util::Random rng(static_cast<std::uint64_t>(GetParam()) * 37 + 5);
+  Aig g;
+  SweepContext ctx;
+  (void)sweep(g, refutingRoots(g, rng, kRefutingVars), {}, ctx);
+  ASSERT_GT(ctx.bankedPatterns(), 0);
+
+  // New cones on the same support, seeded from the warm bank: refuted
+  // candidates, and the two XOR builds as a compare point SAT must prove.
+  auto roots = refutingRoots(g, rng, kRefutingVars);
+  roots.push_back(test::wideXorReversed(g, 0, kRefutingVars));
+  const auto r = sweep(g, roots, {}, ctx);
+  EXPECT_GT(r.stats.satChecks, 0u);
+  for (std::size_t i = 0; i < roots.size(); ++i)
+    EXPECT_EQ(test::truthTable(g, r.roots[i], kRefutingVars),
+              test::truthTable(g, roots[i], kRefutingVars))
+        << "root " << i;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SweepContextRandomized,
                          ::testing::Range(0, 8));
 
-TEST(SweepContext, RebindDropsCacheOnManagerIdentityChange) {
+TEST(SweepContext, RebindRetiresSolverOnManagerIdentityChange) {
   Aig g;
-  const Lit a = g.pi(0);
-  const Lit b = g.pi(1);
-  const Lit f1 = g.mkOr(g.mkAnd(a, b), g.mkAnd(a, !b));  // = a
+  const Lit f = test::wideXor(g, 0, kWide);
   SweepContext ctx;
   ctx.bind(g);
-  ctx.recordProven(f1, a);
-  EXPECT_EQ(ctx.lookupPair(f1, a), SweepContext::PairFact::Proven);
+  const Lit roots[] = {f};
+  ctx.focusOn(roots);
+  ASSERT_EQ(ctx.checkConstant(f, false), sat::Verdict::Fails);
+  const aig::VarId support[] = {0, 1, 2};
+  ctx.bankModel(support);
+  const std::uint64_t word = ctx.bankWord(1, 0, ~std::uint64_t{0});
   const std::uint64_t uidBefore = g.uid();
 
   // Compaction idiom: transfer the live cone into a fresh manager and
   // move it over the old one. The object address is unchanged but the
-  // identity is new — bind() must detect it and drop the cache.
+  // identity is new — bind() must detect it and retire the solver, and
+  // the bank, keyed by VarId, stays.
   Aig fresh;
-  const Lit roots[] = {f1};
   fresh.transferFrom(g, roots);
   g = std::move(fresh);
   EXPECT_NE(g.uid(), uidBefore);
@@ -133,32 +205,9 @@ TEST(SweepContext, RebindDropsCacheOnManagerIdentityChange) {
   const auto rebinds = ctx.counters().rebinds;
   EXPECT_TRUE(ctx.bind(g));
   EXPECT_EQ(ctx.counters().rebinds, rebinds + 1);
-  // The old fact must be gone — its NodeIds mean something else now.
-  EXPECT_EQ(ctx.lookupPair(f1, a), SweepContext::PairFact::Unknown);
-}
-
-TEST(SweepContext, RebindRemappedCarriesFactsAcrossCompaction) {
-  Aig g;
-  util::Random rng(99);
-  const Lit f = test::randomFormula(g, rng, 4, 30);
-  const Lit p = g.pi(0);
-  SweepContext ctx;
-  ctx.bind(g);
-  ctx.recordProven(f, p);          // survives: both cones stay live
-  const Lit scratch = g.mkAnd(g.pi(7), g.pi(8));
-  ctx.recordRefuted(scratch, p);   // dies: scratch is not transferred
-
-  Aig fresh;
-  std::vector<std::pair<aig::NodeId, Lit>> xfer;
-  const Lit roots[] = {f, p};
-  const auto moved = fresh.transferFrom(g, roots, xfer);
-  g = std::move(fresh);
-  ctx.rebindRemapped(g, xfer);
-
-  EXPECT_TRUE(ctx.boundTo(g));
-  EXPECT_EQ(ctx.lookupPair(moved[0], moved[1]),
-            SweepContext::PairFact::Proven);
-  EXPECT_GE(ctx.counters().remaps, 1u);
+  EXPECT_EQ(ctx.bankedPatterns(), 1);
+  EXPECT_EQ(ctx.bankWord(1, 0, ~std::uint64_t{0}), word);
+  EXPECT_EQ(ctx.bankWord(kWide, 0, 7u), 7u);  // in no banked pattern
 }
 
 TEST(SweepContext, SweepAfterCompactionStaysSound) {
@@ -508,40 +557,6 @@ TEST(Signatures, RefreshAndRelayoutKeepThePatterns) {
       EXPECT_EQ(simulated, g.evaluate(h, a)) << "word " << w << " bit " << bit;
     }
   }
-}
-
-TEST(SolverFocus, FocusedQueriesStaySoundInSharedDatabase) {
-  // Two disjoint cones in one solver; focusing on one must not change
-  // the answers for queries inside it, and a later focus on the other
-  // cone must still decide that cone's variables (heap rebuild).
-  Aig g;
-  const Lit x = g.pi(0);
-  const Lit y = g.pi(1);
-  const Lit coneA = g.mkXor(x, y);
-  const Lit u = g.pi(2);
-  const Lit v = g.pi(3);
-  const Lit coneB = g.mkAnd(u, v);
-
-  sat::Solver solver;
-  cnf::AigCnf cnf(g, solver);
-
-  const Lit aRoots[] = {coneA};
-  cnf.focusOn(aRoots);
-  EXPECT_EQ(cnf::checkSat(cnf, coneA), cnf::Verdict::Holds);
-  EXPECT_EQ(cnf::checkEquiv(cnf, coneA, coneA), cnf::Verdict::Holds);
-  EXPECT_EQ(cnf::checkConstant(cnf, coneA, false), cnf::Verdict::Fails);
-
-  const Lit bRoots[] = {coneB};
-  cnf.focusOn(bRoots);
-  EXPECT_EQ(cnf::checkSat(cnf, coneB), cnf::Verdict::Holds);
-  EXPECT_TRUE(cnf.modelOf(2));
-  EXPECT_TRUE(cnf.modelOf(3));
-  EXPECT_EQ(cnf::checkImplies(cnf, coneB, u), cnf::Verdict::Holds);
-  EXPECT_EQ(cnf::checkImplies(cnf, u, coneB), cnf::Verdict::Fails);
-
-  // Unfocus: a full-assignment query over both cones still works.
-  solver.unfocusDecisions();
-  EXPECT_EQ(cnf::checkSat(cnf, g.mkAnd(coneA, coneB)), cnf::Verdict::Holds);
 }
 
 }  // namespace
