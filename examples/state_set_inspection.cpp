@@ -5,9 +5,12 @@
 // Builds a one-step pre-image formula of the even-stepping counter —
 // exactly the kind of state set the paper's traversal manipulates —
 // and eliminates the input variable three ways:
-//   1. plain Shannon expansion (both phases off),
+//   1. Shannon expansion with both §2 phases off (the quantifier still
+//      rewrites the disjunction structurally),
 //   2. the full §2 pipeline (merge + don't-care optimization),
 //   3. the §3 substitution rule when the formula has definition shape.
+// The pre-image has no definition conjunct for the input, so 1 and 2 take
+// the cofactor path.
 // Prints the resulting circuit sizes, and optionally dumps the optimized
 // state set as Graphviz dot for inspection.
 
@@ -40,10 +43,8 @@ int main(int argc, char** argv) {
 
   // 1. Shannon expansion only.
   quant::QuantOptions plain;
-  plain.useSubstitution = false;
   plain.mergePhase = false;
   plain.optPhase = false;
-  plain.rewriteResult = false;
   sweep::SweepContext session;  // one sweep session for both pipelines
   quant::Quantifier qPlain(mgr, plain, session);
   const aig::Lit rPlain = qPlain.quantifyVarForced(pre, enable);
@@ -51,9 +52,7 @@ int main(int argc, char** argv) {
               mgr.coneSize(rPlain));
 
   // 2. Full pipeline.
-  quant::QuantOptions full;
-  full.useSubstitution = false;  // force the cofactor path
-  quant::Quantifier qFull(mgr, full, session);
+  quant::Quantifier qFull(mgr, {}, session);
   const aig::Lit rFull = qFull.quantifyVarForced(pre, enable);
   std::printf("merge + dc optimization:  %4zu AND nodes "
               "(%lld merges, %lld dc replacements)\n",

@@ -75,12 +75,11 @@ Trace reconstructTrace(const Network& net, aig::Aig& archive,
 
 }  // namespace
 
-BackwardReachSession::BackwardReachSession(
-    const Network& net, std::string engineName, const ReachLimits& limits,
-    InputEliminator eliminate)
+BackwardReachSession::BackwardReachSession(const Network& net,
+                                           std::string engineName,
+                                           InputEliminator eliminate)
     : Session(std::move(engineName)),
       net_(&net),
-      limits_(limits),
       eliminate_(std::move(eliminate)) {
   // Working manager: next-state functions + bad cone.
   std::vector<Lit> roots(net.next.begin(), net.next.end());
@@ -200,8 +199,6 @@ Progress BackwardReachSession::run(const portfolio::Budget& bud) {
         break;
       }
       case Phase::Guard: {
-        if (iter_ >= limits_.maxIterations)
-          return report(Verdict::Unknown, true, iter_);
         const Lit rr[] = {reached_};
         const std::size_t sz = mgr_.coneSize(rr);
         res_.stats.high("reach.max_reached_cone", static_cast<double>(sz));

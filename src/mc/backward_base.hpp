@@ -69,7 +69,7 @@ using InputEliminator =
 class BackwardReachSession final : public Session {
  public:
   BackwardReachSession(const Network& net, std::string engineName,
-                       const ReachLimits& limits, InputEliminator eliminate);
+                       InputEliminator eliminate);
 
  protected:
   Progress doResume(const portfolio::Budget& budget) override;
@@ -82,7 +82,7 @@ class BackwardReachSession final : public Session {
   // is strashed and the retried query starts from identical inputs.
   enum class Phase : std::uint8_t {
     Init,   ///< frontier 0: eliminate inputs from the bad cone
-    Guard,  ///< iteration/cone limits, then commit to the next pre-image
+    Guard,  ///< cone limits, then commit to the next pre-image
     Pre,    ///< in-line substitution + input elimination -> pre_
     Fix,    ///< pre_ => reached? (Safe on fixpoint), then the collapse
     Trace,  ///< counterexample reconstruction over the archive
@@ -97,7 +97,6 @@ class BackwardReachSession final : public Session {
   void compact();
 
   const Network* net_;
-  ReachLimits limits_;
   InputEliminator eliminate_;
 
   aig::Aig mgr_;                     ///< working manager

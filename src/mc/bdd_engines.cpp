@@ -190,8 +190,7 @@ class BddBackwardSession final : public BddSessionBase {
           break;
         }
         case Phase::Guard: {
-          if (iter_ >= opts_.limits.maxIterations ||
-              bud.nodesExceeded(mgr_->numNodes()))
+          if (bud.nodesExceeded(mgr_->numNodes()))
             return report(Verdict::Unknown, true, iter_);
           ++iter_;
           phase_ = Phase::Pre;
@@ -299,8 +298,7 @@ class BddForwardSession final : public BddSessionBase {
             phase_ = Phase::Trace;
             break;
           }
-          if (iter_ >= opts_.limits.maxIterations ||
-              bud.nodesExceeded(bm.numNodes()))
+          if (bud.nodesExceeded(bm.numNodes()))
             return report(Verdict::Unknown, true, iter_);
           ++iter_;
           phase_ = Phase::Img;

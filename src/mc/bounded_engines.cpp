@@ -13,6 +13,9 @@ namespace cbq::mc {
 
 namespace {
 
+/// Induction depth beyond which k-induction gives up (Unknown).
+constexpr int kMaxInductionDepth = 64;
+
 /// Extracts a counterexample trace of length `depth+1` from the model of
 /// an unrolled solver.
 Trace traceFromModel(const Unroller& unroller, int depth) {
@@ -66,9 +69,8 @@ class BmcSession final : public Session {
 
 class KInductionSession final : public Session {
  public:
-  KInductionSession(const Network& net, const InductionOptions& opts)
-      : Session("k-induction"), net_(&net), opts_(opts),
-        base_(net, baseSolver_) {
+  explicit KInductionSession(const Network& net)
+      : Session("k-induction"), net_(&net), base_(net, baseSolver_) {
     baseSolver_.setInterrupt(interrupt());
     base_.assertInit();
   }
@@ -77,7 +79,7 @@ class KInductionSession final : public Session {
   Progress doResume(const portfolio::Budget& bud) override {
     for (;;) {
       // res_.steps is the last k whose check started.
-      if (k_ > opts_.maxK)
+      if (k_ > kMaxInductionDepth)
         return report(Verdict::Unknown, true, k_, res_.steps);
       if (bud.exhausted())
         return report(Verdict::Unknown, false, k_, res_.steps);
@@ -143,7 +145,6 @@ class KInductionSession final : public Session {
 
  private:
   const Network* net_;
-  InductionOptions opts_;
   sat::Solver baseSolver_;
   Unroller base_;
   std::unique_ptr<sat::Solver> stepSolver_;  ///< per-k, survives pauses
@@ -160,7 +161,7 @@ std::unique_ptr<Session> Bmc::start(const Network& net) const {
 }
 
 std::unique_ptr<Session> KInduction::start(const Network& net) const {
-  return std::make_unique<KInductionSession>(net, opts_);
+  return std::make_unique<KInductionSession>(net);
 }
 
 }  // namespace cbq::mc

@@ -56,11 +56,11 @@ namespace cbq::mc {
 /// The budget passed to resume() is the session's only clock: it carries
 /// the caller's cooperative cancellation (the scheduler's token), the
 /// wall deadline (`--timeout` or a slice's share of it), the RSS ceiling
-/// and the node limit. Engines add only structural bounds (iterations,
-/// depth, cone and node caps). The base owns the plumbing every engine
-/// shares: the result record, the budget of the resume in progress with
-/// the one interrupt callback every owned solver polls, and the Progress
-/// report.
+/// and the node limit. Engines add only structural bounds (BMC and
+/// induction depth, cone and node caps). The base owns the plumbing every
+/// engine shares: the result record, the budget of the resume in progress
+/// with the one interrupt callback every owned solver polls, and the
+/// Progress report.
 ///
 /// The Network handed to start() must outlive the session, and a session
 /// must not run concurrently with other readers of that Network (const
@@ -181,12 +181,6 @@ class Engine {
   }
 };
 
-/// Shared structural bound for the fixpoint engines; wall time is the
-/// budget's alone.
-struct ReachLimits {
-  int maxIterations = 10000;
-};
-
 /// Reached-set cone size beyond which the AIG reachability engines give
 /// up (Unknown).
 inline constexpr std::size_t kHardConeLimit = 2'000'000;
@@ -195,7 +189,6 @@ inline constexpr std::size_t kHardConeLimit = 2'000'000;
 
 struct CircuitQuantReachOptions {
   quant::QuantOptions quant{};
-  ReachLimits limits{};
 };
 
 class CircuitQuantReach final : public Engine {
@@ -221,29 +214,19 @@ class CircuitQuantReach final : public Engine {
 /// Much heavier per step than the backward engine (more variables per
 /// quantification) — which is why the paper works backward — but it
 /// provides the measurement for that claim and finds shallow bugs fast.
-struct CircuitQuantForwardOptions {
-  quant::QuantOptions quant{};
-  ReachLimits limits{};
-};
-
+/// It quantifies with default quant::QuantOptions.
 class CircuitQuantForwardReach final : public Engine {
  public:
-  explicit CircuitQuantForwardReach(CircuitQuantForwardOptions opts = {})
-      : opts_(opts) {}
   [[nodiscard]] std::string name() const override { return "cbq-fwd"; }
 
   [[nodiscard]] std::unique_ptr<Session> start(
       const Network& net) const override;
-
- private:
-  CircuitQuantForwardOptions opts_;
 };
 
 // ----- BDD baselines ----------------------------------------------------------
 
 struct BddReachOptions {
   std::size_t nodeLimit = 4'000'000;  ///< abort to Unknown beyond this
-  ReachLimits limits{};
 };
 
 class BddBackwardReach final : public Engine {
@@ -288,27 +271,23 @@ class Bmc final : public Engine {
   BmcOptions opts_;
 };
 
-struct InductionOptions {
-  int maxK = 64;
-};
-
 class KInduction final : public Engine {
  public:
-  explicit KInduction(InductionOptions opts = {}) : opts_(opts) {}
   [[nodiscard]] std::string name() const override { return "k-induction"; }
 
   [[nodiscard]] std::unique_ptr<Session> start(
       const Network& net) const override;
-
- private:
-  InductionOptions opts_;
 };
 
 // ----- all-SAT pre-image & hybrid ---------------------------------------------------
 
+/// Cofactor enumerations per pre-image beyond which the all-SAT
+/// elimination gives up (Unknown).
+inline constexpr int kMaxEnumPerImage = 1 << 16;
+
 struct AllSatReachOptions {
-  int maxEnumPerImage = 1 << 16;  ///< cofactor enumerations per pre-image
-  ReachLimits limits{};
+  int maxEnumPerImage = kMaxEnumPerImage;  ///< cofactor enumerations
+                                           ///< per pre-image
 };
 
 class AllSatPreimageReach final : public Engine {
@@ -323,10 +302,10 @@ class AllSatPreimageReach final : public Engine {
   AllSatReachOptions opts_;
 };
 
+/// Enumerates the residual inputs with at most kMaxEnumPerImage
+/// cofactors per pre-image.
 struct HybridReachOptions {
   quant::QuantOptions quant{};    ///< partial quantification (aborts on)
-  int maxEnumPerImage = 1 << 16;
-  ReachLimits limits{};
 };
 
 class HybridReach final : public Engine {
@@ -352,8 +331,7 @@ struct PreprocessResult {
 /// Eliminates primary inputs from the bad cone by circuit quantification —
 /// sound for invariant checking because the violation test is terminal.
 /// Reduces the decision variables any SAT-based engine spends on `bad`.
-PreprocessResult preprocessQuantifyInputs(const Network& net,
-                                          const quant::QuantOptions& opts = {});
+PreprocessResult preprocessQuantifyInputs(const Network& net);
 
 /// The full engine portfolio with default options (used by benches/tests).
 std::vector<std::unique_ptr<Engine>> makeAllEngines();

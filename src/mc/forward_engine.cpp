@@ -118,9 +118,8 @@ std::optional<Trace> extractTrace(const Network& net, ForwardModel& m,
 
 class ForwardReachSession final : public Session {
  public:
-  ForwardReachSession(const Network& net,
-                      const CircuitQuantForwardOptions& opts)
-      : Session("cbq-fwd"), net_(&net), opts_(opts) {
+  explicit ForwardReachSession(const Network& net)
+      : Session("cbq-fwd"), net_(&net) {
     buildModel(net, m_);
     rings_.assign(1, m_.initCube);  // onion rings R_0, R_1, ...
     reached_ = m_.initCube;
@@ -154,8 +153,6 @@ class ForwardReachSession final : public Session {
           break;
         }
         case Phase::Guard: {
-          if (iter_ >= opts_.limits.maxIterations)
-            return report(Verdict::Unknown, true, iter_);
           const Lit rr[] = {reached_};
           const std::size_t sz = m_.mgr.coneSize(rr);
           res_.stats.high("reach.max_reached_cone",
@@ -189,20 +186,13 @@ class ForwardReachSession final : public Session {
           }
           sweep::SweepContext imgCtx;
           imgCtx.setInterrupt(interrupt());
-          quant::Quantifier q(m_.mgr, opts_.quant, imgCtx);
-          auto r = q.quantifyAll(imgWork_, imgVars_);
+          quant::Quantifier q(m_.mgr, {}, imgCtx);
+          auto r = q.quantifyAllForced(imgWork_, imgVars_);
           imgWork_ = r.f;
-          imgVars_ = r.residual;
-          bool interrupted = bud.exhausted();  // quantifyAll stopped early
-          while (!interrupted && !imgVars_.empty()) {
-            // Forced expansion of abort survivors: no growth bound.
-            imgWork_ = q.quantifyVarForced(imgWork_, imgVars_.front());
-            imgVars_.erase(imgVars_.begin());
-            interrupted = bud.exhausted();
-          }
+          imgVars_ = std::move(r.residual);
           res_.stats.merge(q.stats());
           imgCtx.exportStats(res_.stats);
-          if (interrupted && !imgVars_.empty())  // pause mid-image
+          if (!imgVars_.empty())  // pause mid-image
             return report(Verdict::Unknown, false, iter_);
           img_ = m_.mgr.compose(imgWork_, m_.renameBack);
           imgActive_ = false;
@@ -242,7 +232,6 @@ class ForwardReachSession final : public Session {
   enum class Phase : std::uint8_t { Bad, Guard, Img, Fix };
 
   const Network* net_;
-  CircuitQuantForwardOptions opts_;
   ForwardModel m_;
   sweep::SweepContext session_;
   std::vector<Lit> rings_;
@@ -260,7 +249,7 @@ class ForwardReachSession final : public Session {
 
 std::unique_ptr<Session> CircuitQuantForwardReach::start(
     const Network& net) const {
-  return std::make_unique<ForwardReachSession>(net, opts_);
+  return std::make_unique<ForwardReachSession>(net);
 }
 
 }  // namespace cbq::mc

@@ -17,7 +17,7 @@ struct Network;
 enum class Verdict : std::uint8_t {
   Safe,    ///< invariant proven (fixpoint reached / induction succeeded)
   Unsafe,  ///< counterexample found
-  Unknown, ///< resource bound hit (depth, iterations, enumeration, time)
+  Unknown, ///< resource bound hit (depth, cone, enumeration, time)
 };
 
 [[nodiscard]] inline const char* toString(Verdict v) {
@@ -61,8 +61,8 @@ struct CheckResult {
 struct Progress {
   CheckResult result;  ///< cumulative; verdict stays Unknown while paused
   /// True when this session will never make further progress: a
-  /// definitive verdict, the engine's structural limits (max
-  /// iterations / depth, cone or node caps), or a permanent failure.
+  /// definitive verdict, the engine's structural limits (BMC or
+  /// induction depth, cone or node caps), or a permanent failure.
   /// resume() after done returns the same Progress.
   bool done = false;
   int bound = 0;            ///< fixpoint iterations committed / BMC depth

@@ -127,33 +127,19 @@ std::unique_ptr<Session> CircuitQuantReach::start(const Network& net) const {
           const detail::PreImageRequest& req) mutable -> std::optional<Lit> {
     // The run-wide sweep session; its interrupt polls the budget.
     quant::Quantifier q(*req.mgr, quantOpts, *req.session);
-    Lit f = req.formula;
-    std::vector<VarId> vars(req.net->inputVars);
-    if (carry.active && carry.formula == req.formula) {
-      f = carry.work;
-      vars = std::move(carry.vars);
-    }
+    const bool resumed = carry.active && carry.formula == req.formula;
     carry.active = false;
-    auto r = q.quantifyAll(f, vars);
-    f = r.f;
-    vars = std::move(r.residual);
-    // A standalone circuit engine must finish the job: aborted variables
-    // are expanded without the growth bound.
-    bool interrupted = req.budget->exhausted();
-    while (!interrupted && !vars.empty()) {
-      f = q.quantifyVarForced(f, vars.front());
-      vars.erase(vars.begin());
-      interrupted = req.budget->exhausted();
-    }
+    auto r = resumed ? q.quantifyAllForced(carry.work, carry.vars)
+                     : q.quantifyAllForced(req.formula, req.net->inputVars);
     req.stats->merge(q.stats());
-    if (interrupted && !vars.empty()) {
-      carry = {true, req.formula, f, std::move(vars), 0};
+    if (!r.residual.empty()) {  // paused mid-elimination
+      carry = {true, req.formula, r.f, std::move(r.residual), 0};
       return std::nullopt;
     }
-    return f;
+    return r.f;
   };
-  return std::make_unique<detail::BackwardReachSession>(
-      net, name(), opts_.limits, eliminate);
+  return std::make_unique<detail::BackwardReachSession>(net, name(),
+                                                        eliminate);
 }
 
 std::unique_ptr<Session> AllSatPreimageReach::start(const Network& net) const {
@@ -163,14 +149,13 @@ std::unique_ptr<Session> AllSatPreimageReach::start(const Network& net) const {
     return allSatEliminate(*req.mgr, req.formula, req.net->inputVars,
                            maxEnum, *req.stats, *req.budget, carry);
   };
-  return std::make_unique<detail::BackwardReachSession>(
-      net, name(), opts_.limits, eliminate);
+  return std::make_unique<detail::BackwardReachSession>(net, name(),
+                                                        eliminate);
 }
 
 std::unique_ptr<Session> HybridReach::start(const Network& net) const {
   const auto eliminate =
-      [quantOpts = opts_.quant, maxEnum = opts_.maxEnumPerImage,
-       carry = EliminateCarry{}](
+      [quantOpts = opts_.quant, carry = EliminateCarry{}](
           const detail::PreImageRequest& req) mutable -> std::optional<Lit> {
     // Phase 1 (§4): partial circuit quantification — cheap variables are
     // eliminated, blow-up-prone ones abort and stay. A pause mid-phase-2
@@ -186,15 +171,14 @@ std::unique_ptr<Session> HybridReach::start(const Network& net) const {
                    static_cast<std::int64_t>(r.residual.size()));
     if (r.residual.empty()) return r.f;
     // Phase 2: the remaining decision variables go to all-SAT enumeration.
-    return allSatEliminate(*req.mgr, r.f, r.residual, maxEnum, *req.stats,
-                           *req.budget, carry);
+    return allSatEliminate(*req.mgr, r.f, r.residual, kMaxEnumPerImage,
+                           *req.stats, *req.budget, carry);
   };
-  return std::make_unique<detail::BackwardReachSession>(
-      net, name(), opts_.limits, eliminate);
+  return std::make_unique<detail::BackwardReachSession>(net, name(),
+                                                        eliminate);
 }
 
-PreprocessResult preprocessQuantifyInputs(const Network& net,
-                                          const quant::QuantOptions& opts) {
+PreprocessResult preprocessQuantifyInputs(const Network& net) {
   PreprocessResult out;
   out.net.name = net.name + "+qpre";
   out.net.stateVars = net.stateVars;
@@ -218,7 +202,7 @@ PreprocessResult preprocessQuantifyInputs(const Network& net,
   out.inputsBefore = badInputs.size();
 
   sweep::SweepContext ctx;
-  quant::Quantifier q(out.net.aig, opts, ctx);
+  quant::Quantifier q(out.net.aig, {}, ctx);
   auto r = q.quantifyAll(bad, badInputs);
   out.net.bad = r.f;
 

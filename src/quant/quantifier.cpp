@@ -130,9 +130,7 @@ std::optional<Lit> Quantifier::quantifyVarImpl(Lit f, VarId v,
     stats_.add("quant.vars_trivial");
     return f;
   }
-  if (opts_.useSubstitution) {
-    if (auto sub = quantifyBySubstitution(f, v)) return sub;
-  }
+  if (auto sub = quantifyBySubstitution(f, v)) return sub;
   const std::size_t before = aig_->coneSize(f);
   stats_.add("quant.cone_before_total", static_cast<std::int64_t>(before));
 
@@ -195,11 +193,8 @@ std::optional<Lit> Quantifier::quantifyVarImpl(Lit f, VarId v,
                  static_cast<std::int64_t>(r->stats.odcSimRefuted));
     }
   }
-  Lit result = aig_->mkOr(f0, f1);
-  if (opts_.rewriteResult) {
-    const Lit roots[] = {result};
-    result = synth::rewrite(*aig_, roots).front();
-  }
+  const Lit disjunction[] = {aig_->mkOr(f0, f1)};
+  const Lit result = synth::rewrite(*aig_, disjunction).front();
 
   const std::size_t after = aig_->coneSize(result);
   stats_.add("quant.cone_after_total", static_cast<std::int64_t>(after));
@@ -327,6 +322,16 @@ Quantifier::Result Quantifier::quantifyAll(Lit f,
   stats_.add("quant.residual_vars",
              static_cast<std::int64_t>(out.residual.size()));
   return out;
+}
+
+Quantifier::Result Quantifier::quantifyAllForced(
+    Lit f, std::span<const VarId> vars) {
+  Result r = quantifyAll(f, vars);
+  while (!r.residual.empty() && !ctx_->interrupted()) {
+    r.f = quantifyVarForced(r.f, r.residual.front());
+    r.residual.erase(r.residual.begin());
+  }
+  return r;
 }
 
 }  // namespace cbq::quant

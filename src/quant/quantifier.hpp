@@ -34,11 +34,12 @@
 
 namespace cbq::quant {
 
+/// The §3 substitution rule and the structural rewrite of each
+/// disjunction always run; the phases between them are switchable for
+/// the ablation tables.
 struct QuantOptions {
-  bool useSubstitution = true;   ///< §3 in-lining fast path (see below)
   bool mergePhase = true;        ///< enable §2.1 (sweeping of the cofactors)
   bool optPhase = true;          ///< enable §2.2 (DC-based simplification)
-  bool rewriteResult = true;     ///< structural cleanup of the disjunction
   sweep::SweepOptions sweepOpts{};
   synth::DcOptions dcOpts{};
   double growthLimit = 2.0;      ///< §4 partial quantification: abort var
@@ -77,7 +78,7 @@ class Quantifier {
   /// with no cofactor doubling at all. Returns std::nullopt when no such
   /// conjunct exists. Backward-reachability formulas have this shape by
   /// construction, which is the paper's §3 observation; quantifyVar tries
-  /// this rule first when options().useSubstitution is set.
+  /// this rule first.
   std::optional<aig::Lit> quantifyBySubstitution(aig::Lit f, aig::VarId v);
 
   struct Result {
@@ -89,10 +90,16 @@ class Quantifier {
   /// abort policy. Residual variables still occur in the returned formula.
   Result quantifyAll(aig::Lit f, std::span<const aig::VarId> vars);
 
+  /// Eliminates every variable of `vars` — a standalone engine must
+  /// finish the job: quantifyAll, then each aborted variable expanded
+  /// with quantifyVarForced (no growth bound). When the context's
+  /// interrupt fires, the result is partial: `residual` holds the
+  /// variables still to eliminate from `f`, and a later call with both
+  /// continues where this one stopped. Otherwise `residual` is empty.
+  Result quantifyAllForced(aig::Lit f, std::span<const aig::VarId> vars);
+
   [[nodiscard]] const obs::Metrics& stats() const { return stats_; }
   obs::Metrics& stats() { return stats_; }
-
-  [[nodiscard]] const QuantOptions& options() const { return opts_; }
 
  private:
   std::optional<aig::Lit> quantifyVarImpl(aig::Lit f, aig::VarId v,

@@ -88,9 +88,8 @@ class Signatures {
   /// to the support array) is the j-th stored counterexample value, the
   /// remaining bits random noise — and simulates ONLY the new column.
   /// Returns false (and changes nothing, not even the RNG stream) when the
-  /// arena is full (words() == stride()), so refinement loops can tell a
-  /// real append from a no-op and surface an arena-full stat. An
-  /// exhaustive arena is always full.
+  /// arena is full (words() == stride()), so a caller can tell a real
+  /// append from a no-op. An exhaustive arena is always full.
   [[nodiscard]] bool appendWord(std::span<const std::uint64_t> cexBits,
                                 int cexCount, util::Random& rng);
 

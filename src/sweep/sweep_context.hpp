@@ -99,8 +99,8 @@ class SweepContext {
 
   // ----- counterexample bank ---------------------------------------------
 
-  /// Bank size in 64-pattern words: the sweeper's default initial
-  /// signature words (SweepOptions::numWords), so a full bank fills them.
+  /// Bank size in 64-pattern words, and the initial words of every
+  /// random signature arena sweep() builds, so a full bank fills them.
   static constexpr int kBankWords = 2;
   static constexpr int kBankPatterns = kBankWords * 64;
 

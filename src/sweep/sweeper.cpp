@@ -22,6 +22,14 @@ using aig::VarId;
 /// past it drop out and stay unmerged.
 constexpr std::size_t kBddNodeLimit = 2000;
 
+/// A random arena's initial words: one per bank word, so a full
+/// counterexample bank fills them.
+constexpr int kInitialWords = SweepContext::kBankWords;
+/// Refinement round limit; the arena reserves one counterexample word
+/// per round, so no append is refused.
+constexpr int kMaxRounds = 16;
+constexpr std::uint64_t kSeed = 0x5eed;
+
 /// BDD sweeping (useSat off): merges every AND of `order` whose
 /// size-bounded BDD equals (modulo complement) a constant, a PI or an
 /// earlier node's BDD. Every merge is a proven equivalence.
@@ -99,10 +107,8 @@ aig::NodeMap bddSweep(const aig::Aig& aig, std::span<const NodeId> order,
 void seedFromBank(const aig::Aig& aig, Signatures& sigs,
                   std::span<const VarId> support, const SweepContext& ctx) {
   const int banked = ctx.bankedPatterns();
-  const int words = std::min(static_cast<int>(sigs.words()),
-                             SweepContext::kBankWords);
   std::vector<std::uint64_t> bits(support.size());
-  for (int w = 0; w < words && w * 64 < banked; ++w) {
+  for (int w = 0; w < kInitialWords && w * 64 < banked; ++w) {
     const auto col = static_cast<std::size_t>(w);
     for (std::size_t i = 0; i < support.size(); ++i)
       bits[i] = ctx.bankWord(support[i], w,
@@ -225,7 +231,7 @@ bool refine(const aig::Aig& aig, std::span<const NodeId> order,
     // A full arena refuses the append: the round's patterns are lost and
     // its refuted pairs may be proposed again, but the loop stays sound
     // and ends within `rounds` rounds.
-    if (!sigs.appendWord(cexBits, cexCount, rng)) ++stats.arenaFull;
+    static_cast<void>(sigs.appendWord(cexBits, cexCount, rng));
   }
   CBQ_AUDIT_CHECK("sweep.refine", audit::auditMergeOrder(aig, order, merges));
   return !interrupted;
@@ -246,12 +252,9 @@ SweepResult sweep(aig::Aig& aig, std::span<const Lit> roots,
   if (!opts.useSat) {
     merges = bddSweep(aig, order, support, out.stats);
   } else {
-    util::Random rng(opts.seed);
-    const int initialWords = std::max(opts.numWords, 1);
-    const int maxWords = opts.maxWords > 0
-                             ? opts.maxWords
-                             : initialWords + std::max(opts.maxRounds, 0);
-    Signatures sigs(aig, order, support, rng, initialWords, maxWords);
+    util::Random rng(kSeed);
+    Signatures sigs(aig, order, support, rng, kInitialWords,
+                    kInitialWords + kMaxRounds);
     if (!sigs.exhaustive()) {
       seedFromBank(aig, sigs, support, ctx);
       // Every compare point lives inside the cones of `roots`, and the
@@ -262,7 +265,7 @@ SweepResult sweep(aig::Aig& aig, std::span<const Lit> roots,
       ctx.focusOn(roots);
     }
     CBQ_AUDIT_CHECK("sweep.signatures", audit::auditSignatures(sigs));
-    refine(aig, order, support, sigs, aig::kTrue, ctx, opts.maxRounds,
+    refine(aig, order, support, sigs, aig::kTrue, ctx, kMaxRounds,
            opts.satBudget, rng, out.stats, merges);
   }
 

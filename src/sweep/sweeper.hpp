@@ -46,16 +46,13 @@
 
 namespace cbq::sweep {
 
+/// A random arena starts with SweepContext::kBankWords words and runs at
+/// most 16 refinement rounds, with room for one counterexample word per
+/// round; its simulation seed is fixed.
 struct SweepOptions {
-  int numWords = 2;               ///< initial random simulation words/node
-  int maxRounds = 16;             ///< refinement round limit
-  int maxWords = 0;               ///< arena column cap (0 = auto:
-                                  ///  numWords + maxRounds, so cex appends
-                                  ///  never hit the cap)
   std::int64_t satBudget = 2000;  ///< conflicts per SAT equivalence query
   bool useSat = true;             ///< layer 2 (simulation + SAT); false:
                                   ///  BDD sweeping instead
-  std::uint64_t seed = 0x5eed;    ///< simulation seed
 };
 
 struct SweepStats {
@@ -71,7 +68,6 @@ struct SweepStats {
   std::size_t rounds = 0;      ///< refinement rounds executed
   std::size_t nodesBefore = 0; ///< cone size before
   std::size_t nodesAfter = 0;  ///< cone size after rebuild
-  std::size_t arenaFull = 0;  ///< cex appends refused: arena at maxWords
 };
 
 struct SweepResult {

@@ -1,6 +1,5 @@
 #include "synth/dc_simplify.hpp"
 
-#include <algorithm>
 #include <vector>
 
 #include "audit/audit.hpp"
@@ -18,10 +17,17 @@ using aig::Lit;
 using aig::NodeId;
 using aig::VarId;
 
-/// Columns the phase-B pattern bank may add on top of the phase-A words:
-/// 64 SAT counterexamples each. One dcSimplify call banks at most one
-/// pattern per ODC attempt, so the default attempt cap fills one column.
-constexpr int kOdcBankWords = 4;
+constexpr int kInitialWords = 2;            ///< random simulation words
+constexpr int kMaxRounds = 8;               ///< input-DC refinement rounds
+constexpr std::int64_t kSatBudget = 2000;   ///< conflicts per SAT query
+constexpr int kOdcAttempts = 48;            ///< ODC trials per call
+constexpr std::uint64_t kSeed = 0xdc;       ///< simulation seed
+
+/// Columns the phase-B pattern bank adds on top of the phase-A words.
+/// One dcSimplify call banks at most one pattern per ODC attempt, so one
+/// 64-pattern column holds them all.
+constexpr int kOdcBankWords = 1;
+static_assert(kOdcAttempts <= 64 * kOdcBankWords);
 
 /// The care-column bookkeeping of phase B over the signature arena that
 /// phase A refined (care = ¬fRef: inputs where the reference cofactor is
@@ -55,15 +61,12 @@ class CareSim {
     CBQ_AUDIT_CHECK("dc.relayout", audit::auditSignatures(*sigs_));
   }
 
-  /// Banks the input pattern of the solver's last Sat answer, growing a
-  /// partly filled column one bit at a time so the very next attempt
-  /// already sees it. A full bank drops the pattern.
+  /// Banks the input pattern of the solver's last Sat answer, growing
+  /// the bank column one bit at a time so the very next attempt already
+  /// sees it. The column is appended with the first pattern; a full
+  /// arena drops the pattern.
   void bankPattern(const sweep::SweepContext& ctx, util::Random& rng) {
-    if (bankBits_ == 0 || bankBits_ == 64) {
-      std::fill(bankCex_.begin(), bankCex_.end(), 0);
-      bankBits_ = 0;
-      if (!sigs_->appendWord(bankCex_, 0, rng)) return;
-    }
+    if (bankBits_ == 0 && !sigs_->appendWord(bankCex_, 0, rng)) return;
     for (std::size_t i = 0; i < support_.size(); ++i)
       bankCex_[i] |= std::uint64_t{ctx.modelOf(support_[i]) ? 1u : 0u}
                      << bankBits_;
@@ -87,8 +90,8 @@ class CareSim {
   Lit fRef_, fTgt_;
   sweep::Signatures* sigs_;
   std::span<const VarId> support_;  // the arena's PIs
-  std::vector<std::uint64_t> bankCex_;  // open bank column, per support var
-  int bankBits_ = 0;                    // patterns in the open column
+  std::vector<std::uint64_t> bankCex_;  // bank column, per support var
+  int bankBits_ = 0;                    // patterns in the bank column
 };
 
 /// Phase A: input-DC replacements — the shared refinement loop on the
@@ -97,14 +100,14 @@ class CareSim {
 /// kept).
 bool inputDcPhase(aig::Aig& aig, Lit fRef, sweep::Signatures& sigs,
                   std::span<const VarId> support, sweep::SweepContext& ctx,
-                  util::Random& rng, const DcOptions& opts, DcResult& out) {
+                  util::Random& rng, DcResult& out) {
   CBQ_OBS_SPAN("synth", "input-dc");
   const Lit roots[] = {out.target};
   sweep::SweepStats s;
   aig::NodeMap careMap;
   const bool finished =
       sweep::refine(aig, aig.coneAnds(roots), support, sigs, !fRef, ctx,
-                    opts.maxRounds, opts.satBudget, rng, s, careMap);
+                    kMaxRounds, kSatBudget, rng, s, careMap);
   out.stats.constReplacements = s.constMerges;
   out.stats.mergeReplacements = s.satMerges;
   out.stats.satChecks = s.satChecks;
@@ -123,12 +126,12 @@ bool inputDcPhase(aig::Aig& aig, Lit fRef, sweep::Signatures& sigs,
 /// committed with no miter and no SAT call. The interrupt is polled
 /// before each attempt.
 void odcPhase(aig::Aig& aig, Lit fRef, CareSim& sim, sweep::SweepContext& ctx,
-              util::Random& rng, const DcOptions& opts, DcResult& out) {
+              util::Random& rng, DcResult& out) {
   CBQ_OBS_SPAN("synth", "odc");
   int attempts = 0;
   bool changed = true;
   bool interrupted = false;
-  while (changed && attempts < opts.odcAttempts) {
+  while (changed && attempts < kOdcAttempts) {
     changed = false;
     const Lit current = out.target;
     sim.retarget(current);
@@ -136,9 +139,9 @@ void odcPhase(aig::Aig& aig, Lit fRef, CareSim& sim, sweep::SweepContext& ctx,
     const auto order = aig.coneAnds(curRoots);
     const std::size_t curSize = order.size();
     for (const NodeId n : order) {
-      if (attempts >= opts.odcAttempts) break;
+      if (attempts >= kOdcAttempts) break;
       for (const bool value : {false, true}) {
-        if (attempts >= opts.odcAttempts) break;
+        if (attempts >= kOdcAttempts) break;
         if (ctx.interrupted()) {
           interrupted = true;  // keep the replacements committed so far
           break;
@@ -170,7 +173,7 @@ void odcPhase(aig::Aig& aig, Lit fRef, CareSim& sim, sweep::SweepContext& ctx,
           ctx.focusOn(focusRoots);
         }
         ++out.stats.satChecks;
-        switch (ctx.checkEquiv(before, after, opts.satBudget)) {
+        switch (ctx.checkEquiv(before, after, kSatBudget)) {
           case sat::Verdict::Holds:
             out.target = tentative;
             ++out.stats.odcReplacements;
@@ -210,12 +213,11 @@ DcResult dcSimplify(aig::Aig& aig, Lit fRef, Lit fTgt, const DcOptions& opts,
     return out;
   }
 
-  util::Random rng(opts.seed);
+  util::Random rng(kSeed);
   const Lit both[] = {fRef, fTgt};
   const auto support = aig.supportVars(both);
-  const int words = std::max(opts.numWords, 1);
-  sweep::Signatures sigs(aig, aig.coneAnds(both), support, rng, words,
-                         words + std::max(opts.maxRounds, 0) + kOdcBankWords);
+  sweep::Signatures sigs(aig, aig.coneAnds(both), support, rng, kInitialWords,
+                         kInitialWords + kMaxRounds + kOdcBankWords);
 
   CBQ_AUDIT_CHECK("dc.signatures", audit::auditSignatures(sigs));
   ctx.bind(aig);
@@ -224,11 +226,11 @@ DcResult dcSimplify(aig::Aig& aig, Lit fRef, Lit fTgt, const DcOptions& opts,
   // onto nodes outside this cone). Exhaustive signatures query nothing.
   if (!sigs.exhaustive()) ctx.focusOn(both);
   const bool finished =
-      inputDcPhase(aig, fRef, sigs, support, ctx, rng, opts, out);
+      inputDcPhase(aig, fRef, sigs, support, ctx, rng, out);
 
   if (opts.useOdc && finished) {
     CareSim sim(aig, fRef, fTgt, sigs, support);
-    odcPhase(aig, fRef, sim, ctx, rng, opts, out);
+    odcPhase(aig, fRef, sim, ctx, rng, out);
   }
 
   {

@@ -39,13 +39,11 @@
 
 namespace cbq::synth {
 
+/// A random arena starts with 2 words, phase A runs at most 8
+/// refinement rounds, phase B at most 48 ODC attempts, and every SAT
+/// query gets 2000 conflicts; the simulation seed is fixed.
 struct DcOptions {
-  int numWords = 2;                ///< random simulation words
-  int maxRounds = 8;               ///< cex-refinement rounds (input-DC)
-  std::int64_t satBudget = 2000;   ///< conflicts per SAT query
-  bool useOdc = true;              ///< enable the ODC phase
-  int odcAttempts = 48;            ///< max globally-verified ODC trials
-  std::uint64_t seed = 0xdc;       ///< simulation seed
+  bool useOdc = true;  ///< enable the ODC phase
 };
 
 struct DcStats {
@@ -76,9 +74,11 @@ struct DcResult {
 ///
 /// Every check runs on `ctx`'s circuit solver (all queries are
 /// assumption-only, so they coexist with the sweeping checks); on
-/// exhaustive signatures no query is made at all. Care-set
-/// equivalences hold only under ¬fRef and are NOT recorded in the pair
-/// cache. `ctx.interrupted()` is polled before every input-DC query and
+/// exhaustive signatures no query is made at all. Input-DC facts that
+/// hold only under ¬fRef are neither learned by the solver nor banked in
+/// `ctx` (see sweep::refine); the ODC phase's counterexamples stay in
+/// this call's own pattern bank.
+/// `ctx.interrupted()` is polled before every input-DC query and
 /// every ODC attempt: when it fires, the phases stop and the current
 /// (sound) result is returned.
 DcResult dcSimplify(aig::Aig& aig, aig::Lit fRef, aig::Lit fTgt,

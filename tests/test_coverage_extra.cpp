@@ -1,5 +1,5 @@
-// Coverage-rounding tests: file-on-disk I/O dispatch, sweep option
-// plumbing, BDD manager bookkeeping, solver reuse under sustained load.
+// Coverage-rounding tests: file-on-disk I/O dispatch, BDD manager
+// bookkeeping, solver reuse under sustained load.
 
 #include <gtest/gtest.h>
 
@@ -40,38 +40,6 @@ TEST(FileDispatch, ReadsAllThreeFormatsFromDisk) {
     mc::Bmc bmc;
     EXPECT_EQ(bmc.check(net).verdict, mc::Verdict::Unsafe) << ext;
     std::remove((base + ext).c_str());
-  }
-}
-
-TEST(SweepOptions, RoundLimitIsHonoured) {
-  aig::Aig g;
-  util::Random rng(5);
-  const auto f = test::randomFormula(g, rng, 5, 60);
-  sweep::SweepOptions opts;
-  opts.maxRounds = 1;
-  const aig::Lit roots[] = {f};
-  sweep::SweepContext ctx;
-  const auto r = sweep::sweep(g, roots, opts, ctx);
-  EXPECT_LE(r.stats.rounds, 1u);
-  EXPECT_EQ(test::truthTable(g, r.roots[0], 5),
-            test::truthTable(g, f, 5));
-}
-
-TEST(SweepOptions, MoreSimulationWordsReduceFalseCandidates) {
-  // With 8 words (512 patterns) the all-ones detector over 10 vars is
-  // still all-zero in simulation sometimes, but refutations never cause
-  // wrong merges regardless of word count.
-  for (const int words : {1, 4, 8}) {
-    aig::Aig g;
-    std::vector<aig::Lit> xs;
-    for (aig::VarId v = 0; v < 10; ++v) xs.push_back(g.pi(v));
-    const aig::Lit f = g.mkAndAll(xs);
-    sweep::SweepOptions opts;
-    opts.numWords = words;
-    const aig::Lit roots[] = {f};
-    sweep::SweepContext ctx;
-    const auto r = sweep::sweep(g, roots, opts, ctx);
-    EXPECT_FALSE(r.roots[0].isConstant()) << words;
   }
 }
 

@@ -195,13 +195,16 @@ TEST(Engines, SetQueriesUseTruthTablesOnlyBelowTheBound) {
   }
 }
 
-TEST(Engines, IterationLimitYieldsUnknown) {
-  const auto inst = circuits::makeInstance("counter", 4, true);
-  mc::CircuitQuantReachOptions opts;
-  opts.limits.maxIterations = 0;
-  mc::CircuitQuantReach engine(opts);
-  // counter-safe converges in 1 iteration; 0 forbids even that.
-  EXPECT_EQ(engine.check(inst.net).verdict, Verdict::Unknown);
+TEST(Engines, DeepBugPastTenThousandIterations) {
+  // counter14's bug lies 16,383 pre-images deep. No fixpoint engine
+  // counts its iterations, so bdd-bwd walks them all and returns a trace
+  // that replays.
+  const auto inst = circuits::makeInstance("counter", 14, false);
+  const auto res = mc::BddBackwardReach{}.check(inst.net);
+  ASSERT_EQ(res.verdict, Verdict::Unsafe);
+  EXPECT_EQ(res.steps, 16'383);
+  ASSERT_TRUE(res.cex.has_value());
+  EXPECT_TRUE(mc::replayHitsBad(inst.net, *res.cex));
 }
 
 TEST(Engines, BmcDepthLimitYieldsUnknownOnDeepBug) {

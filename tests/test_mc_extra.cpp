@@ -48,14 +48,6 @@ TEST(ForwardEngine, AgreesWithBddForwardOnDepths) {
   }
 }
 
-TEST(ForwardEngine, IterationLimitGivesUnknown) {
-  const auto inst = circuits::makeInstance("lfsr", 4, true);
-  mc::CircuitQuantForwardOptions opts;
-  opts.limits.maxIterations = 1;
-  mc::CircuitQuantForwardReach engine(opts);
-  EXPECT_EQ(engine.check(inst.net).verdict, Verdict::Unknown);
-}
-
 TEST(Multiplier, MiddleBitBddExplodesWhileAigStaysQuadratic) {
   // The §1 motivation measured directly: the bad cone of mult(k) has an
   // O(k^2) AIG but its BDD grows out of any polynomial budget.
@@ -98,15 +90,21 @@ TEST(EngineOptions, QuantOptionsReachTheQuantifier) {
   // Disabling everything must not change verdicts, only sizes/work.
   const auto inst = circuits::makeInstance("evencount", 4, true);
   mc::CircuitQuantReachOptions bare;
-  bare.quant.useSubstitution = false;
   bare.quant.mergePhase = false;
   bare.quant.optPhase = false;
-  bare.quant.rewriteResult = false;
   mc::CircuitQuantReach engine(bare);
   const auto res = engine.check(inst.net);
   EXPECT_EQ(res.verdict, Verdict::Safe);
   EXPECT_EQ(res.stats.count("merge.sat_checks"), 0);
   EXPECT_EQ(res.stats.count("opt.sat_checks"), 0);
+  EXPECT_EQ(res.stats.count("merge.sim_proofs"), 0);
+  EXPECT_EQ(res.stats.count("opt.sim_proofs"), 0);
+  // With both phases on, the same run proves compare points.
+  const auto full = mc::CircuitQuantReach{}.check(inst.net);
+  EXPECT_EQ(full.verdict, Verdict::Safe);
+  EXPECT_GT(full.stats.count("merge.sim_proofs") +
+                full.stats.count("opt.sim_proofs"),
+            0);
 }
 
 TEST(EngineOptions, TimeLimitProducesUnknownNotWrongAnswer) {

@@ -126,6 +126,8 @@ TEST_P(SweepRefutations, OneWordSignaturesForceRefutedCandidates) {
   // candidates (base ≡ base ^ cube, constants inside the cubes) that SAT
   // must refute. Every merge the loop commits is checked against the
   // truth tables, so a prover that accepts a false candidate fails here.
+  // A refuting round is followed by another, up to `rounds`: 16 rounds
+  // run more than one, and `rounds` = 1 stops after the first.
   util::Random rng(static_cast<std::uint64_t>(GetParam()) * 97 + 11);
   Aig g;
   const int vars = kWide + 1;
@@ -136,27 +138,36 @@ TEST_P(SweepRefutations, OneWordSignaturesForceRefutedCandidates) {
   const auto order = g.coneAnds(roots);
   const auto support = g.supportVars(roots);
   ASSERT_EQ(support.size(), static_cast<std::size_t>(vars));
-  Signatures sigs(g, order, support, rng, 1, 4);
-  ASSERT_FALSE(sigs.exhaustive());
-  SweepContext ctx;
-  ctx.bind(g);
-  ctx.focusOn(roots);
-  sweep::SweepStats stats;
-  aig::NodeMap merges;
-  EXPECT_TRUE(sweep::refine(g, order, support, sigs, aig::kTrue, ctx, 16,
-                            -1, rng, stats, merges));
-  EXPECT_GT(stats.satRefuted, 0u);
-  EXPECT_EQ(stats.simProofs, 0u);
-  for (const aig::NodeId n : order)
-    if (merges.contains(n))
-      EXPECT_EQ(test::truthTable(g, Lit(n, false), vars),
-                test::truthTable(g, merges.at(n), vars))
-          << "node " << n;
-  const auto rebuilt = g.rebuildWithNodeMap(roots, merges);
-  for (std::size_t i = 0; i < roots.size(); ++i)
-    EXPECT_EQ(test::truthTable(g, rebuilt[i], vars),
-              test::truthTable(g, roots[i], vars))
-        << "root " << i;
+  for (const int rounds : {16, 1}) {
+    Signatures sigs(g, order, support, rng, 1, 4);
+    ASSERT_FALSE(sigs.exhaustive());
+    SweepContext ctx;
+    ctx.bind(g);
+    ctx.focusOn(roots);
+    sweep::SweepStats stats;
+    aig::NodeMap merges;
+    EXPECT_TRUE(sweep::refine(g, order, support, sigs, aig::kTrue, ctx,
+                              rounds, -1, rng, stats, merges));
+    EXPECT_GT(stats.satRefuted, 0u) << rounds;
+    EXPECT_EQ(stats.simProofs, 0u) << rounds;
+    if (rounds == 1) {
+      EXPECT_EQ(stats.rounds, 1u);
+    } else {
+      EXPECT_GT(stats.rounds, 1u);
+    }
+    for (const aig::NodeId n : order) {
+      if (merges.contains(n)) {
+        EXPECT_EQ(test::truthTable(g, Lit(n, false), vars),
+                  test::truthTable(g, merges.at(n), vars))
+            << "rounds " << rounds << " node " << n;
+      }
+    }
+    const auto rebuilt = g.rebuildWithNodeMap(roots, merges);
+    for (std::size_t i = 0; i < roots.size(); ++i)
+      EXPECT_EQ(test::truthTable(g, rebuilt[i], vars),
+                test::truthTable(g, roots[i], vars))
+          << "rounds " << rounds << " root " << i;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SweepRefutations, ::testing::Range(0, 10));
@@ -239,53 +250,18 @@ TEST(Sweep, BddOnlyFindsPlantedEquivalence) {
 }
 
 TEST(Sweep, RefutationsRefineSignatures) {
-  // An all-ones detector over 16 variables (past the exhaustive bound) is
-  // false on all but one of 65536 minterms: a single 64-bit random word
-  // almost surely simulates to all-zero, so the sweeper proposes a
-  // constant merge, gets refuted by SAT, and must keep the node. A few
-  // seeds guarantee at least one false-candidate round deterministically.
-  bool sawRefutation = false;
-  for (std::uint64_t seed = 1; seed <= 8 && !sawRefutation; ++seed) {
-    Aig g;
-    std::vector<Lit> xs;
-    for (aig::VarId v = 0; v < 16; ++v) xs.push_back(g.pi(v));
-    const Lit allOnes = g.mkAndAll(xs);
-    SweepOptions opts;
-    opts.numWords = 1;
-    opts.seed = seed;
-    const Lit roots[] = {allOnes};
-    SweepContext ctx;
-    const auto r = sweep(g, roots, opts, ctx);
-    EXPECT_FALSE(r.roots[0].isConstant());  // never merged wrongly
-    sawRefutation = r.stats.satRefuted >= 1;
-  }
-  EXPECT_TRUE(sawRefutation);
-}
-
-TEST(Sweep, FullArenaRefusesAppendsButStaysSound) {
-  // Same false-candidate setup as above, but the arena is capped at the
-  // initial word so every refutation's counterexample append is refused:
-  // the run must count arenaFull and still never merge wrongly.
-  bool sawFullArena = false;
-  for (std::uint64_t seed = 1; seed <= 8 && !sawFullArena; ++seed) {
-    Aig g;
-    std::vector<Lit> xs;
-    for (aig::VarId v = 0; v < 16; ++v) xs.push_back(g.pi(v));
-    const Lit allOnes = g.mkAndAll(xs);
-    SweepOptions opts;
-    opts.numWords = 1;
-    opts.maxWords = 1;  // no room for counterexample columns
-    opts.seed = seed;
-    const Lit roots[] = {allOnes};
-    SweepContext ctx;
-    const auto r = sweep(g, roots, opts, ctx);
-    EXPECT_FALSE(r.roots[0].isConstant());
-    if (r.stats.satRefuted >= 1) {
-      EXPECT_GE(r.stats.arenaFull, 1u);
-      sawFullArena = r.stats.arenaFull >= 1;
-    }
-  }
-  EXPECT_TRUE(sawFullArena);
+  // An all-ones detector over 20 variables (past the exhaustive bound) is
+  // false on all but one of 2^20 minterms: the random signature words
+  // simulate to all-zero, so the sweeper proposes a constant merge, gets
+  // refuted by SAT, and must keep the node.
+  Aig g;
+  std::vector<Lit> xs;
+  for (aig::VarId v = 0; v < 20; ++v) xs.push_back(g.pi(v));
+  const Lit roots[] = {g.mkAndAll(xs)};
+  SweepContext ctx;
+  const auto r = sweep(g, roots, {}, ctx);
+  EXPECT_FALSE(r.roots[0].isConstant());  // never merged wrongly
+  EXPECT_GE(r.stats.satRefuted, 1u);
 }
 
 TEST(Sweep, ConstantAndPiRootsSurvive) {

@@ -4,8 +4,9 @@
 // in the same manager and after a compaction into a fresh one — and must
 // leave sweeps sound, the solver must be retired when the manager
 // identity changes, the context's interrupt must reach every poll site
-// (sweeper, both DC phases, the quantifier's variable schedule) and
-// leave sound results, the flat signature engine's incremental
+// (sweeper, both DC phases, the quantifier's variable schedule and its
+// forced expansion) and leave sound results that a later call can
+// finish, the flat signature engine's incremental
 // appendWord / refreshWord must be bit-for-bit identical to a full
 // resimulation, and its forced-node resimulation must agree with an
 // explicit rebuild. Tests of appends and of SAT-backed checks use
@@ -41,39 +42,6 @@ constexpr int kWide = static_cast<int>(Signatures::kExhaustiveMaxInputs) + 1;
 
 class SweepContextRandomized : public ::testing::TestWithParam<int> {};
 
-TEST_P(SweepContextRandomized, PersistentAgreesWithFreshAcrossCalls) {
-  const auto seed = static_cast<std::uint64_t>(GetParam());
-  util::Random rng(seed * 101 + 7);
-  Aig g;
-  SweepContext ctx;
-
-  // Three successive sweeps over growing cones in one manager, all through
-  // one persistent context; every result must match a fresh-context sweep
-  // of the same roots semantically (truth table referee).
-  std::vector<Lit> formulas;
-  for (int call = 0; call < 3; ++call) {
-    formulas.push_back(test::randomFormula(g, rng, 5, 40));
-    const Lit f = formulas.back();
-    const auto tt = test::truthTable(g, f, 5);
-
-    SweepOptions opts;
-    opts.seed = seed + static_cast<std::uint64_t>(call);
-    const Lit roots[] = {f};
-    const auto persistent = sweep(g, roots, opts, ctx);
-    EXPECT_EQ(test::truthTable(g, persistent.roots[0], 5), tt)
-        << "call " << call;
-
-    SweepContext freshCtx;
-    const auto fresh = sweep(g, roots, opts, freshCtx);
-    EXPECT_EQ(test::truthTable(g, fresh.roots[0], 5), tt) << "call " << call;
-    // Both pipelines must agree on the function; structure may differ
-    // (the persistent context can merge through cached facts).
-    EXPECT_EQ(test::truthTable(g, persistent.roots[0], 5),
-              test::truthTable(g, fresh.roots[0], 5));
-  }
-  EXPECT_TRUE(ctx.boundTo(g));
-}
-
 /// Roots over inputs 0..vars-1 (past the exhaustive bound) whose sweep
 /// refutes candidates: a shared base XORed with cubes of 10 distinct
 /// literals. Random signature words almost never split a cube, or the
@@ -96,6 +64,36 @@ std::vector<Lit> refutingRoots(Aig& g, util::Random& rng, int vars) {
     roots.push_back(g.mkXor(base, cube));
   }
   return roots;
+}
+
+TEST_P(SweepContextRandomized, PersistentAgreesWithFreshAcrossCalls) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  util::Random rng(seed * 101 + 7);
+  Aig g;
+  SweepContext ctx;
+
+  // Three successive sweeps over growing cones in one manager, all through
+  // one persistent context; every result must match a fresh-context sweep
+  // of the same roots semantically (truth table referee). The roots
+  // refute candidates past the exhaustive bound, so every sweep queries
+  // the context's solver and the later ones start from its bank.
+  for (int call = 0; call < 3; ++call) {
+    const auto roots = refutingRoots(g, rng, kWide);
+    const auto persistent = sweep(g, roots, {}, ctx);
+    EXPECT_GT(persistent.stats.satRefuted, 0u) << "call " << call;
+    SweepContext freshCtx;
+    const auto fresh = sweep(g, roots, {}, freshCtx);
+    // Both pipelines must agree on the functions; structure may differ
+    // (the persistent context carries learnt facts and banked patterns).
+    for (std::size_t i = 0; i < roots.size(); ++i) {
+      const auto tt = test::truthTable(g, roots[i], kWide);
+      EXPECT_EQ(test::truthTable(g, persistent.roots[i], kWide), tt)
+          << "call " << call << " root " << i;
+      EXPECT_EQ(test::truthTable(g, fresh.roots[i], kWide), tt)
+          << "call " << call << " root " << i;
+    }
+  }
+  EXPECT_TRUE(ctx.boundTo(g));
 }
 
 constexpr int kRefutingVars = kWide + 1;
@@ -253,9 +251,9 @@ void interruptAfter(SweepContext& ctx, int& polls, int fireAfter) {
 constexpr int kNever = std::numeric_limits<int>::max();
 
 TEST(SweepContextInterrupt, SweepStopsEarlyAndStaysSound) {
-  // Cofactor pair: many equivalent nodes, and one simulation word over
-  // 8 variables also proposes false candidates for SAT to refute. The
-  // third root widens the support past the exhaustive bound.
+  // Cofactor pair: many equivalent nodes, some of them false candidates
+  // for SAT to refute. The third root widens the support past the
+  // exhaustive bound, so every merge goes through a polled SAT check.
   util::Random rng(73);
   Aig g;
   const Lit f = test::randomFormula(g, rng, 8, 100);
@@ -264,8 +262,7 @@ TEST(SweepContextInterrupt, SweepStopsEarlyAndStaysSound) {
   const auto ttA = test::truthTable(g, a, 8);
   const auto ttB = test::truthTable(g, b, 8);
   const Lit roots[] = {a, b, test::wideXor(g, 8, kWide)};
-  SweepOptions opts;
-  opts.numWords = 1;  // every merge goes through a polled SAT check
+  const SweepOptions opts;
 
   int polls = 0;
   SweepContext full;
@@ -400,6 +397,55 @@ TEST(SweepContextInterrupt, QuantifyAllReportsUnprocessedVarsAsResidual) {
     }
     sawPartial = sawPartial ||
                  (!r.residual.empty() && r.residual.size() < vars.size());
+  }
+  EXPECT_TRUE(sawPartial);
+}
+
+TEST(SweepContextInterrupt, QuantifyAllForcedContinuesAfterAPause) {
+  // A zero growth bound aborts every variable the substitution rule does
+  // not take, so the forced expansion does the eliminating. Interrupted
+  // at any poll, the partial result has eliminated exactly the variables
+  // outside its residual, and a second call on (f, residual) finishes.
+  util::Random rng(87);
+  Aig g;
+  const Lit f = test::randomFormula(g, rng, 5, 50);
+  ASSERT_EQ(g.supportVars(f).size(), 5u);
+  const std::vector<aig::VarId> vars = {0, 1, 2, 3};
+  const auto done = existsTable(g, f, vars, 5);
+  quant::QuantOptions opts;
+  opts.growthLimit = 0.0;
+  opts.growthSlack = 0;
+
+  int polls = 0;
+  {
+    SweepContext ctx;
+    interruptAfter(ctx, polls, kNever);
+    quant::Quantifier q(g, opts, ctx);
+    const auto r = q.quantifyAllForced(f, vars);
+    ASSERT_TRUE(r.residual.empty());
+    EXPECT_EQ(test::truthTable(g, r.f, 5), done);
+    ASSERT_GT(q.stats().count("quant.vars_aborted"), 0);
+  }
+  const int totalPolls = polls;
+
+  bool sawPartial = false;
+  for (int n = 0; n < totalPolls; ++n) {
+    SweepContext ctx;
+    interruptAfter(ctx, polls, n);
+    quant::Quantifier q(g, opts, ctx);
+    const auto r = q.quantifyAllForced(f, vars);
+    std::vector<aig::VarId> eliminated;
+    for (const aig::VarId v : vars)
+      if (!std::binary_search(r.residual.begin(), r.residual.end(), v))
+        eliminated.push_back(v);
+    EXPECT_EQ(test::truthTable(g, r.f, 5), existsTable(g, f, eliminated, 5))
+        << "n=" << n;
+    sawPartial = sawPartial || !r.residual.empty();
+
+    interruptAfter(ctx, polls, kNever);
+    const auto rest = q.quantifyAllForced(r.f, r.residual);
+    EXPECT_TRUE(rest.residual.empty()) << "n=" << n;
+    EXPECT_EQ(test::truthTable(g, rest.f, 5), done) << "n=" << n;
   }
   EXPECT_TRUE(sawPartial);
 }

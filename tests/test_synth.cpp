@@ -153,44 +153,31 @@ bool statsAddUp(const synth::DcStats& s) {
 }
 
 TEST_P(DcRandomized, OdcOnLargerConesPreservesDisjunction) {
-  // One seed word and a generous attempt cap, with and without input-DC
-  // rounds: without them every SAT refutation comes from phase B, so the
-  // filter runs on a bank grown past its seed words.
-  for (const int rounds : {8, 0}) {
-    Aig g;
-    const auto p = largePair(g, GetParam());
-    const auto before = orTable(g, p.fRef, p.fTgt, p.vars);
-    DcOptions opts;
-    opts.numWords = 1;
-    opts.maxRounds = rounds;
-    opts.odcAttempts = 400;
-    sweep::SweepContext ctx;
-    const auto r = dcSimplify(g, p.fRef, p.fTgt, opts, ctx);
-    EXPECT_EQ(orTable(g, p.fRef, r.target, p.vars), before) << rounds;
-    EXPECT_TRUE(statsAddUp(r.stats)) << rounds;
-    EXPECT_EQ(r.stats.simProofs, 0u) << rounds;
-  }
+  // Random words over 15-16 inputs miss most care patterns, so both
+  // phases issue SAT queries and phase B banks SAT refutations.
+  Aig g;
+  const auto p = largePair(g, GetParam());
+  const auto before = orTable(g, p.fRef, p.fTgt, p.vars);
+  sweep::SweepContext ctx;
+  const auto r = dcSimplify(g, p.fRef, p.fTgt, {}, ctx);
+  EXPECT_EQ(orTable(g, p.fRef, r.target, p.vars), before);
+  EXPECT_TRUE(statsAddUp(r.stats));
+  EXPECT_EQ(r.stats.simProofs, 0u);
 }
 
 TEST_P(DcRandomized, ExhaustiveOdcCommitsPreserveTheDisjunction) {
   // The same pair shape on 7-8 variables: both phases prove by
   // simulation alone, and every commit keeps fRef ∨ fTgt (truth-table
   // referee).
-  for (const int rounds : {8, 0}) {
-    Aig g;
-    const auto p = largePair(g, GetParam(), 7);
-    const auto before = orTable(g, p.fRef, p.fTgt, p.vars);
-    DcOptions opts;
-    opts.numWords = 1;
-    opts.maxRounds = rounds;
-    opts.odcAttempts = 400;
-    sweep::SweepContext ctx;
-    const auto r = dcSimplify(g, p.fRef, p.fTgt, opts, ctx);
-    EXPECT_EQ(orTable(g, p.fRef, r.target, p.vars), before) << rounds;
-    EXPECT_TRUE(statsAddUp(r.stats)) << rounds;
-    EXPECT_EQ(r.stats.satChecks, 0u) << rounds;
-    EXPECT_EQ(r.stats.satRefuted + r.stats.satUnknown, 0u) << rounds;
-  }
+  Aig g;
+  const auto p = largePair(g, GetParam(), 7);
+  const auto before = orTable(g, p.fRef, p.fTgt, p.vars);
+  sweep::SweepContext ctx;
+  const auto r = dcSimplify(g, p.fRef, p.fTgt, {}, ctx);
+  EXPECT_EQ(orTable(g, p.fRef, r.target, p.vars), before);
+  EXPECT_TRUE(statsAddUp(r.stats));
+  EXPECT_EQ(r.stats.satChecks, 0u);
+  EXPECT_EQ(r.stats.satRefuted + r.stats.satUnknown, 0u);
 }
 
 TEST(DcSimplify, ExhaustiveOdcCommitsAndRefutesBySimulation) {
@@ -201,10 +188,8 @@ TEST(DcSimplify, ExhaustiveOdcCommitsAndRefutesBySimulation) {
   for (int seed = 0; seed < 12; ++seed) {
     Aig g;
     const auto p = largePair(g, seed, 7);
-    DcOptions opts;
-    opts.odcAttempts = 400;
     sweep::SweepContext ctx;
-    const auto r = dcSimplify(g, p.fRef, p.fTgt, opts, ctx);
+    const auto r = dcSimplify(g, p.fRef, p.fTgt, {}, ctx);
     EXPECT_LE(r.stats.nodesAfter, r.stats.nodesBefore) << seed;
     odc += r.stats.odcReplacements;
     simRefuted += r.stats.odcSimRefuted;
@@ -281,6 +266,25 @@ TEST(DcSimplify, MergeCandidateWithinCareSet) {
   EXPECT_LE(g.coneSize(r.target), g.coneSize(fTgt));
 }
 
+/// Phase B's SAT refutations on the pair `build` makes: phase A runs
+/// first and does the same work with or without ODC on identically built
+/// managers, so the difference in satRefuted is phase B's alone.
+template <typename Build>
+std::size_t odcSatRefuted(Build build) {
+  std::size_t refuted[2] = {0, 0};
+  for (const bool odc : {false, true}) {
+    Aig g;
+    const auto [fRef, fTgt] = build(g);
+    DcOptions opts;
+    opts.useOdc = odc;
+    sweep::SweepContext ctx;
+    refuted[odc ? 1 : 0] =
+        dcSimplify(g, fRef, fTgt, opts, ctx).stats.satRefuted;
+  }
+  EXPECT_GE(refuted[1], refuted[0]);
+  return refuted[1] - refuted[0];
+}
+
 TEST(DcSimplify, OdcBankGrowsOnTheRandomizedPairs) {
   // The parameterized test above is only meaningful if phase B both
   // refutes by simulation and banks SAT counterexamples on these pairs.
@@ -289,14 +293,13 @@ TEST(DcSimplify, OdcBankGrowsOnTheRandomizedPairs) {
   for (int seed = 0; seed < 12; ++seed) {
     Aig g;
     const auto p = largePair(g, seed);
-    DcOptions opts;
-    opts.numWords = 1;
-    opts.maxRounds = 0;  // every SAT refutation is a phase-B bank pattern
-    opts.odcAttempts = 400;
     sweep::SweepContext ctx;
-    const auto r = dcSimplify(g, p.fRef, p.fTgt, opts, ctx);
+    const auto r = dcSimplify(g, p.fRef, p.fTgt, {}, ctx);
     simRefuted += r.stats.odcSimRefuted;
-    banked += r.stats.satRefuted;
+    banked += odcSatRefuted([seed](Aig& h) {
+      const auto q = largePair(h, seed);
+      return std::pair{q.fRef, q.fTgt};
+    });
   }
   EXPECT_GT(simRefuted, 0u);
   EXPECT_GT(banked, 0u);
@@ -310,36 +313,65 @@ Lit equalsConst(Aig& g, const std::vector<Lit>& x, unsigned k) {
   return eq;
 }
 
-TEST(DcSimplify, OdcBankRollsIntoFreshColumns) {
-  // A disjunction of 80 15-bit minterms (past the exhaustive bound):
-  // forcing a term's node is visible only on that term's own minterm,
-  // which random words almost never hit, so nearly every surviving
-  // attempt is a SAT refutation — more than one 64-pattern column's
-  // worth. The terms the reference already covers are redundant, so ODC
-  // still commits.
+TEST(DcSimplify, OdcRemovesCoveredMintermsPastTheBound) {
+  // A disjunction of 20 15-bit minterms (past the exhaustive bound), each
+  // also covered by a cube over its low 10 bits. A minterm is then
+  // redundant in the disjunction but no input don't-care — it is 1 on a
+  // care pattern — so phase A keeps it and only an ODC attempt, proven
+  // by SAT, can remove it. Most other attempts are observable on a
+  // stored pattern and refuted by simulation.
   constexpr int kBits = kWide;
+  constexpr int kLowBits = 10;
   Aig g;
   std::vector<Lit> x;
   for (int i = 0; i < kBits; ++i)
     x.push_back(g.pi(static_cast<aig::VarId>(i)));
+  const std::vector<Lit> low(x.begin(), x.begin() + kLowBits);
   util::Random rng(77);
   std::vector<Lit> terms;
-  for (int t = 0; t < 80; ++t)
-    terms.push_back(
-        equalsConst(g, x, static_cast<unsigned>(rng.below(1u << kBits))));
+  std::vector<Lit> cubes;
+  for (int t = 0; t < 20; ++t) {
+    const auto k = static_cast<unsigned>(rng.below(1u << kBits));
+    terms.push_back(equalsConst(g, x, k));
+    cubes.push_back(equalsConst(g, low, k & ((1u << kLowBits) - 1)));
+  }
   const Lit fRef = g.mkOr(terms[0], terms[1]);
+  terms.insert(terms.end(), cubes.begin(), cubes.end());
   const Lit fTgt = g.mkOrAll(terms);
   const auto before = orTable(g, fRef, fTgt, kBits);
-  DcOptions opts;
-  opts.maxRounds = 0;  // every SAT refutation is a phase-B bank pattern
-  opts.odcAttempts = 4000;
   sweep::SweepContext ctx;
-  const auto r = dcSimplify(g, fRef, fTgt, opts, ctx);
+  const auto r = dcSimplify(g, fRef, fTgt, {}, ctx);
   EXPECT_EQ(orTable(g, fRef, r.target, kBits), before);
   EXPECT_TRUE(statsAddUp(r.stats));
-  EXPECT_GT(r.stats.satRefuted, 64u);
+  EXPECT_EQ(r.stats.simProofs, 0u);
   EXPECT_GT(r.stats.odcSimRefuted, 0u);
   EXPECT_GT(r.stats.odcReplacements, 0u);
+}
+
+TEST(DcSimplify, OdcBankRefutesLaterAttempts) {
+  // The target is one 16-literal cube, a chain p2 = x0 x1, p3 = p2 x2,
+  // ..., and nothing is don't-care. Forcing pj := 1 is observable only
+  // where x(j)..x15 are all 1 and x0..x(j-1) are not, which random words
+  // miss: SAT refutes p2 := 1 with such a pattern, and once it is banked
+  // it refutes every later pj := 1 too. Phase B then makes exactly one
+  // SAT refutation; without the bank it would make one per chain node.
+  constexpr int kBits = kWide + 1;
+  const auto build = [](Aig& g) {
+    std::vector<Lit> x;
+    for (int i = 0; i < kBits; ++i)
+      x.push_back(g.pi(static_cast<aig::VarId>(i)));
+    return std::pair{aig::kFalse,
+                     equalsConst(g, x, (1u << kBits) - 1)};
+  };
+  EXPECT_EQ(odcSatRefuted(build), 1u);
+  Aig g;
+  const auto [fRef, fTgt] = build(g);
+  sweep::SweepContext ctx;
+  const auto r = dcSimplify(g, fRef, fTgt, {}, ctx);
+  EXPECT_EQ(test::truthTable(g, r.target, kBits),
+            test::truthTable(g, fTgt, kBits));
+  EXPECT_GT(r.stats.odcSimRefuted, 10u);
+  EXPECT_EQ(r.stats.odcReplacements, 0u);
 }
 
 TEST(DcSimplify, StatsAccounting) {
