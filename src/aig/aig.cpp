@@ -175,11 +175,11 @@ void Aig::bumpEpoch() const {
 std::vector<NodeId> Aig::coneAnds(std::span<const Lit> roots) const {
   bumpEpoch();
   std::vector<NodeId> order;
-  std::vector<std::pair<NodeId, bool>> stack;  // (node, children done)
-  for (Lit r : roots) stack.emplace_back(r.node(), false);
-  while (!stack.empty()) {
-    auto [n, done] = stack.back();
-    stack.pop_back();
+  dfs_.clear();
+  for (Lit r : roots) dfs_.emplace_back(r.node(), false);
+  while (!dfs_.empty()) {
+    auto [n, done] = dfs_.back();
+    dfs_.pop_back();
     if (done) {
       order.push_back(n);
       continue;
@@ -189,39 +189,51 @@ std::vector<NodeId> Aig::coneAnds(std::span<const Lit> roots) const {
       continue;
     }
     markVisited(n);
-    stack.emplace_back(n, true);
-    stack.emplace_back(fanin0(n).node(), false);
-    stack.emplace_back(fanin1(n).node(), false);
+    dfs_.emplace_back(n, true);
+    dfs_.emplace_back(fanin0(n).node(), false);
+    dfs_.emplace_back(fanin1(n).node(), false);
   }
   return order;
 }
 
+template <typename Visit>
+bool Aig::preorder(std::span<const Lit> roots, Visit&& visit) const {
+  bumpEpoch();
+  dfs_.clear();
+  for (Lit r : roots) dfs_.emplace_back(r.node(), false);
+  while (!dfs_.empty()) {
+    const NodeId n = dfs_.back().first;
+    dfs_.pop_back();
+    if (visited(n)) continue;
+    markVisited(n);
+    if (!visit(n)) return false;
+    if (!isAnd(n)) continue;
+    dfs_.emplace_back(fanin0(n).node(), false);
+    dfs_.emplace_back(fanin1(n).node(), false);
+  }
+  return true;
+}
+
 std::size_t Aig::coneSize(Lit root) const {
   const Lit roots[] = {root};
-  return coneAnds(roots).size();
+  return coneSize(roots);
 }
 
 std::size_t Aig::coneSize(std::span<const Lit> roots) const {
-  return coneAnds(roots).size();
+  std::size_t ands = 0;
+  preorder(roots, [&](NodeId n) {
+    ands += isAnd(n) ? 1 : 0;
+    return true;
+  });
+  return ands;
 }
 
 std::vector<VarId> Aig::supportVars(std::span<const Lit> roots) const {
-  bumpEpoch();
   std::vector<VarId> vars;
-  std::vector<NodeId> stack;
-  for (Lit r : roots) stack.push_back(r.node());
-  while (!stack.empty()) {
-    const NodeId n = stack.back();
-    stack.pop_back();
-    if (visited(n)) continue;
-    markVisited(n);
-    if (isPi(n)) {
-      vars.push_back(piVar(n));
-    } else if (isAnd(n)) {
-      stack.push_back(fanin0(n).node());
-      stack.push_back(fanin1(n).node());
-    }
-  }
+  preorder(roots, [&](NodeId n) {
+    if (isPi(n)) vars.push_back(piVar(n));
+    return true;
+  });
   std::sort(vars.begin(), vars.end());
   return vars;
 }
@@ -258,21 +270,9 @@ std::vector<VarId> Aig::supportVars(std::span<const Lit> roots,
 }
 
 bool Aig::dependsOn(Lit root, VarId var) const {
-  bumpEpoch();
-  std::vector<NodeId> stack{root.node()};
-  while (!stack.empty()) {
-    const NodeId n = stack.back();
-    stack.pop_back();
-    if (visited(n)) continue;
-    markVisited(n);
-    if (isPi(n)) {
-      if (piVar(n) == var) return true;
-    } else if (isAnd(n)) {
-      stack.push_back(fanin0(n).node());
-      stack.push_back(fanin1(n).node());
-    }
-  }
-  return false;
+  const Lit roots[] = {root};
+  return !preorder(roots,
+                   [&](NodeId n) { return !isPi(n) || piVar(n) != var; });
 }
 
 template <typename LeafFn>

@@ -162,7 +162,7 @@ class Aig {
   [[nodiscard]] std::vector<NodeId> coneAnds(std::span<const Lit> roots) const;
 
   /// Number of AND nodes in the cone of `root` — the paper's circuit-size
-  /// metric for state sets.
+  /// metric for state sets. Counts without building the order.
   [[nodiscard]] std::size_t coneSize(Lit root) const;
   [[nodiscard]] std::size_t coneSize(std::span<const Lit> roots) const;
 
@@ -247,6 +247,11 @@ class Aig {
   std::vector<Lit> rebuild(std::span<const Lit> roots, LeafFn&& leaf,
                            const NodeMap* nodeMap);
 
+  /// Pre-order walk of the cones of `roots`, each node once: calls
+  /// visit(n) and stops, returning false, when it returns false.
+  template <typename Visit>
+  bool preorder(std::span<const Lit> roots, Visit&& visit) const;
+
   // Epoch-stamped visited marks (avoid O(n) clears per traversal).
   void bumpEpoch() const;
   [[nodiscard]] bool visited(NodeId n) const { return stamp_[n] == epoch_; }
@@ -265,6 +270,9 @@ class Aig {
 
   mutable std::vector<std::uint32_t> stamp_;
   mutable std::uint32_t epoch_ = 0;
+  /// DFS stack of the epoch-marked walks (node, children done): a walk
+  /// allocates nothing once it has grown.
+  mutable std::vector<std::pair<NodeId, bool>> dfs_;
 };
 
 }  // namespace cbq::aig

@@ -390,12 +390,22 @@ Report auditSignatures(const sweep::Signatures& sigs) {
                 .str());
   }
 
-  // Every cone node holds a slot.
-  for (const aig::NodeId n : order)
+  // Every cone node holds a slot, and order[k] holds the k-th slot after
+  // the constant and the PIs: the fanout pass starts from a node's slot.
+  const std::size_t firstAnd = 1 + Access::supportNodes(sigs).size();
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const aig::NodeId n = order[k];
     if (!sigs.inCone(n))
       r.add("sig.slot.out-of-range",
             (Diag() << "cone-order node " << n << " holds no arena slot")
                 .str());
+    else if (slotOf[n] != firstAnd + k)
+      r.add("sig.order.slot",
+            (Diag() << "cone-order node " << n << " (position " << k
+                    << ") holds slot " << slotOf[n] << ", not "
+                    << firstAnd + k)
+                .str());
+  }
 
   // An exhaustive arena is exactly the enumeration of every pattern.
   if (sigs.exhaustive()) {

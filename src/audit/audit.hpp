@@ -186,6 +186,7 @@ struct Access {
     return a.stamp_;  // mutable member: epoch scratch
   }
   static std::uint32_t epoch(const aig::Aig& a) { return a.epoch_; }
+  static void setEpoch(const aig::Aig& a, std::uint32_t e) { a.epoch_ = e; }
   static const aig::ScratchMemo& memo(const aig::Aig& a) { return a.memo_; }
   static aig::ScratchMemo& memo(aig::Aig& a) { return a.memo_; }
 

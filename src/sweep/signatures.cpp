@@ -96,6 +96,7 @@ void Signatures::relayout(std::span<const NodeId> order) {
   // The forced-fanout scratch follows the slot count on its next use.
   forced_.clear();
   touched_.clear();
+  dropObservability();
   resimulateAll();
 }
 
@@ -131,6 +132,7 @@ bool Signatures::appendWord(std::span<const std::uint64_t> cexBits,
     piArena_[i * stride_ + w] = word;
   }
   ++words_;
+  dropObservability();
   simulateColumn(w);
   return true;
 }
@@ -145,6 +147,7 @@ void Signatures::refreshWord(std::size_t w,
     std::uint64_t& word = piArena_[i * stride_ + w];
     word = (word & ~keepMask) | (cexBits[i] & keepMask);
   }
+  dropObservability();
   simulateColumn(w);
 }
 
@@ -152,7 +155,17 @@ bool Signatures::forcingChanges(NodeId forced, bool value, NodeId root,
                                 Lit care) {
   // A node already taking `value` on every pattern changes nothing.
   if (constantUnder(forced, value, aig::kTrue)) return false;
+  if (forced != obsForced_ || root != obsRoot_) flipPass(forced, root);
+  // Simulation is pattern-wise: forcing := value changes `root` exactly
+  // where the node differs from `value` and its flip is observable.
+  const std::uint64_t* f = &arena_[slotOf_[forced] * stride_];
+  const std::uint64_t flip = negMask(value);
+  for (std::size_t w = 0; w < words_; ++w)
+    if ((obsMask_[w] & (f[w] ^ flip) & careWord(care, w)) != 0) return true;
+  return false;
+}
 
+void Signatures::flipPass(NodeId forced, NodeId root) {
   const std::size_t slots = arena_.size() / stride_;
   if (touched_.size() != slots) {
     forced_.assign(arena_.size(), 0);
@@ -169,45 +182,44 @@ bool Signatures::forcingChanges(NodeId forced, bool value, NodeId root,
   };
 
   const Slot fs = slotOf_[forced];
-  std::fill_n(&forced_[fs * stride_], words, negMask(value));
+  for (std::size_t w = 0; w < words; ++w)
+    forced_[fs * stride_ + w] = ~arena_[fs * stride_ + w];
   touched_[fs] = epoch_;
 
-  // order_ is topological: nothing before `forced` depends on it, and
-  // nothing after `root` can reach it.
+  // order_ is topological and order_[k] sits in slot firstAndSlot() + k:
+  // nothing before `forced` depends on it, and nothing after `root` can
+  // reach it. Propagation stops at rows that come out unchanged.
+  const Slot first = firstAndSlot();
   const Slot rs = slotOf_[root];
-  if (forced != root) {
-    auto it = std::find(order_.begin(), order_.end(), forced);
-    if (it != order_.end()) ++it;
-    for (; it != order_.end(); ++it) {
-      const NodeId n = *it;
-      const Lit f0 = aig_->fanin0(n);
-      const Lit f1 = aig_->fanin1(n);
-      const Slot s0 = slotOf_[f0.node()];
-      const Slot s1 = slotOf_[f1.node()];
-      if (touched_[s0] == epoch_ || touched_[s1] == epoch_) {
-        const Slot sn = slotOf_[n];
-        const std::uint64_t ma = negMask(f0.negated());
-        const std::uint64_t mb = negMask(f1.negated());
-        const std::uint64_t* a = row(s0);
-        const std::uint64_t* b = row(s1);
-        const std::uint64_t* base = &arena_[sn * stride_];
-        std::uint64_t* o = &forced_[sn * stride_];
-        std::uint64_t diff = 0;
-        for (std::size_t w = 0; w < words; ++w) {
-          o[w] = (a[w] ^ ma) & (b[w] ^ mb);
-          diff |= o[w] ^ base[w];
-        }
-        if (diff != 0) touched_[sn] = epoch_;
-      }
-      if (n == root) break;
+  for (std::size_t k = fs < first ? 0 : fs - first + 1;
+       rs >= first && k <= rs - first; ++k) {
+    const NodeId n = order_[k];
+    const Lit f0 = aig_->fanin0(n);
+    const Lit f1 = aig_->fanin1(n);
+    const Slot s0 = slotOf_[f0.node()];
+    const Slot s1 = slotOf_[f1.node()];
+    if (touched_[s0] != epoch_ && touched_[s1] != epoch_) continue;
+    const Slot sn = slotOf_[n];
+    const std::uint64_t ma = negMask(f0.negated());
+    const std::uint64_t mb = negMask(f1.negated());
+    const std::uint64_t* a = row(s0);
+    const std::uint64_t* b = row(s1);
+    const std::uint64_t* base = &arena_[sn * stride_];
+    std::uint64_t* o = &forced_[sn * stride_];
+    std::uint64_t diff = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      o[w] = (a[w] ^ ma) & (b[w] ^ mb);
+      diff |= o[w] ^ base[w];
     }
+    if (diff != 0) touched_[sn] = epoch_;
   }
-  if (touched_[rs] != epoch_) return false;
-  const std::uint64_t* f = &forced_[rs * stride_];
-  const std::uint64_t* base = &arena_[rs * stride_];
-  for (std::size_t w = 0; w < words; ++w)
-    if (((f[w] ^ base[w]) & careWord(care, w)) != 0) return true;
-  return false;
+
+  obsMask_.assign(words, 0);
+  if (touched_[rs] == epoch_)
+    for (std::size_t w = 0; w < words; ++w)
+      obsMask_[w] = forced_[rs * stride_ + w] ^ arena_[rs * stride_ + w];
+  obsForced_ = forced;
+  obsRoot_ = root;
 }
 
 void Signatures::resimulateAll() {

@@ -109,13 +109,16 @@ class Signatures {
   /// exhaustive arena stays exhaustive.
   void relayout(std::span<const aig::NodeId> order);
 
-  /// True when forcing AND node `forced` of the cone to the constant
+  /// True when forcing node `forced` of the cone to the constant
   /// `value` changes node `root`'s words on some pattern where `care` is
   /// 1 — a concrete input pattern on which the rewrite forced := value
-  /// is observable at `root`. Only the transitive fanout of `forced` is
-  /// resimulated, into a scratch arena, and propagation stops at nodes
-  /// whose words come out unchanged. On an exhaustive arena a false
-  /// answer proves the rewrite unobservable on every care pattern.
+  /// is observable at `root`. One fanout pass per (forced, root) flips
+  /// `forced` on every pattern, resimulates only its transitive fanout
+  /// into a scratch arena (stopping at rows that come out unchanged) and
+  /// caches the root's observability mask, so the other value of the
+  /// same node costs one masked compare. Any arena change drops the
+  /// cache. On an exhaustive arena a false answer proves the rewrite
+  /// unobservable on every care pattern.
   [[nodiscard]] bool forcingChanges(aig::NodeId forced, bool value,
                                     aig::NodeId root, aig::Lit care);
 
@@ -175,7 +178,17 @@ class Signatures {
  private:
   friend struct ::cbq::audit::Access;
 
+  static constexpr aig::NodeId kNoNode = 0xffffffffu;
+
   void simulateColumn(std::size_t w);
+  /// Slot of order_[0]: the constant and the support PIs come first.
+  [[nodiscard]] Slot firstAndSlot() const {
+    return static_cast<Slot>(1 + supportNode_.size());
+  }
+  /// Fills obsMask_ with the patterns on which flipping `forced` flips
+  /// `root`.
+  void flipPass(aig::NodeId forced, aig::NodeId root);
+  void dropObservability() { obsForced_ = obsRoot_ = kNoNode; }
   /// Word `w` of the care mask: the care literal's value per pattern.
   [[nodiscard]] std::uint64_t careWord(aig::Lit care, std::size_t w) const;
   void loadPiColumn(std::size_t w);
@@ -192,11 +205,15 @@ class Signatures {
   std::vector<std::uint64_t> arena_;  // node-major, slot * stride_ + word
   std::vector<std::uint64_t> piArena_;  // support-major, i * stride_ + word
 
-  // forcingChanges scratch: rows of the forced fanout, valid for a slot
-  // only while touched_[slot] == epoch_.
+  // flipPass scratch: rows of the flipped fanout, valid for a slot only
+  // while touched_[slot] == epoch_.
   std::vector<std::uint64_t> forced_;
   std::vector<std::uint32_t> touched_;
   std::uint32_t epoch_ = 0;
+  // The last flipPass: `obsRoot_`'s patterns that flip with `obsForced_`.
+  std::vector<std::uint64_t> obsMask_;
+  aig::NodeId obsForced_ = kNoNode;
+  aig::NodeId obsRoot_ = kNoNode;
 };
 
 }  // namespace cbq::sweep

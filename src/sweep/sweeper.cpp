@@ -1,6 +1,7 @@
 #include "sweep/sweeper.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <unordered_map>
 
 #include "audit/audit.hpp"
@@ -100,6 +101,45 @@ aig::NodeMap bddSweep(const aig::Aig& aig, std::span<const NodeId> order,
   return merges;
 }
 
+/// refine()'s candidate classes: a flat open-addressed table of (key
+/// hash, representative) entries, the representative a literal of its
+/// normalized function. Linear probing with no deletion places a key's
+/// entries along its probe path in insertion order, so a lookup meets
+/// the earliest representative first. Sized once per call, cleared per
+/// round.
+class LeaderTable {
+ public:
+  explicit LeaderTable(std::size_t reps)
+      : slots_(std::bit_ceil(2 * reps + 2)) {}
+
+  void clear() { std::fill(slots_.begin(), slots_.end(), Slot{}); }
+
+  /// The earliest representative with hash `h` that `equal` accepts, or
+  /// kFalse (never a representative).
+  template <typename Equal>
+  [[nodiscard]] Lit find(std::uint64_t h, Equal&& equal) const {
+    for (std::size_t i = h & mask(); slots_[i].rep != aig::kFalse;
+         i = (i + 1) & mask())
+      if (slots_[i].hash == h && equal(slots_[i].rep)) return slots_[i].rep;
+    return aig::kFalse;
+  }
+
+  void add(std::uint64_t h, Lit rep) {
+    std::size_t i = h & mask();
+    while (slots_[i].rep != aig::kFalse) i = (i + 1) & mask();
+    slots_[i] = {h, rep};
+  }
+
+ private:
+  struct Slot {
+    std::uint64_t hash = 0;
+    Lit rep = aig::kFalse;  // kFalse: empty
+  };
+  [[nodiscard]] std::size_t mask() const { return slots_.size() - 1; }
+
+  std::vector<Slot> slots_;
+};
+
 /// Overwrites the low bits of `sigs`'s initial random columns with the
 /// session's banked counterexamples, one column per bank word, so pairs
 /// refuted by earlier sweeps start out split. A support variable no
@@ -135,12 +175,9 @@ bool refine(const aig::Aig& aig, std::span<const NodeId> order,
   for (const VarId v : support) pool.push_back(aig.piNodeOf(v));
   pool.insert(pool.end(), order.begin(), order.end());
 
-  // The loop only queries the solver (the manager does not grow), so
-  // node-indexed scratch sized now stays valid for every round.
-  std::vector<std::uint8_t> disqualified(aig.numNodes(), 0);
-  // Representatives by key hash, as literals of their normalized
-  // function (complemented when the key's phase is).
-  std::unordered_map<std::uint64_t, std::vector<Lit>> leaders;
+  // Per pool position: an Unknown answer drops the node for the call.
+  std::vector<std::uint8_t> disqualified(pool.size(), 0);
+  LeaderTable leaders(pool.size());
   std::vector<std::uint64_t> cexBits(support.size());
 
   bool interrupted = false;
@@ -151,8 +188,9 @@ bool refine(const aig::Aig& aig, std::span<const NodeId> order,
     std::fill(cexBits.begin(), cexBits.end(), 0);
     int cexCount = 0;
 
-    for (const NodeId n : pool) {
-      if (merges.contains(n) || disqualified[n] != 0) continue;
+    for (std::size_t k = 0; k < pool.size(); ++k) {
+      const NodeId n = pool[k];
+      if (merges.contains(n) || disqualified[k] != 0) continue;
       const Lit ln(n, false);
 
       // Proposed candidate for an AND: a constant, or the earliest
@@ -167,18 +205,17 @@ bool refine(const aig::Aig& aig, std::span<const NodeId> order,
         target = aig::kTrue;
       } else {
         const Signatures::Key key = sigs.normalizedKey(n, care);
-        auto& chain = leaders[key.hash];
-        const auto rep =
-            !isAnd ? chain.end()
-                   : std::find_if(chain.begin(), chain.end(), [&](Lit r) {
-                       return sigs.equalNormalized(n, key.phase, r.node(),
-                                                   r.negated(), care);
-                     });
-        if (rep == chain.end()) {
-          chain.push_back(ln ^ key.phase);
+        const Lit rep = !isAnd ? aig::kFalse
+                               : leaders.find(key.hash, [&](Lit r) {
+                                   return sigs.equalNormalized(
+                                       n, key.phase, r.node(), r.negated(),
+                                       care);
+                                 });
+        if (rep == aig::kFalse) {
+          leaders.add(key.hash, ln ^ key.phase);
           continue;
         }
-        target = *rep ^ key.phase;
+        target = rep ^ key.phase;
       }
 
       if (ctx.interrupted()) {
@@ -222,7 +259,7 @@ bool refine(const aig::Aig& aig, std::span<const NodeId> order,
           break;
         case sat::Verdict::Unknown:
           ++stats.satUnknown;
-          disqualified[n] = 1;
+          disqualified[k] = 1;
           break;
       }
     }
@@ -243,7 +280,6 @@ SweepResult sweep(aig::Aig& aig, std::span<const Lit> roots,
   SweepResult out;
   out.roots.assign(roots.begin(), roots.end());
   const auto order = aig.coneAnds(roots);
-  out.stats.nodesBefore = order.size();
   if (order.empty()) return out;
   const auto support = aig.supportVars(roots);
   ctx.bind(aig);
@@ -271,7 +307,6 @@ SweepResult sweep(aig::Aig& aig, std::span<const Lit> roots,
 
   out.roots = aig.rebuildWithNodeMap(roots, merges);
   CBQ_AUDIT_CHECK("sweep.merge", audit::auditAig(aig));
-  out.stats.nodesAfter = aig.coneSize(out.roots);
   return out;
 }
 

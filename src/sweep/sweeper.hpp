@@ -66,8 +66,6 @@ struct SweepStats {
   std::size_t satRefuted = 0;  ///< queries answered SAT (not equivalent)
   std::size_t satUnknown = 0;  ///< budget exhausted
   std::size_t rounds = 0;      ///< refinement rounds executed
-  std::size_t nodesBefore = 0; ///< cone size before
-  std::size_t nodesAfter = 0;  ///< cone size after rebuild
 };
 
 struct SweepResult {

@@ -131,13 +131,16 @@ void odcPhase(aig::Aig& aig, Lit fRef, CareSim& sim, sweep::SweepContext& ctx,
   int attempts = 0;
   bool changed = true;
   bool interrupted = false;
+  // The scan order of the current target's cone; a commit swaps in the
+  // committed tentative's order, walked once to measure it.
+  const Lit start[] = {out.target};
+  std::vector<NodeId> order = aig.coneAnds(start);
+  std::vector<NodeId> tentOrder;
   while (changed && attempts < kOdcAttempts) {
     changed = false;
     const Lit current = out.target;
     sim.retarget(current);
     const Lit curRoots[] = {current};
-    const auto order = aig.coneAnds(curRoots);
-    const std::size_t curSize = order.size();
     for (const NodeId n : order) {
       if (attempts >= kOdcAttempts) break;
       for (const bool value : {false, true}) {
@@ -156,7 +159,8 @@ void odcPhase(aig::Aig& aig, Lit fRef, CareSim& sim, sweep::SweepContext& ctx,
         const Lit tentative =
             aig.rebuildWithNodeMap(curRoots, tentativeMap).front();
         const Lit tentRoots[] = {tentative};
-        if (aig.coneSize(tentRoots) >= curSize) continue;
+        tentOrder = aig.coneAnds(tentRoots);
+        if (tentOrder.size() >= order.size()) continue;
         if (sim.exhaustive()) {
           out.target = tentative;
           ++out.stats.odcReplacements;
@@ -192,6 +196,7 @@ void odcPhase(aig::Aig& aig, Lit fRef, CareSim& sim, sweep::SweepContext& ctx,
       if (changed) break;  // restart scan on the new, smaller cone
       if (interrupted) break;
     }
+    if (changed) order.swap(tentOrder);
   }
 }
 
@@ -201,15 +206,10 @@ DcResult dcSimplify(aig::Aig& aig, Lit fRef, Lit fTgt, const DcOptions& opts,
                     sweep::SweepContext& ctx) {
   DcResult out;
   out.target = fTgt;
-  {
-    const Lit roots[] = {fTgt};
-    out.stats.nodesBefore = aig.coneSize(roots);
-  }
   if (fTgt.isConstant() || fRef.isTrue()) {
     // fRef ≡ 1 makes everything don't-care: fRef ∨ fTgt ≡ 1 regardless,
     // so the cheapest valid target is constant false.
     if (fRef.isTrue()) out.target = aig::kFalse;
-    out.stats.nodesAfter = aig.coneSize(out.target);
     return out;
   }
 
@@ -231,11 +231,6 @@ DcResult dcSimplify(aig::Aig& aig, Lit fRef, Lit fTgt, const DcOptions& opts,
   if (opts.useOdc && finished) {
     CareSim sim(aig, fRef, fTgt, sigs, support);
     odcPhase(aig, fRef, sim, ctx, rng, out);
-  }
-
-  {
-    const Lit roots[] = {out.target};
-    out.stats.nodesAfter = aig.coneSize(roots);
   }
   return out;
 }

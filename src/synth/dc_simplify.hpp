@@ -60,8 +60,6 @@ struct DcStats {
   std::size_t simProofs = 0;
   std::size_t satRefuted = 0;
   std::size_t satUnknown = 0;
-  std::size_t nodesBefore = 0;
-  std::size_t nodesAfter = 0;
 };
 
 struct DcResult {

@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <span>
 #include <vector>
 
 #include "aig/aig.hpp"
 #include "aig/scratch.hpp"
 #include "aig/strash.hpp"
+#include "audit/audit.hpp"
 #include "helpers.hpp"
 #include "util/var_table.hpp"
 
@@ -127,6 +130,68 @@ TEST(Aig, MemoReuseAcrossManyRebuildsStaysCorrect) {
 }
 
 // ----- NodeMap -------------------------------------------------------------
+
+TEST(Aig, TraversalsAgreeWithFreshWalksAcrossGrowthAndEpochWrap) {
+  // coneAnds, coneSize, supportVars and dependsOn share the manager's
+  // epoch marks and DFS stack. Each must agree with a walk of its own —
+  // fresh visited set, fresh stack — while the manager grows between
+  // calls and while the epoch counter wraps.
+  util::Random rng(17);
+  Aig g;
+  std::vector<Lit> made;
+  auto freshWalk = [&](std::span<const Lit> roots, std::set<NodeId>& ands,
+                       std::set<VarId>& vars) {
+    std::set<NodeId> seen;
+    std::vector<NodeId> stack;
+    for (const Lit r : roots) stack.push_back(r.node());
+    while (!stack.empty()) {
+      const NodeId n = stack.back();
+      stack.pop_back();
+      if (!seen.insert(n).second) continue;
+      if (g.isPi(n)) vars.insert(g.piVar(n));
+      if (!g.isAnd(n)) continue;
+      ands.insert(n);
+      stack.push_back(g.fanin0(n).node());
+      stack.push_back(g.fanin1(n).node());
+    }
+  };
+  for (int round = 0; round < 8; ++round) {
+    made.push_back(test::randomFormula(g, rng, 10, 20 + 15 * round));
+    if (round == 4) audit::Access::setEpoch(g, 0xffffffffu - 3);
+    for (std::size_t i = 0; i < made.size(); ++i) {
+      const Lit pair[] = {made[i], made[rng.below(made.size())]};
+      for (const std::size_t count : {std::size_t{1}, std::size_t{2}}) {
+        const std::span<const Lit> roots(pair, count);
+        std::set<NodeId> ands;
+        std::set<VarId> vars;
+        freshWalk(roots, ands, vars);
+        const auto order = g.coneAnds(roots);
+        EXPECT_EQ(std::set<NodeId>(order.begin(), order.end()), ands);
+        EXPECT_EQ(order.size(), ands.size());  // no node listed twice
+        std::vector<std::size_t> pos(g.numNodes(), order.size());
+        for (std::size_t k = 0; k < order.size(); ++k) pos[order[k]] = k;
+        for (std::size_t k = 0; k < order.size(); ++k)
+          for (const Lit fi : {g.fanin0(order[k]), g.fanin1(order[k])}) {
+            if (g.isAnd(fi.node())) {
+              EXPECT_LT(pos[fi.node()], k);
+            }
+          }
+        EXPECT_EQ(g.coneSize(roots), ands.size());
+        EXPECT_EQ(g.supportVars(roots),
+                  std::vector<VarId>(vars.begin(), vars.end()));
+        if (count == 1) {
+          EXPECT_EQ(g.coneSize(pair[0]), ands.size());
+          for (VarId v = 0; v < 11; ++v)
+            EXPECT_EQ(g.dependsOn(pair[0], v), vars.count(v) == 1)
+                << "round " << round << " var " << v;
+        }
+      }
+    }
+  }
+  // The walks after round 4 crossed the wrap.
+  EXPECT_LT(audit::Access::epoch(g), 0xffffffffu - 3);
+  EXPECT_TRUE(audit::auditAig(g).ok()) << audit::auditAig(g).summary();
+}
 
 TEST(NodeMap, SetContainsClear) {
   aig::NodeMap m;

@@ -257,6 +257,32 @@ TEST(Audit, SignatureSlotViolationsCaught) {
   EXPECT_TRUE(audit::auditSignatures(sigs).has("sig.slot.duplicate"));
 }
 
+TEST(Audit, SignatureOrderSlotViolationCaught) {
+  // Two cone nodes swapping rows alias nothing and stay inside the arena,
+  // but the fanout pass, which starts from a node's slot, would then
+  // walk the wrong positions of the cone order.
+  Aig g = smallAig();
+  const Lit root =
+      g.mkAnd(g.mkAnd(g.mkAnd(g.pi(0), g.pi(1)), g.pi(2)), g.pi(3));
+  const Lit roots[] = {root};
+  const auto order = g.coneAnds(roots);
+  const auto support = g.supportVars(roots);
+  util::Random rng(7);
+  sweep::Signatures sigs(g, order, support, rng, 2, 4);
+  ASSERT_TRUE(audit::auditSignatures(sigs).ok())
+      << audit::auditSignatures(sigs).summary();
+
+  auto& slotOf = Access::slotOf(sigs);
+  ASSERT_GE(order.size(), 3u);
+  std::swap(slotOf[order[1]], slotOf[order[2]]);
+  const audit::Report r = audit::auditSignatures(sigs);
+  EXPECT_TRUE(r.has("sig.order.slot")) << r.summary();
+  EXPECT_FALSE(r.has("sig.slot.duplicate") || r.has("sig.slot.out-of-range"))
+      << r.summary();
+  std::swap(slotOf[order[1]], slotOf[order[2]]);
+  EXPECT_TRUE(audit::auditSignatures(sigs).ok());
+}
+
 TEST(Audit, ExhaustivePatternViolationsCaught) {
   // Eight inputs: an exhaustive arena of 4 words per slot. Its PI rows
   // must stay the enumeration across a relayout onto a cone built after

@@ -12,8 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "helpers.hpp"
@@ -60,7 +65,7 @@ TEST_P(SweepRandomized, PreservesSemantics) {
       EXPECT_EQ(test::truthTable(g, result.roots[i], vars),
                 test::truthTable(g, roots[i], vars))
           << "root " << i << " wide " << wide;
-    EXPECT_LE(result.stats.nodesAfter, result.stats.nodesBefore);
+    EXPECT_LE(g.coneSize(result.roots), g.coneSize(roots));
     // The narrow cone is proven by simulation, the wide one by SAT.
     EXPECT_EQ(wide ? result.stats.simProofs : result.stats.satChecks, 0u);
     if (wide) {
@@ -511,6 +516,139 @@ TEST(Refine, ExhaustiveMergesMatchTruthTablesUnderCare) {
       EXPECT_EQ(stats.simProofs, merged);
       EXPECT_EQ(stats.satMerges + stats.constMerges, merged);
       EXPECT_EQ(ctx.bankedPatterns(), 0);  // no SAT call, nothing banked
+    }
+  }
+}
+
+/// Truth tables of `lits` over inputs 0..vars-1, 64 minterms per word.
+std::vector<std::vector<std::uint64_t>> tables(const Aig& g,
+                                               std::span<const Lit> lits,
+                                               int vars) {
+  std::vector<std::vector<std::uint64_t>> out(lits.size());
+  util::VarTable<std::uint64_t> words;
+  for (std::uint64_t base = 0; base < (std::uint64_t{1} << vars);
+       base += 64) {
+    for (int v = 0; v < vars; ++v) {
+      std::uint64_t w = 0;
+      for (unsigned b = 0; b < 64; ++b) w |= (((base + b) >> v) & 1) << b;
+      words.set(static_cast<aig::VarId>(v), w);
+    }
+    const auto vals = g.simulate(lits, words);
+    for (std::size_t i = 0; i < lits.size(); ++i) out[i].push_back(vals[i]);
+  }
+  return out;
+}
+
+TEST(Refine, MergeMapMatchesBruteForceClasses) {
+  // One round of the shared loop against a brute-force reference of its
+  // candidate rule: each AND is proposed the constant, or the earliest
+  // earlier pool node (support PIs, then the cone in order) whose
+  // signature, masked by care and normalized on the first care pattern,
+  // equals its own. Exhaustive arenas (8 inputs) take every proposal;
+  // random arenas (kWide inputs, one word) take those the full truth
+  // tables confirm and stop after 64 refutations, as SAT does.
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    for (const bool wide : {false, true}) {
+      util::Random rng(seed * 97 + 13);
+      Aig g;
+      const int vars = wide ? kWide : 8;
+      const Lit fRef = test::randomFormula(g, rng, 8, 30);
+      // The AND of two supersets of ¬fRef is a node that is 1 wherever
+      // care ¬fRef is.
+      const Lit covers =
+          g.mkAnd(g.mkOr(!fRef, g.pi(0)), g.mkOr(!fRef, g.pi(1)));
+      const Lit fTgt = g.mkXor(test::randomFormula(g, rng, 8, 70), covers);
+      const Lit both[] = {fRef, fTgt, test::wideXor(g, 0, vars)};
+      const Lit tgt[] = {fTgt};
+      const auto support = g.supportVars(both);
+      const auto order = g.coneAnds(tgt);
+      std::vector<aig::NodeId> pool;
+      for (const aig::VarId v : support) pool.push_back(g.piNodeOf(v));
+      pool.insert(pool.end(), order.begin(), order.end());
+      std::vector<Lit> poolLits;
+      for (const aig::NodeId n : pool) poolLits.emplace_back(n, false);
+      const auto tt = tables(g, poolLits, vars);
+
+      for (const Lit care : {aig::kTrue, !fRef}) {
+        Signatures sigs(g, g.coneAnds(both), support, rng, 1, 2);
+        ASSERT_EQ(sigs.exhaustive(), !wide);
+        const Lit careRoot[] = {care};
+        const auto careTt = tables(g, careRoot, vars).front();
+        // A signature masked by care words `c` and complemented so that
+        // its value on the first care pattern is 0, with that phase.
+        auto normalized = [&](std::span<const std::uint64_t> s,
+                              std::span<const std::uint64_t> c) {
+          bool phase = false;
+          for (std::size_t w = 0; w < s.size(); ++w)
+            if (c[w] != 0) {
+              phase = ((s[w] >> std::countr_zero(c[w])) & 1) != 0;
+              break;
+            }
+          std::vector<std::uint64_t> out;
+          for (std::size_t w = 0; w < s.size(); ++w)
+            out.push_back((phase ? ~s[w] : s[w]) & c[w]);
+          return std::pair(out, phase);
+        };
+        const auto careSig = [&] {
+          std::vector<std::uint64_t> c(sigs.of(care.node()).begin(),
+                                       sigs.of(care.node()).end());
+          if (care.negated())
+            for (auto& w : c) w = ~w;
+          return c;
+        }();
+
+        aig::NodeMap expected;
+        int refuted = 0;
+        for (std::size_t k = support.size(); k < pool.size(); ++k) {
+          const auto [key, phase] = normalized(sigs.of(pool[k]), careSig);
+          Lit proposal = aig::kFalse;
+          bool found = false;
+          if (std::all_of(key.begin(), key.end(),
+                          [](std::uint64_t w) { return w == 0; })) {
+            // Constant under care: kFalse, or kTrue when normalized.
+            proposal = phase ? aig::kTrue : aig::kFalse;
+            found = true;
+          }
+          for (std::size_t j = 0; j < k && !found; ++j) {
+            const auto [keyJ, phaseJ] = normalized(sigs.of(pool[j]), careSig);
+            if (keyJ != key) continue;
+            proposal = Lit(pool[j], phase != phaseJ);
+            found = true;
+          }
+          if (!found) continue;
+          if (refuted >= 64) break;
+          // The truth: equal to the proposal on every care minterm.
+          const auto truth = tables(g, std::array{proposal}, vars).front();
+          bool holds = true;
+          for (std::size_t w = 0; w < truth.size(); ++w)
+            holds = holds && ((truth[w] ^ tt[k][w]) & careTt[w]) == 0;
+          if (holds) {
+            expected.set(pool[k], proposal);
+          } else {
+            ASSERT_TRUE(wide) << "an exhaustive proposal is a proof";
+            ++refuted;
+          }
+        }
+
+        SweepContext ctx;
+        ctx.bind(g);
+        if (wide) ctx.focusOn(both);
+        sweep::SweepStats stats;
+        aig::NodeMap merges;
+        EXPECT_TRUE(sweep::refine(g, order, support, sigs, care, ctx, 1, 2000,
+                                  rng, stats, merges));
+        EXPECT_EQ(stats.satUnknown, 0u);
+        EXPECT_EQ(merges.size(), expected.size())
+            << "seed " << seed << " wide " << wide;
+        for (const aig::NodeId n : order) {
+          ASSERT_EQ(merges.contains(n), expected.contains(n))
+              << "seed " << seed << " wide " << wide << " node " << n;
+          if (merges.contains(n)) {
+            EXPECT_EQ(merges.at(n), expected.at(n))
+                << "seed " << seed << " wide " << wide << " node " << n;
+          }
+        }
+      }
     }
   }
 }

@@ -551,6 +551,80 @@ TEST(Signatures, ForcingChangesAgreesWithForcedRebuild) {
   }
 }
 
+TEST(Signatures, ForcingChangesAgreesWithRebuildAcrossArenaChanges) {
+  // Referee for the shared flip pass: every answer, for both values of a
+  // node, equals rebuilding the root with node := value, resimulating
+  // the stored patterns and comparing where care is 1. Between the two
+  // values of a node the arena changes — an appended or refreshed random
+  // column, or a relayout onto a cone grown since — so an answer read
+  // from a stale observability mask fails. Seven inputs give exhaustive
+  // arenas, kWide random ones.
+  std::size_t changes = 0;
+  std::size_t misses = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    const bool wide = seed % 2 == 1;
+    util::Random rng(seed * 59 + 3);
+    Aig g;
+    const Lit f = test::randomFormula(g, rng, 7, 60);
+    const Lit c = test::randomFormula(g, rng, 7, 20);
+    const Lit roots[] = {f};
+    const auto order = g.coneAnds(roots);
+    if (order.empty()) continue;
+    std::vector<Lit> cone = {f, c, test::wideXor(g, 0, wide ? kWide : 7)};
+    const auto support = g.supportVars(cone);
+    sweep::Signatures sigs(g, g.coneAnds(cone), support, rng, 1, 4);
+    ASSERT_EQ(sigs.exhaustive(), !wide);
+
+    auto expected = [&](aig::NodeId n, bool value, Lit care) {
+      aig::NodeMap forced;
+      forced.set(n, value ? aig::kTrue : aig::kFalse);
+      const Lit lits[] = {f, g.rebuildWithNodeMap(roots, forced).front(),
+                          care};
+      util::VarTable<std::uint64_t> words;
+      for (std::size_t w = 0; w < sigs.words(); ++w) {
+        for (const aig::VarId v : support)
+          words.set(v, sigs.of(g.piNodeOf(v))[w]);
+        const auto vals = g.simulate(lits, words);
+        if (((vals[0] ^ vals[1]) & vals[2]) != 0) return true;
+      }
+      return false;
+    };
+    int step = 0;
+    auto changeArena = [&] {
+      std::vector<std::uint64_t> bits(support.size());
+      for (auto& b : bits) b = rng.next64();
+      switch (step++ % 3) {
+        case 0:
+          if (sigs.appendWord(bits, 64, rng)) break;
+          [[fallthrough]];
+        case 1:
+          if (!sigs.exhaustive())
+            sigs.refreshWord(rng.below(sigs.words()), bits,
+                             1 + static_cast<int>(rng.below(64)));
+          break;
+        default:
+          cone.push_back(g.mkAnd(f ^ rng.flip(), c ^ rng.flip()));
+          sigs.relayout(g.coneAnds(cone));
+          break;
+      }
+    };
+
+    for (const Lit care : {c, !c}) {
+      for (const aig::NodeId n : order) {
+        for (const bool value : {false, true}) {
+          const bool want = expected(n, value, care);
+          EXPECT_EQ(sigs.forcingChanges(n, value, f.node(), care), want)
+              << "seed " << seed << " node " << n << " value " << value;
+          ++(want ? changes : misses);
+          if (!value) changeArena();
+        }
+      }
+    }
+  }
+  EXPECT_GT(changes, 0u);
+  EXPECT_GT(misses, 0u);
+}
+
 TEST(Signatures, RefreshAndRelayoutKeepThePatterns) {
   util::Random rng(41);
   Aig g;

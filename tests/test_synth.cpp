@@ -190,7 +190,7 @@ TEST(DcSimplify, ExhaustiveOdcCommitsAndRefutesBySimulation) {
     const auto p = largePair(g, seed, 7);
     sweep::SweepContext ctx;
     const auto r = dcSimplify(g, p.fRef, p.fTgt, {}, ctx);
-    EXPECT_LE(r.stats.nodesAfter, r.stats.nodesBefore) << seed;
+    EXPECT_LE(g.coneSize(r.target), g.coneSize(p.fTgt)) << seed;
     odc += r.stats.odcReplacements;
     simRefuted += r.stats.odcSimRefuted;
   }
@@ -385,7 +385,6 @@ TEST(DcSimplify, StatsAccounting) {
   sweep::SweepContext ctx;
   const auto r = dcSimplify(g, fRef, fTgt, {}, ctx);
   EXPECT_TRUE(statsAddUp(r.stats));
-  EXPECT_EQ(r.stats.nodesBefore, g.coneSize(fTgt));
 }
 
 TEST(DcSimplify, CounterCofactorsUseTheBankAndStillCommitOdc) {
