@@ -122,8 +122,8 @@ class Session {
   }
 
   /// This resume's Progress: the result record with verdict `v`, live
-  /// counters and effort. `bound` is the committed fixpoint iteration /
-  /// BMC depth; `steps` (default: `bound`) is the reported depth.
+  /// counters and effort. `bound` is Progress::bound (the in-flight
+  /// iteration counts); `steps` (default: `bound`) is the reported depth.
   [[nodiscard]] Progress report(Verdict v, bool done, int bound,
                                 std::optional<int> steps = std::nullopt) const {
     Progress p;

@@ -65,7 +65,7 @@ struct Progress {
   /// induction depth, cone or node caps), or a permanent failure.
   /// resume() after done returns the same Progress.
   bool done = false;
-  int bound = 0;            ///< fixpoint iterations committed / BMC depth
+  int bound = 0;            ///< iterations / BMC depth begun, in-flight one too
   bool advanced = false;    ///< committed >= 1 bound in this resume
   /// Cumulative effort score (Session::effort): SAT conflicts + decisions
   /// + propagations plus one unit per query proven by exhaustive

@@ -14,7 +14,7 @@
 //
 // Naming convention: dotted lowercase paths, subsystem first —
 // sat.conflicts, merge.sat_checks, prep.coi.seconds, reach.compactions,
-// sched.promotions, mem.aig_peak_nodes. The README's
+// sched.slice_grants, mem.aig_peak_nodes. The README's
 // observability section keeps the catalogue.
 
 #include <array>

@@ -1,7 +1,6 @@
 #include "portfolio/runner.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -18,21 +17,15 @@ namespace cbq::portfolio {
 
 namespace {
 
-// Slice lengths for a session that shares its worker with rivals. A slice
-// that committed no new bound was too short to reach the engine's next
-// pause point and is doubled (up to the cap); one that committed
-// kDemoteBounds or more is halved (down to the floor) so rivals
-// interleave at finer grain.
-constexpr double kSliceInitialSeconds = 0.05;
-constexpr double kSliceMinSeconds = 0.0125;
-constexpr double kSliceMaxSeconds = 0.8;
-constexpr int kDemoteBounds = 8;
+// A sliced session is resumed for as long as it has already run, and at
+// least this long, so an engine that redoes a step a pause interrupted
+// redoes at most the time it has spent so far.
+constexpr double kSliceSeconds = 0.05;
 
 /// One engine's scheduling state. The session migrates between workers
 /// across slices; the scheduler mutex hands it off.
 struct Slot {
   std::unique_ptr<mc::Session> session;  ///< created on first slice
-  double sliceSeconds = kSliceInitialSeconds;
   mc::Progress last;      ///< most recent resume() report
   int slices = 0;
   bool finished = false;  ///< session reported done, or was quarantined
@@ -75,10 +68,11 @@ PortfolioResult runSessions(const mc::Network& net,
   // Slots are protected by ownership transfer, not the mutex: a worker
   // that pops index i from the ready queue owns slots[i] exclusively
   // until it re-queues or retires it, including the lock-free resume.
+  // The pick reads queued slots, which only change under the mutex.
   struct State {
     util::Mutex mu;
     util::CondVar cv;
-    std::deque<std::size_t> ready CBQ_GUARDED_BY(mu);
+    std::vector<std::size_t> ready CBQ_GUARDED_BY(mu);
     int winnerIdx CBQ_GUARDED_BY(mu) = -1;
     int inFlight CBQ_GUARDED_BY(mu) = 0;   ///< sessions resuming on workers
     std::size_t live CBQ_GUARDED_BY(mu) = 0;     ///< sessions not finished
@@ -109,8 +103,15 @@ PortfolioResult runSessions(const mc::Network& net,
         st.cv.wait(st.mu);
       if (st.winnerIdx >= 0 || st.ready.empty()) return;
 
-      const std::size_t i = st.ready.front();
-      st.ready.pop_front();
+      // The session that has run least goes next; ties go to the lower
+      // engine index, so the first round runs in engine-set order.
+      const auto next = std::min_element(
+          st.ready.begin(), st.ready.end(), [&](std::size_t a, std::size_t b) {
+            return std::pair(slots[a].last.result.seconds, a) <
+                   std::pair(slots[b].last.result.seconds, b);
+          });
+      const std::size_t i = *next;
+      st.ready.erase(next);
       ++st.inFlight;
       // The pause rule: a session is sliced only while another one is
       // waiting for a worker; otherwise it keeps the whole budget.
@@ -127,8 +128,10 @@ PortfolioResult runSessions(const mc::Network& net,
       try {
         CBQ_OBS_SPAN("sched", name);
         if (!slot.session) slot.session = engines[i]->start(clones[i]);
-        p = slot.session->resume(sliced ? outer.tightened(slot.sliceSeconds)
-                                        : outer);
+        p = slot.session->resume(
+            sliced ? outer.tightened(std::max(kSliceSeconds,
+                                              slot.last.result.seconds))
+                   : outer);
         // The independent referee, outside the lock so a deep replay
         // never stalls the other workers: an Unsafe whose trace is
         // missing or does not replay on the session's own network is
@@ -175,7 +178,6 @@ PortfolioResult runSessions(const mc::Network& net,
         schedStats.add("sched.quarantines");
       } else {
         schedStats.observe("sched.slice_seconds", p.sliceSeconds);
-        const int boundDelta = p.bound - slot.last.bound;
         slot.last = std::move(p);
         if (slot.last.done) {
           slot.finished = true;
@@ -184,17 +186,8 @@ PortfolioResult runSessions(const mc::Network& net,
             st.winnerIdx = static_cast<int>(i);
             stop.cancel();  // tell mid-slice rivals to stop
           }
-        } else {
-          if (sliced && !slot.last.advanced) {
-            slot.sliceSeconds =
-                std::min(slot.sliceSeconds * 2.0, kSliceMaxSeconds);
-            schedStats.add("sched.promotions");
-          } else if (sliced && boundDelta >= kDemoteBounds) {
-            slot.sliceSeconds =
-                std::max(slot.sliceSeconds * 0.5, kSliceMinSeconds);
-            schedStats.add("sched.demotions");
-          }
-          if (st.winnerIdx < 0 && !outer.exhausted()) st.ready.push_back(i);
+        } else if (st.winnerIdx < 0 && !outer.exhausted()) {
+          st.ready.push_back(i);
         }
       }
       if (slot.finished) --st.live;

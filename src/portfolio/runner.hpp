@@ -14,9 +14,10 @@
 // worker count. Race gives every engine its own worker, Slice shares
 // `sliceWorkers` workers, and the sequential entry (prep::checkWithPrep)
 // is one engine on one worker. The pause rule follows from the count: a
-// session is resumed under a short, adaptive slice budget only while live
-// sessions outnumber workers — a session with no rival waiting for its
-// worker runs under the whole remaining budget and is never paused.
+// session is resumed under a slice budget only while live sessions
+// outnumber workers — a session with no rival waiting for its worker runs
+// under the whole remaining budget and is never paused. A sliced session
+// runs as long as it has run so far; the least-run one goes next.
 
 #include <functional>
 #include <string>

@@ -327,6 +327,40 @@ TEST(TimeSlice, RaceNeverPausesASession) {
   }
 }
 
+TEST(TimeSlice, SessionsGetEqualShares) {
+  // Three engines share one worker for 6 s. Each resume goes to the
+  // session that has run least, so no engine runs more than a few times
+  // as long as another: bdd-bwd, which commits bounds fastest, is not
+  // starved (on a fast host it even wins inside the budget).
+  const auto inst = circuits::makeInstance("counter", 16, false);
+  portfolio::PortfolioOptions opts = sliceOptions();
+  opts.engines = {"cbq-reach", "bdd-bwd", "hybrid-reach"};
+  opts.timeLimitSeconds = 6.0;
+  const auto res = portfolio::PortfolioRunner(opts).run(inst.net);
+  EXPECT_NE(res.best.verdict, Verdict::Safe);
+  double least = res.runs.front().seconds;
+  for (const auto& run : res.runs) least = std::min(least, run.seconds);
+  for (const auto& run : res.runs) {
+    EXPECT_LE(run.seconds, 3.0 * least) << run.engine;
+  }
+}
+
+TEST(TimeSlice, LongStepFinishesInFewSlices) {
+  // hybrid-reach redoes its interrupted phase-1 quantification after a
+  // pause. Each slice lasts as long as the session has run so far, so
+  // the redone work stays bounded and the step completes after a
+  // logarithmic number of slices, also under a slow (sanitizer) build.
+  // Fixed 50 ms slices never complete it here.
+  const auto inst = circuits::makeInstance("arbiter", 16, true);
+  portfolio::PortfolioOptions opts = sliceOptions();
+  opts.engines = {"hybrid-reach", "bdd-bwd"};
+  opts.timeLimitSeconds = 120.0;
+  const auto res = portfolio::PortfolioRunner(opts).run(inst.net);
+  EXPECT_EQ(res.best.verdict, Verdict::Safe);
+  ASSERT_NE(res.winner(), nullptr);
+  EXPECT_LE(res.winner()->slices, 16) << res.winner()->engine;
+}
+
 TEST(TimeSlice, ExpiredBudgetReportsUnknown) {
   const auto inst = circuits::makeInstance("mult", 8, true);
   portfolio::PortfolioOptions opts = sliceOptions();
